@@ -106,6 +106,11 @@ class RingCtx:
     subsets: tuple = ()
     quotients: tuple = ()
     skipped: str = ""
+    # memos of sj_witnesses and j_check, keyed by mask bytes
+    _sj: dict = field(default_factory=dict, init=False, repr=False,
+                      compare=False)
+    _j: dict = field(default_factory=dict, init=False, repr=False,
+                     compare=False)
 
     @property
     def comm_ident(self):
@@ -114,6 +119,42 @@ class RingCtx:
     @property
     def ident(self):
         return self.ring.one is not None
+
+    def sj_witnesses(self, ideal, subset):
+        """wits[k]: is subset.members[k] a fixed witness of the subset-
+        radical law for the ideal?  The subset is one of the context's
+        subsets and misses the ideal.
+
+        One hypothesis matrix per ideal yields the vectors of every
+        subset of the context that misses it; the vectors are kept.
+        """
+        per_subset = self._sj.get(ideal.key)
+        if per_subset is None:
+            ring, jm, imask = self.ring, self.jac.mask, ideal.mask
+            hyp = _product_hyp_matrix(ring, imask)
+            per_subset = {}
+            for S in self.subsets:
+                if not _disjoint(ideal, S):
+                    continue
+                wits = np.zeros(len(S.members), dtype=bool)
+                for k, s in enumerate(S.members):
+                    row = ring.mul_vec(np.int64(s), ring.elements)
+                    wits[k] = _first_violation(hyp, jm[row],
+                                               imask[row]) is None
+                wits.setflags(write=False)
+                per_subset[S.key] = wits
+            self._sj[ideal.key] = per_subset
+        return per_subset[subset.key]
+
+    def j_check(self, ideal):
+        """is_J_ideal against this context's radical, kept per mask."""
+        key = getattr(ideal, "mask", ideal).tobytes()
+        res = self._j.get(key)
+        if res is None:
+            res = self._j[key] = is_J_ideal(self.ring, ideal,
+                                            jacobson=self.jac,
+                                            lattice=self.lattice)
+        return res
 
 
 @dataclass
@@ -402,16 +443,6 @@ def _disjoint(ideal, subset):
     return not (ideal.mask & subset.mask).any()
 
 
-def _sj_witnesses(ring, hyp, jmask, imask, members):
-    """Which s are valid fixed witnesses for the subset-radical law."""
-    els = ring.elements
-    out = np.zeros(len(members), dtype=bool)
-    for k, s in enumerate(members):
-        row = ring.mul_vec(np.int64(s), els)
-        out[k] = _first_violation(hyp, jmask[row], imask[row]) is None
-    return out
-
-
 def _ideal_times_s_inside(ring, lattice, s, target_mask):
     """Per lattice ideal A: is the set A*s inside the target?"""
     out = np.empty(len(lattice), dtype=bool)
@@ -426,21 +457,8 @@ def _ideal_times_s_inside(ring, lattice, s, target_mask):
     return out
 
 
-def _prod_matrix(lattice):
-    m = len(lattice)
-    prod = np.empty((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            prod[i, j] = lattice.product_idx(i, j)
-    return prod
-
-
-def _sgen_ideal(ring, s):
-    return IdealSet(ring, ideal_generate(ring, [int(s)]))
-
-
-def _right_witness(lattice, prod, hyp, pidx, jidx, s):
-    col = prod[:, lattice.principal_of[int(s)]]
+def _right_witness(lattice, hyp, pidx, jidx, s):
+    col = lattice.prod[:, lattice.principal_of[int(s)]]
     a_ok = lattice.leq[col, jidx]
     b_ok = lattice.leq[col, pidx]
     return _first_violation(hyp, a_ok, b_ok) is None
@@ -457,14 +475,11 @@ def _p1(corpus, rep):
             continue
         ring, jm = ctx.ring, ctx.jac.mask
         for I in ctx.ideals:
-            hyp = None
             for S in ctx.subsets:
                 if not _disjoint(I, S):
                     rep.vacuous += 1
                     continue
-                if hyp is None:
-                    hyp = _product_hyp_matrix(ring, I.mask)
-                wits = _sj_witnesses(ring, hyp, jm, I.mask, S.members)
+                wits = ctx.sj_witnesses(I, S)
                 if not wits.any():
                     rep.vacuous += 1
                     continue
@@ -489,8 +504,7 @@ def _p2(corpus, rep):
             continue
         ring = ctx.ring
         for I in ctx.ideals:
-            res = is_J_ideal(ring, I, jacobson=ctx.jac, lattice=ctx.lattice)
-            if not res.verdict:
+            if not ctx.j_check(I).verdict:
                 rep.vacuous += 1
                 continue
             rep.tested += 1
@@ -532,8 +546,7 @@ def _p3(corpus, rep):
                     n_res = is_n_ideal(ring, I, beta=beta, lattice=ctx.lattice)
                     if n_res.verdict:
                         rep.tested += 1
-                        j_res = is_J_ideal(ring, I, jacobson=ctx.jac,
-                                           lattice=ctx.lattice)
+                        j_res = ctx.j_check(I)
                         if not j_res.verdict:
                             rep.violation(ring, I, None, {
                                 "part": "nilradical-but-not-radical",
@@ -563,18 +576,13 @@ def _p4(corpus, rep):
         if not ctx.comm_ident:
             continue
         ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
-        prod = _prod_matrix(lattice)
         for I in ctx.ideals:
-            hyp = None
-            iidx = lattice.idx_of(I)
-            hyp_lat = lattice.leq[prod, iidx]
+            hyp_lat = lattice.leq[lattice.prod, lattice.idx_of(I)]
             for S in ctx.subsets:
                 if not _disjoint(I, S):
                     rep.vacuous += 1
                     continue
-                if hyp is None:
-                    hyp = _product_hyp_matrix(ring, I.mask)
-                wits = _sj_witnesses(ring, hyp, jm, I.mask, S.members)
+                wits = ctx.sj_witnesses(I, S)
                 rep.tested += 1
                 for s, ok in zip(S.members, wits):
                     a_ok = _ideal_times_s_inside(ring, lattice, s, jm)
@@ -595,25 +603,19 @@ def _p5(corpus, rep):
         if not ctx.comm_ident:
             continue
         ring, jm = ctx.ring, ctx.jac.mask
-        jac_is_j = is_J_ideal(ring, ctx.jac, jacobson=ctx.jac,
-                              lattice=ctx.lattice).verdict
+        jac_is_j = ctx.j_check(ctx.jac).verdict
         for I in ctx.ideals:
-            hyp = None
             for S in ctx.subsets:
                 if not _disjoint(I, S):
                     rep.vacuous += 1
                     continue
-                if hyp is None:
-                    hyp = _product_hyp_matrix(ring, I.mask)
-                wits = _sj_witnesses(ring, hyp, jm, I.mask, S.members)
+                wits = ctx.sj_witnesses(I, S)
                 conv = jac_is_j and not (jm & S.mask).any()
                 colon_j = []
                 for s in S.members:
                     cmask = colon_elem_mask(ring, I.mask, int(s))
-                    colon_j.append(
-                        is_J_ideal(ring, cmask, jacobson=ctx.jac,
-                                   lattice=ctx.lattice).verdict
-                        if not cmask.all() else False)
+                    colon_j.append(not cmask.all()
+                                   and ctx.j_check(cmask).verdict)
                 if not any(colon_j) and not (conv and wits.any()):
                     rep.vacuous += 1
                     continue
@@ -639,14 +641,11 @@ def _p6(corpus, rep):
         ring, jm = ctx.ring, ctx.jac.mask
         els = ring.elements
         for I in ctx.ideals:
-            hyp = None
             for S in ctx.subsets:
                 if not _disjoint(I, S):
                     rep.vacuous += 1
                     continue
-                if hyp is None:
-                    hyp = _product_hyp_matrix(ring, I.mask)
-                wits = _sj_witnesses(ring, hyp, jm, I.mask, S.members)
+                wits = ctx.sj_witnesses(I, S)
                 rep.tested += 1
                 for s, w in zip(S.members, wits):
                     colon_s = colon_elem_mask(ring, I.mask, int(s))
@@ -673,14 +672,11 @@ def _p7(corpus, rep):
         ring, jm = ctx.ring, ctx.jac.mask
         els = ring.elements
         for I in ctx.ideals:
-            hyp = None
             for S in ctx.subsets:
                 if not _disjoint(I, S):
                     rep.vacuous += 1
                     continue
-                if hyp is None:
-                    hyp = _product_hyp_matrix(ring, I.mask)
-                wits = _sj_witnesses(ring, hyp, jm, I.mask, S.members)
+                wits = ctx.sj_witnesses(I, S)
                 rep.tested += 1
                 for s, w in zip(S.members, wits):
                     colon_s = colon_elem_mask(ring, I.mask, int(s))
@@ -705,20 +701,16 @@ def _p8(corpus, rep):
     for ctx in corpus.contexts:
         if not ctx.comm_ident:
             continue
-        ring, jm = ctx.ring, ctx.jac.mask
+        ring = ctx.ring
         for I in ctx.ideals:
             if I.size < 2:
                 continue
-            hyp = None
             sub_ring = None
             for S in ctx.subsets:
                 if not _disjoint(I, S):
                     rep.vacuous += 1
                     continue
-                if hyp is None:
-                    hyp = _product_hyp_matrix(ring, I.mask)
-                wits = _sj_witnesses(ring, hyp, jm, I.mask, S.members)
-                if not wits.any():
+                if not ctx.sj_witnesses(I, S).any():
                     rep.vacuous += 1
                     continue
                 if sub_ring is None:
@@ -769,14 +761,11 @@ def _p9(corpus, rep):
             if jstar.key != I.key:
                 rep.vacuous += 1
                 continue
-            hyp = None
             for S in ctx.subsets:
                 if not _disjoint(I, S):
                     rep.vacuous += 1
                     continue
-                if hyp is None:
-                    hyp = _product_hyp_matrix(ring, I.mask)
-                if not _sj_witnesses(ring, hyp, jm, I.mask, S.members).any():
+                if not ctx.sj_witnesses(I, S).any():
                     rep.vacuous += 1
                     continue
                 rep.tested += 1
@@ -801,13 +790,8 @@ def _p10(corpus, rep):
         ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
         a_pool = list(ctx.ideals) + [unit_ideal(ring)]
         for S in ctx.subsets:
-            sj = {}
-            for I in ctx.ideals:
-                if not _disjoint(I, S):
-                    continue
-                hyp = _product_hyp_matrix(ring, I.mask)
-                sj[I.key] = _sj_witnesses(ring, hyp, jm, I.mask,
-                                          S.members).any()
+            sj = {I.key: ctx.sj_witnesses(I, S).any()
+                  for I in ctx.ideals if _disjoint(I, S)}
             for A in a_pool:
                 if A.key not in lattice.key_to_idx:
                     continue
@@ -845,9 +829,7 @@ def _p10(corpus, rep):
                     if not _disjoint(ai_ideal, S):
                         rep.vacuous += 1
                         continue
-                    hyp_ai = _product_hyp_matrix(ring, ai_ideal.mask)
-                    if not _sj_witnesses(ring, hyp_ai, jm, ai_ideal.mask,
-                                         S.members).any():
+                    if not ctx.sj_witnesses(ai_ideal, S).any():
                         rep.vacuous += 1
                         continue
                     rep.tested += 1
@@ -869,14 +851,11 @@ def _p11(corpus, rep):
         ring, jm = ctx.ring, ctx.jac.mask
         els = ring.elements
         for I in ctx.ideals:
-            hyp = None
             for S in ctx.subsets:
                 if not _disjoint(I, S):
                     rep.vacuous += 1
                     continue
-                if hyp is None:
-                    hyp = _product_hyp_matrix(ring, I.mask)
-                if not _sj_witnesses(ring, hyp, jm, I.mask, S.members).any():
+                if not ctx.sj_witnesses(I, S).any():
                     rep.vacuous += 1
                     continue
                 xsets = []
@@ -912,14 +891,9 @@ def _p12(corpus, rep):
             continue
         ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
         for S in ctx.subsets:
-            flags = []
-            for idl in lattice.ideals:
-                ok = False
-                if idl.is_proper and not (idl.mask & S.mask).any():
-                    hyp = _product_hyp_matrix(ring, idl.mask)
-                    ok = _sj_witnesses(ring, hyp, jm, idl.mask,
-                                       S.members).any()
-                flags.append(ok)
+            flags = [idl.is_proper and _disjoint(idl, S)
+                     and ctx.sj_witnesses(idl, S).any()
+                     for idl in lattice.ideals]
             sj_idx = [i for i, f in enumerate(flags) if f]
             if sj_idx:
                 rep.tested += 1
@@ -1068,8 +1042,7 @@ def _p15(corpus, rep):
         ring, jm = ctx.ring, ctx.jac.mask
         for kernel, qring, hom, qlat, qjac in ctx.quotients:
             k_in_jac = not (kernel.mask & ~jm).any()
-            k_is_j = is_J_ideal(ring, kernel, jacobson=ctx.jac,
-                                lattice=ctx.lattice).verdict
+            k_is_j = ctx.j_check(kernel).verdict
             uppers = [i for i in ctx.lattice.ideals
                       if i.is_proper and not (kernel.mask & ~i.mask).any()]
             for S in ctx.subsets:
@@ -1200,8 +1173,7 @@ def _p18(corpus, rep):
         if not ctx.comm_ident or ctx.family != "zn" or ctx.ring.size > 8:
             continue
         ring, jm = ctx.ring, ctx.jac.mask
-        if not is_J_ideal(ring, ctx.jac, jacobson=ctx.jac,
-                          lattice=ctx.lattice).verdict:
+        if not ctx.j_check(ctx.jac).verdict:
             rep.vacuous += 1
             continue
         n = ring.size
@@ -1382,7 +1354,7 @@ def _p23(corpus, rep):
         if not ctx.ident:
             continue
         ring, lattice = ctx.ring, ctx.lattice
-        prod = _prod_matrix(lattice)
+        prod = lattice.prod
         jidx = lattice.idx_of(ctx.jac)
         prin = np.unique(lattice.principal_of)
         for P in ctx.ideals:
@@ -1476,7 +1448,8 @@ def _p26(corpus, rep):
                                          jacobson=ctx.jac)
                 lhs = False
                 for s in S.members:
-                    q = colon_ideal_mask(ring, P.mask, _sgen_ideal(ring, s))
+                    q = colon_ideal_mask(ring, P.mask,
+                                         ctx.lattice.principal(s))
                     if (q & S.mask).any() or q.all():
                         continue
                     if is_right_S_J_ideal(ring, q, S, lattice=ctx.lattice,
@@ -1501,11 +1474,11 @@ def _p27(corpus, rep):
                     continue
                 cert = None
                 for s in S.members:
-                    q = colon_ideal_mask(ring, P.mask, _sgen_ideal(ring, s))
+                    q = colon_ideal_mask(ring, P.mask,
+                                         ctx.lattice.principal(s))
                     if q.all():
                         continue
-                    if is_J_ideal(ring, q, jacobson=ctx.jac,
-                                  lattice=ctx.lattice).verdict:
+                    if ctx.j_check(q).verdict:
                         cert = int(s)
                         break
                 if cert is None:
@@ -1534,11 +1507,10 @@ def _p28(corpus, rep):
                 continue
             good = []
             for s in S.members:
-                qj = colon_ideal_mask(ring, jm, _sgen_ideal(ring, s))
+                qj = colon_ideal_mask(ring, jm, ctx.lattice.principal(s))
                 if qj.all() or (qj & S.mask).any():
                     continue
-                if is_J_ideal(ring, qj, jacobson=ctx.jac,
-                              lattice=ctx.lattice).verdict:
+                if ctx.j_check(qj).verdict:
                     good.append(int(s))
             if not good:
                 rep.vacuous += 1
@@ -1553,10 +1525,9 @@ def _p28(corpus, rep):
                     continue
                 rep.tested += 1
                 for s in good:
-                    q = colon_ideal_mask(ring, P.mask, _sgen_ideal(ring, s))
-                    if q.all() or not is_J_ideal(
-                            ring, q, jacobson=ctx.jac,
-                            lattice=ctx.lattice).verdict:
+                    q = colon_ideal_mask(ring, P.mask,
+                                         ctx.lattice.principal(s))
+                    if q.all() or not ctx.j_check(q).verdict:
                         rep.violation(ring, P, S, {
                             "s": ring.element_label(s),
                             "colon_is_whole_ring": bool(q.all())})
@@ -1645,11 +1616,10 @@ def _p31(corpus, rep):
         if not ctx.ident:
             continue
         ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
-        prod = _prod_matrix(lattice)
         jidx = lattice.idx_of(ctx.jac)
         for P in ctx.ideals:
             pidx = lattice.idx_of(P)
-            hyp = lattice.leq[prod, pidx]
+            hyp = lattice.leq[lattice.prod, pidx]
             jstar = None
             for S in ctx.subsets:
                 if not _disjoint(P, S):
@@ -1657,7 +1627,7 @@ def _p31(corpus, rep):
                     continue
                 good = [int(s) for s in S.members
                         if np.array_equal(
-                            colon_ideal_mask(ring, jm, _sgen_ideal(ring, s)),
+                            colon_ideal_mask(ring, jm, lattice.principal(s)),
                             jm)]
                 if not good:
                     rep.vacuous += 1
@@ -1666,8 +1636,8 @@ def _p31(corpus, rep):
                     jstar = j_star(ring, P, lattice)
                 rep.tested += 1
                 for s in good:
-                    lhs = _right_witness(lattice, prod, hyp, pidx, jidx, s)
-                    sgen = _sgen_ideal(ring, s)
+                    lhs = _right_witness(lattice, hyp, pidx, jidx, s)
+                    sgen = lattice.principal(s)
                     contain = not (P.mask & ~colon_ideal_mask(
                         ring, jm, sgen)).any()
                     a_skip = colon_ideal_mask(ring, jstar.mask, sgen)
@@ -1700,7 +1670,7 @@ def _p32(corpus, rep):
                     rep.tested += 1
                     ok = any(
                         not (P.mask & ~colon_ideal_mask(
-                            ring, jm, _sgen_ideal(ring, s))).any()
+                            ring, jm, ctx.lattice.principal(s))).any()
                         for s in S.members)
                     if not ok:
                         rep.violation(ring, P, S, {
@@ -1735,9 +1705,8 @@ def _p33(corpus, rep):
         for S in ctx.subsets:
             good = False
             for s in S.members:
-                q = colon_ideal_mask(ring, jm, _sgen_ideal(ring, s))
-                if not q.all() and is_J_ideal(ring, q, jacobson=ctx.jac,
-                                              lattice=ctx.lattice).verdict:
+                q = colon_ideal_mask(ring, jm, lattice.principal(s))
+                if not q.all() and ctx.j_check(q).verdict:
                     good = True
                     break
             if not good:
@@ -2008,11 +1977,10 @@ def run_worked_examples():
     ok = (not plain.verdict and rel.verdict
           and int(rel.witness_s) in (three_i, 9 * 12 ** 3 + 9))
     # 3I replays as a witness through the lattice scan
-    prod_m = _prod_matrix(lat12)
     pidx = lat12.idx_of(IdealSet(m12, pmask))
     jidx = lat12.idx_of(jac12)
-    hyp_m = lat12.leq[prod_m, pidx]
-    ok = ok and _right_witness(lat12, prod_m, hyp_m, pidx, jidx, three_i)
+    hyp_m = lat12.leq[lat12.prod, pidx]
+    ok = ok and _right_witness(lat12, hyp_m, pidx, jidx, three_i)
     out.append({"id": "E4", "passed": bool(ok),
                 "description": "M2(Z12): the scalar-subset right law "
                                "holds for M2(gen(4)) with witness 3I, "

@@ -39,6 +39,7 @@ class IdealSet:
         self.label = label
         self._members = None
         self._addgens = None
+        self._mingens = None
 
     @property
     def members(self):
@@ -162,16 +163,6 @@ def ideal_product(a, b):
     return IdealSet(ring, additive_closure(ring, np.unique(prods)))
 
 
-def product_subset_of(a, b, pmask):
-    """AB is inside P (P additively closed) iff all generator products are."""
-    ring = a.ring
-    for x in a.addgens:
-        hit = ring.mul_vec(np.int64(x), np.asarray(b.addgens, dtype=np.int64))
-        if not pmask[hit].all():
-            return False
-    return True
-
-
 def colon_elem_mask(ring, imask, a, side="right"):
     """(I : a) as a mask; right means {x : x a in I}, left {x : a x in I}."""
     idx = ring.elements
@@ -223,7 +214,12 @@ def is_modular_ideal(ring, imask):
 
 
 def minimal_generating_set(ideal):
-    """Small generating set: greedy cover, then drop redundant members."""
+    """Small generating set: greedy cover, then drop redundant members.
+
+    Computed once per IdealSet; every call returns a fresh list.
+    """
+    if ideal._mingens is not None:
+        return list(ideal._mingens)
     ring = ideal.ring
     gens = []
     cur = zero_ideal(ring).mask
@@ -241,6 +237,7 @@ def minimal_generating_set(ideal):
                 gens = rest
                 changed = True
                 break
+    ideal._mingens = tuple(gens)
     return gens
 
 
@@ -269,6 +266,7 @@ class IdealLattice:
         self.key_to_idx = {ideal.key: i for i, ideal in enumerate(ideals)}
         self._leq = None
         self._prod = {}
+        self._prod_table = None
         self._sum = {}
         self._nilpotent = None
         self._prime = None
@@ -302,6 +300,25 @@ class IdealLattice:
                 leq[i] = ~(masks[i][None, :] & ~masks).any(axis=1)
             self._leq = leq
         return self._leq
+
+    @property
+    def prod(self):
+        """prod[i, j] is the index of the product of ideals i and j.
+
+        Read-only, and built on first use: callers that need only a few
+        products use product_idx, which stays lazy per pair.
+        """
+        if self._prod_table is None:
+            m = len(self.ideals)
+            table = np.array([[self.product_idx(i, j) for j in range(m)]
+                              for i in range(m)], dtype=np.int64)
+            table.setflags(write=False)
+            self._prod_table = table
+        return self._prod_table
+
+    def principal(self, x):
+        """The principal ideal <x>, read from the principal_of index."""
+        return self.ideals[self.principal_of[int(x)]]
 
     def product_idx(self, i, j):
         key = (i, j)

@@ -192,17 +192,6 @@ def _scan(ring, hyp, members, disjuncts, mode):
     return CheckResult(False, counterexample=v, quantifier_mode="per-pair-s")
 
 
-def pair_violation(ring, imask, a_ok, b_ok):
-    """Lex-least (a, b) with a*b in the ideal and both masks false there.
-
-    Exposed for replaying single-s verdicts without rerunning the whole
-    quantifier.
-    """
-    hyp = _product_hyp_matrix(ring, np.asarray(imask, dtype=bool))
-    return _first_violation(hyp, np.asarray(a_ok, dtype=bool),
-                            np.asarray(b_ok, dtype=bool))
-
-
 # ---------------------------------------------------------------------------
 # one-sided (no subset) checks
 # ---------------------------------------------------------------------------
@@ -339,20 +328,15 @@ def is_S_prime(ring, ideal, subset, mode="fixed-s"):
 def _lattice_context(ring, imask, lattice):
     if lattice is None:
         lattice = enumerate_ideals(ring)
-    pidx = lattice.idx_of(IdealSet(ring, imask))
-    count = len(lattice)
-    prod = np.empty((count, count), dtype=np.int64)
-    for i in range(count):
-        for j in range(count):
-            prod[i, j] = lattice.product_idx(i, j)
-    return lattice, pidx, prod
+    return lattice, lattice.idx_of(IdealSet(ring, imask))
 
 
-def _lattice_scan(ring, lattice, prod, pidx, target_a_idx, members, mode):
+def _lattice_scan(lattice, pidx, target_a_idx, members, mode):
     """Quantifier over ideal pairs: product below pidx forces the first
     ideal times <s> below target_a_idx, or the second times <s> below
     pidx."""
     leq = lattice.leq
+    prod = lattice.prod
     hyp = leq[prod, pidx]
     gidx = lattice.principal_of
 
@@ -396,9 +380,8 @@ def is_right_S_prime(ring, ideal, subset, lattice=None, mode="fixed-s"):
     imask = _resolve_ideal(ring, ideal)
     subset = _resolve_subset(ring, subset)
     _require_disjoint(ring, imask, subset)
-    lattice, pidx, prod = _lattice_context(ring, imask, lattice)
-    return _lattice_scan(ring, lattice, prod, pidx, pidx,
-                         subset.members, mode)
+    lattice, pidx = _lattice_context(ring, imask, lattice)
+    return _lattice_scan(lattice, pidx, pidx, subset.members, mode)
 
 
 def is_right_S_J_ideal(ring, ideal, subset, lattice=None, jacobson=None,
@@ -415,12 +398,11 @@ def is_right_S_J_ideal(ring, ideal, subset, lattice=None, jacobson=None,
     subset = _resolve_subset(ring, subset)
     _require_disjoint(ring, imask, subset)
     if method == "lattice":
-        lattice, pidx, prod = _lattice_context(ring, imask, lattice)
+        lattice, pidx = _lattice_context(ring, imask, lattice)
         jac = jacobson_radical(ring, lattice) if jacobson is None else jacobson
         jidx = lattice.idx_of(jac if isinstance(jac, IdealSet)
                               else IdealSet(ring, _resolve_ideal(ring, jac)))
-        return _lattice_scan(ring, lattice, prod, pidx, jidx,
-                             subset.members, mode)
+        return _lattice_scan(lattice, pidx, jidx, subset.members, mode)
     if method != "elementwise":
         raise InvalidParameter("unknown method", method=method,
                                expected=("lattice", "elementwise"))
@@ -485,6 +467,5 @@ def related_checks(ring, ideal, subset, lattice=None, jacobson=None):
         out["colon_by_witness"] = IdealSet(
             ring, colon_elem_mask(ring, imask, s))
         out["colon_by_witness_ideal"] = IdealSet(
-            ring, colon_ideal_mask(
-                ring, imask, IdealSet(ring, ideal_generate(ring, [s]))))
+            ring, colon_ideal_mask(ring, imask, lattice.principal(s)))
     return out

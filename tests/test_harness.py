@@ -137,3 +137,20 @@ def test_violation_payloads_are_replayable():
     ring = build_ring(parse_ring_expr(v["ring_expr"]))
     ideal = build_ideal(ring, parse_ideal_spec(v["ideal_gens"]))
     assert (ideal.mask == ctx.ideals[0].mask).all()
+
+
+CACHE_CORPUS = {"rings": ["Z36", "Z4 x Z6", "M(2, Z2)"]}
+
+
+def test_law_caches_do_not_change_the_report():
+    """Each law run alone on a fresh corpus reports what it reports inside
+    a full registry run, and a second run on the warmed corpus writes the
+    same bytes: the per-context caches never change an answer."""
+    warm = harness.build_corpus(CACHE_CORPUS)
+    full = harness.verify_properties(warm, threads=1)
+    for law, entry in zip(harness.REGISTRY, full):
+        alone = harness.verify_properties(harness.build_corpus(CACHE_CORPUS),
+                                          ids=[law.id], threads=1)
+        assert alone == [entry]
+    again = harness.verify_properties(warm, threads=1)
+    assert harness.report_json(again) == harness.report_json(full)

@@ -64,10 +64,23 @@ def test_lattice_ops_match_naive(ringlat):
             sb = frozenset(map(int, b.members))
             assert frozenset(map(int, ideals[lattice.sum_idx(i, j)].members)) \
                 == naive.ideal_sum(nr, sa, sb)
+            want = naive.ideal_product(nr, sa, sb)
             assert frozenset(
-                map(int, ideals[lattice.product_idx(i, j)].members)) \
-                == naive.ideal_product(nr, sa, sb)
+                map(int, ideals[lattice.product_idx(i, j)].members)) == want
+            assert frozenset(
+                map(int, ideals[lattice.prod[i, j]].members)) == want
             assert bool(lattice.leq[i, j]) == (sa <= sb)
+    assert not lattice.prod.flags.writeable
+    with pytest.raises(ValueError):
+        lattice.prod[0, 0] = lattice.top_idx
+
+
+def test_principal_index_matches_naive(ringlat):
+    ring, lattice, nr = ringlat
+    for x in range(ring.size):
+        ideal = lattice.ideals[lattice.principal_of[x]]
+        assert frozenset(map(int, ideal.members)) == naive.principal(nr, x)
+        assert lattice.principal(x) is ideal
 
 
 def test_prime_and_maximal_flags_match_naive(ringlat):
@@ -134,6 +147,11 @@ def test_minimal_generating_sets(ringlat):
         for g in gens:
             rest = [h for h in gens if h != g]
             assert not (ideal_generate(ring, rest) == ideal.mask).all()
+        # the generators are kept per ideal; a caller's edit must not leak
+        want = list(gens)
+        gens.append(ring.zero)
+        gens.reverse()
+        assert minimal_generating_set(ideal) == want
 
 
 def test_ideal_algebra_wrappers():
