@@ -32,6 +32,7 @@ from .ideals import (
     unit_ideal,
     zero_ideal,
 )
+from .memo import once
 from .predicates import (
     _arb_violation,
     _first_violation,
@@ -128,33 +129,33 @@ class RingCtx:
         One hypothesis matrix per ideal yields the vectors of every
         subset of the context that misses it; the vectors are kept.
         """
-        per_subset = self._sj.get(ideal.key)
-        if per_subset is None:
-            ring, jm, imask = self.ring, self.jac.mask, ideal.mask
-            hyp = _product_hyp_matrix(ring, imask)
-            per_subset = {}
-            for S in self.subsets:
-                if not _disjoint(ideal, S):
-                    continue
-                wits = np.zeros(len(S.members), dtype=bool)
-                for k, s in enumerate(S.members):
-                    row = ring.mul_vec(np.int64(s), ring.elements)
-                    wits[k] = _first_violation(hyp, jm[row],
-                                               imask[row]) is None
-                wits.setflags(write=False)
-                per_subset[S.key] = wits
-            self._sj[ideal.key] = per_subset
-        return per_subset[subset.key]
+        return once(self._sj, ideal.key,
+                    lambda: self._witness_vectors(ideal))[subset.key]
+
+    def _witness_vectors(self, ideal):
+        ring, jm, imask = self.ring, self.jac.mask, ideal.mask
+        hyp = _product_hyp_matrix(ring, imask)
+        per_subset = {}
+        for S in self.subsets:
+            if not _disjoint(ideal, S):
+                continue
+            wits = np.zeros(len(S.members), dtype=bool)
+            for k, s in enumerate(S.members):
+                row = ring.mul_vec(np.int64(s), ring.elements)
+                wits[k] = _first_violation(hyp, jm[row], imask[row]) is None
+            wits.setflags(write=False)
+            per_subset[S.key] = wits
+        return per_subset
 
     def j_check(self, ideal):
-        """is_J_ideal against this context's radical, kept per mask."""
-        key = getattr(ideal, "mask", ideal).tobytes()
-        res = self._j.get(key)
-        if res is None:
-            res = self._j[key] = is_J_ideal(self.ring, ideal,
-                                            jacobson=self.jac,
-                                            lattice=self.lattice)
-        return res
+        """is_J_ideal against this context's radical, kept per mask.
+
+        The bare mask is checked, so each mask is validated as an ideal
+        once, whichever caller reaches it first.
+        """
+        mask = getattr(ideal, "mask", ideal)
+        return once(self._j, mask.tobytes(), lambda: is_J_ideal(
+            self.ring, mask, jacobson=self.jac, lattice=self.lattice))
 
 
 @dataclass

@@ -18,6 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityExceeded, InvalidIdeal
+from .memo import once
 from .rings import additive_closure, is_ideal_mask
 
 DEFAULT_IDEAL_BUDGET = 100_000
@@ -38,8 +39,7 @@ class IdealSet:
         self.mask.setflags(write=False)
         self.label = label
         self._members = None
-        self._addgens = None
-        self._mingens = None
+        self._facts = {}        # addgens, mingens
 
     @property
     def members(self):
@@ -69,17 +69,18 @@ class IdealSet:
     @property
     def addgens(self):
         """Additive generators of the ideal's underlying group."""
-        if self._addgens is None:
-            ring = self.ring
-            cur = np.zeros(ring.size, dtype=bool)
-            cur[ring.zero] = True
-            gens = []
-            for x in self.members:
-                if not cur[x]:
-                    gens.append(int(x))
-                    cur = additive_closure(ring, [int(x)], cur)
-            self._addgens = gens
-        return self._addgens
+        return once(self._facts, "addgens", self._additive_generators)
+
+    def _additive_generators(self):
+        ring = self.ring
+        cur = np.zeros(ring.size, dtype=bool)
+        cur[ring.zero] = True
+        gens = []
+        for x in self.members:
+            if not cur[x]:
+                gens.append(int(x))
+                cur = additive_closure(ring, [int(x)], cur)
+        return gens
 
     def __eq__(self, other):
         return (isinstance(other, IdealSet) and self.ring is other.ring
@@ -218,8 +219,11 @@ def minimal_generating_set(ideal):
 
     Computed once per IdealSet; every call returns a fresh list.
     """
-    if ideal._mingens is not None:
-        return list(ideal._mingens)
+    return list(once(ideal._facts, "mingens",
+                     lambda: tuple(_minimal_generating_set(ideal))))
+
+
+def _minimal_generating_set(ideal):
     ring = ideal.ring
     gens = []
     cur = zero_ideal(ring).mask
@@ -237,7 +241,6 @@ def minimal_generating_set(ideal):
                 gens = rest
                 changed = True
                 break
-    ideal._mingens = tuple(gens)
     return gens
 
 
@@ -264,12 +267,11 @@ class IdealLattice:
         self.ideals = ideals
         self.principal_of = principal_of
         self.key_to_idx = {ideal.key: i for i, ideal in enumerate(ideals)}
-        self._leq = None
+        self._facts = {}        # leq, prod
         self._prod = {}
-        self._prod_table = None
         self._sum = {}
-        self._nilpotent = None
-        self._prime = None
+        self._nilpotent = {}
+        self._prime = {}
 
     def __len__(self):
         return len(self.ideals)
@@ -292,14 +294,15 @@ class IdealLattice:
     @property
     def leq(self):
         """leq[i, j] is True when ideal i is contained in ideal j."""
-        if self._leq is None:
-            masks = np.array([ideal.mask for ideal in self.ideals])
-            m = len(self.ideals)
-            leq = np.zeros((m, m), dtype=bool)
-            for i in range(m):
-                leq[i] = ~(masks[i][None, :] & ~masks).any(axis=1)
-            self._leq = leq
-        return self._leq
+        return once(self._facts, "leq", self._containment)
+
+    def _containment(self):
+        masks = np.array([ideal.mask for ideal in self.ideals])
+        m = len(self.ideals)
+        leq = np.zeros((m, m), dtype=bool)
+        for i in range(m):
+            leq[i] = ~(masks[i][None, :] & ~masks).any(axis=1)
+        return leq
 
     @property
     def prod(self):
@@ -308,31 +311,27 @@ class IdealLattice:
         Read-only, and built on first use: callers that need only a few
         products use product_idx, which stays lazy per pair.
         """
-        if self._prod_table is None:
-            m = len(self.ideals)
-            table = np.array([[self.product_idx(i, j) for j in range(m)]
-                              for i in range(m)], dtype=np.int64)
-            table.setflags(write=False)
-            self._prod_table = table
-        return self._prod_table
+        return once(self._facts, "prod", self._product_table)
+
+    def _product_table(self):
+        m = len(self.ideals)
+        table = np.array([[self.product_idx(i, j) for j in range(m)]
+                          for i in range(m)], dtype=np.int64)
+        table.setflags(write=False)
+        return table
 
     def principal(self, x):
         """The principal ideal <x>, read from the principal_of index."""
         return self.ideals[self.principal_of[int(x)]]
 
     def product_idx(self, i, j):
-        key = (i, j)
-        if key not in self._prod:
-            p = ideal_product(self.ideals[i], self.ideals[j])
-            self._prod[key] = self.idx_of(p)
-        return self._prod[key]
+        return once(self._prod, (i, j), lambda: self.idx_of(
+            ideal_product(self.ideals[i], self.ideals[j])))
 
     def sum_idx(self, i, j):
-        key = (min(i, j), max(i, j))
-        if key not in self._sum:
-            s = ideal_sum(self.ideals[key[0]], self.ideals[key[1]])
-            self._sum[key] = self.idx_of(s)
-        return self._sum[key]
+        i, j = min(i, j), max(i, j)
+        return once(self._sum, (i, j), lambda: self.idx_of(
+            ideal_sum(self.ideals[i], self.ideals[j])))
 
     def is_maximal_idx(self, i):
         if i == self.top_idx:
@@ -342,11 +341,7 @@ class IdealLattice:
         return all(j == self.top_idx for j in strict)
 
     def is_prime_idx(self, i):
-        if self._prime is None:
-            self._prime = {}
-        if i not in self._prime:
-            self._prime[i] = self._compute_prime(i)
-        return self._prime[i]
+        return once(self._prime, i, lambda: self._compute_prime(i))
 
     def _compute_prime(self, i):
         if i == self.top_idx:
@@ -364,11 +359,8 @@ class IdealLattice:
         return True
 
     def is_nilpotent_idx(self, i):
-        if self._nilpotent is None:
-            self._nilpotent = {}
-        if i not in self._nilpotent:
-            self._nilpotent[i] = is_nilpotent_ideal(self.ideals[i])
-        return self._nilpotent[i]
+        return once(self._nilpotent, i,
+                    lambda: is_nilpotent_ideal(self.ideals[i]))
 
     def is_superfluous_idx(self, i):
         """I + B = R forces B = R, checked against the whole lattice."""

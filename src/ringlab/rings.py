@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (InvalidParameter, InvalidModule, InvalidHom,
                      InvalidIdeal, RingMismatch)
+from .memo import once
 
 TABLE_LIMIT = 4096
 
@@ -71,9 +72,7 @@ class Ring:
         self._add_table = None
         self._mul_table = None
         self._neg_table = None
-        self._addgens = None
-        self._one = -2          # -2 = not computed yet; None = no identity
-        self._commutative = None
+        self._facts = {}        # addgens, one (None: no identity), commutative
         self._elements = None
 
     # -- formula interface ------------------------------------------------
@@ -147,16 +146,12 @@ class Ring:
     @property
     def addgens(self):
         """Additive generating set; every element is a Z-combination of these."""
-        if self._addgens is None:
-            self._addgens = _group_addgens(self.size, self.zero, self.add,
-                                           lambda m, r: self.add_vec(m, r))
-        return self._addgens
+        return once(self._facts, "addgens", lambda: _group_addgens(
+            self.size, self.zero, self.add, lambda m, r: self.add_vec(m, r)))
 
     @property
     def one(self):
-        if self._one == -2:
-            self._one = self._find_one()
-        return self._one
+        return once(self._facts, "one", self._find_one)
 
     def _find_one(self):
         gens = self.addgens or [self.zero]
@@ -181,12 +176,12 @@ class Ring:
 
     @property
     def commutative(self):
-        if self._commutative is None:
-            gens = self.addgens
-            self._commutative = all(
-                self.mul(g, h) == self.mul(h, g)
-                for i, g in enumerate(gens) for h in gens[i + 1:])
-        return self._commutative
+        return once(self._facts, "commutative", self._commutes)
+
+    def _commutes(self):
+        gens = self.addgens
+        return all(self.mul(g, h) == self.mul(h, g)
+                   for i, g in enumerate(gens) for h in gens[i + 1:])
 
     def element_label(self, i):
         return str(int(i))
@@ -489,7 +484,7 @@ class Module:
         self.size = int(size)
         self.label = label
         self.zero = 0
-        self._addgens = None
+        self._facts = {}
 
     def madd_vec(self, a, b):
         raise NotImplementedError
@@ -508,11 +503,9 @@ class Module:
 
     @property
     def addgens(self):
-        if self._addgens is None:
-            self._addgens = _group_addgens(
-                self.size, self.zero, self.madd,
-                lambda m, r: self.madd_vec(m, np.int64(r)))
-        return self._addgens
+        return once(self._facts, "addgens", lambda: _group_addgens(
+            self.size, self.zero, self.madd,
+            lambda m, r: self.madd_vec(m, np.int64(r))))
 
     def submodule_masks(self):
         """All submodule masks; generic fixpoint enumeration."""

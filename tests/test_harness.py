@@ -1,12 +1,13 @@
 """Corpus construction, law registry, determinism, report format."""
 
 import json
+import threading
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from ringlab import harness
+from ringlab import harness, ideals, predicates, rings
 from ringlab.errors import InvalidParameter
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" \
@@ -154,3 +155,54 @@ def test_law_caches_do_not_change_the_report():
         assert alone == [entry]
     again = harness.verify_properties(warm, threads=1)
     assert harness.report_json(again) == harness.report_json(full)
+
+
+def test_thread_count_does_not_change_the_work(monkeypatch):
+    """Threads share the corpus caches, and each cached fact is computed
+    once however they interleave: a threaded run makes exactly the
+    is_J_ideal, ideal-product and additive-closure calls of a serial
+    run."""
+    corpora = [harness.build_corpus(CACHE_CORPUS) for _ in range(2)]
+    lock = threading.Lock()
+    calls = {}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            with lock:
+                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "is_J_ideal", counted(harness.is_J_ideal))
+    monkeypatch.setattr(ideals, "ideal_product",
+                        counted(ideals.ideal_product))
+    for mod in (rings, ideals):
+        monkeypatch.setattr(mod, "additive_closure",
+                            counted(rings.additive_closure))
+    seen = []
+    for corpus, threads in zip(corpora, (1, 8)):
+        calls.clear()
+        harness.verify_properties(corpus, threads=threads)
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert seen[0]["is_J_ideal"] > 0 and seen[0]["ideal_product"] > 0
+
+
+def test_j_check_work_does_not_depend_on_the_argument_form(monkeypatch):
+    """Laws pass j_check both IdealSets and bare masks.  Its memo has one
+    entry per mask, so the form of whichever call comes first must not
+    change what is computed: each mask is validated once either way."""
+    checked = []
+    validate = predicates.is_ideal_mask
+    monkeypatch.setattr(predicates, "is_ideal_mask",
+                        lambda ring, mask: checked.append(1)
+                        or validate(ring, mask))
+    seen = []
+    for form in (lambda I: I, lambda I: I.mask):
+        ctx = harness.build_corpus({"rings": ["Z36"]}).contexts[0]
+        checked.clear()
+        verdicts = [ctx.j_check(form(I)).verdict for I in ctx.ideals]
+        verdicts += [ctx.j_check(I).verdict for I in ctx.ideals]
+        seen.append((verdicts, len(checked)))
+    assert seen[0] == seen[1]
+    assert seen[0][1] == len(ctx.ideals)
