@@ -107,11 +107,14 @@ class RingCtx:
     subsets: tuple = ()
     quotients: tuple = ()
     skipped: str = ""
-    # memos of sj_witnesses and j_check, keyed by mask bytes
+    # memos of sj_witnesses and j_check, keyed by mask bytes, and of
+    # idealization, keyed by module order
     _sj: dict = field(default_factory=dict, init=False, repr=False,
                       compare=False)
     _j: dict = field(default_factory=dict, init=False, repr=False,
                      compare=False)
+    _ext: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def comm_ident(self):
@@ -156,6 +159,17 @@ class RingCtx:
         mask = getattr(ideal, "mask", ideal)
         return once(self._j, mask.tobytes(), lambda: is_J_ideal(
             self.ring, mask, jacobson=self.jac, lattice=self.lattice))
+
+    def idealization(self, k):
+        """(ext, lattice, radical) of the trivial extension of the ring by
+        the cyclic module of order k, built once per k."""
+        return once(self._ext, k, lambda: self._idealize(k))
+
+    def _idealize(self, k):
+        ext = make_idealization(self.ring, make_cyclic_module(self.ring, k),
+                                label="idealize(%s, %d)" % (self.expr, k))
+        elat = enumerate_ideals(ext)
+        return ext, elat, jacobson_radical(ext, elat)
 
 
 @dataclass
@@ -1235,10 +1249,7 @@ def _p20(corpus, rep):
             if len(ks) > 1:
                 picks.append(ks[-1])
         for k in dict.fromkeys(picks):
-            ext = make_idealization(ring, make_cyclic_module(ring, k),
-                                    label="idealize(%s, %d)" % (ctx.expr, k))
-            elat = enumerate_ideals(ext)
-            ejac = jacobson_radical(ext, elat)
+            ext, elat, ejac = ctx.idealization(k)
             for I in ctx.ideals:
                 emask = np.zeros(ext.size, dtype=bool)
                 emask[(I.members[:, None] * k
@@ -1270,10 +1281,7 @@ def _p21(corpus, rep):
         ring, n = ctx.ring, ctx.ring.size
         ks = [k for k in _divisors(n) if k >= 2 and n * k <= IDEALIZE_CAP]
         for k in ks[-1:]:
-            ext = make_idealization(ring, make_cyclic_module(ring, k),
-                                    label="idealize(%s, %d)" % (ctx.expr, k))
-            elat = enumerate_ideals(ext)
-            ejac = jacobson_radical(ext, elat)
+            ext, elat, ejac = ctx.idealization(k)
             for I in ctx.ideals:
                 prods = (I.members[:, None] * np.arange(k)[None, :]) % k
                 for t in _divisors(k):

@@ -8,9 +8,12 @@ ZG + RG + GR + RGR.
 
 The lattice is enumerated by condensing the multiplication-reachability
 graph: elements in the same strongly connected component generate the same
-principal ideal, principal ideals are built children first along the
-condensation DAG, and the full lattice is the closure of the distinct
-principals under pairwise sums.
+principal ideal, and principal ideals are built children first along the
+condensation DAG.  Every ideal is a sum of principals, so the rest of the
+lattice comes from adding one principal at a time to each ideal found.
+Since |A + B| = |A||B| / |A & B| for subgroups, a known ideal of that size
+holding both A and B is their sum, and an additive closure runs only for
+an ideal not seen before.
 """
 
 import numpy as np
@@ -378,29 +381,36 @@ class IdealLattice:
 
 
 def _condensation_order(labels, n_comp, edges_src, edges_dst):
-    """Children-first order of the condensation DAG and child lists."""
-    cs = labels[edges_src]
-    cd = labels[edges_dst]
+    """Children-first order of the condensation DAG, and its child lists.
+
+    The children of component c are ``kids[ptr[c]:ptr[c + 1]]``.  The DAG
+    is peeled a level at a time: a component joins the order once all its
+    children have.
+    """
+    cs = labels[edges_src].astype(np.int64)
+    cd = labels[edges_dst].astype(np.int64)
     keep = cs != cd
-    pairs = np.unique(np.stack([cs[keep], cd[keep]], axis=1), axis=0) \
-        if keep.any() else np.zeros((0, 2), dtype=np.int64)
-    children = [[] for _ in range(n_comp)]
-    parents = [[] for _ in range(n_comp)]
-    for s, d in pairs:
-        children[s].append(int(d))
-        parents[d].append(int(s))
-    # Kahn on reversed edges so components with no children come first
-    pending = [len(c) for c in children]
-    order = [c for c in range(n_comp) if pending[c] == 0]
-    head = 0
-    while head < len(order):
-        d = order[head]
-        head += 1
-        for p in parents[d]:
-            pending[p] -= 1
-            if pending[p] == 0:
-                order.append(p)
-    return order, children
+    pairs = np.unique(cs[keep] * n_comp + cd[keep])
+    src, kids = pairs // n_comp, pairs % n_comp
+    ptr = np.searchsorted(src, np.arange(n_comp + 1))
+    pending = np.diff(ptr)
+    levels = []
+    level = np.flatnonzero(pending == 0)
+    while level.size:
+        levels.append(level)
+        pending[level] = -1
+        done = np.zeros(n_comp, dtype=bool)
+        done[level] = True
+        pending -= np.bincount(src[done[kids]], minlength=n_comp)
+        level = np.flatnonzero(pending == 0)
+    return np.concatenate(levels).tolist(), kids, ptr
+
+
+def _budget_error(ring, masks, budget):
+    partial = sorted(masks, key=lambda m: (int(m.sum()), m.tobytes()))
+    return CapacityExceeded("ideal lattice larger than budget",
+                            partial=[IdealSet(ring, m) for m in partial],
+                            budget=budget, ring=ring.label)
 
 
 def enumerate_ideals(ring, budget=DEFAULT_IDEAL_BUDGET):
@@ -411,102 +421,87 @@ def enumerate_ideals(ring, budget=DEFAULT_IDEAL_BUDGET):
     """
     n = ring.size
     idx = ring.elements
-    gens = ring.addgens
 
-    # multiplication-reachability graph
-    srcs, dsts = [], []
-    for g in gens:
+    # multiplication-reachability graph: x -> g x and x -> x g
+    dsts = [idx[:0]]
+    for g in ring.addgens:
         g64 = np.int64(g)
-        srcs.append(idx)
-        dsts.append(ring.mul_vec(g64, idx))
-        srcs.append(idx)
-        dsts.append(ring.mul_vec(idx, g64))
-    if srcs:
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
+        dsts += [ring.mul_vec(g64, idx), ring.mul_vec(idx, g64)]
+    dst = np.concatenate(dsts)
+    src = np.tile(idx, 2 * len(ring.addgens))
     graph = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)),
                        shape=(n, n))
     n_comp, labels = connected_components(graph, directed=True,
                                           connection="strong")
-    order, children = _condensation_order(labels, n_comp, src, dst)
+    order, kids, ptr = _condensation_order(labels, n_comp, src, dst)
 
-    comp_members = [[] for _ in range(n_comp)]
-    for x in range(n):
-        comp_members[labels[x]].append(x)
+    by_comp = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[by_comp], np.arange(n_comp + 1))
 
-    # principal ideal of each component, children first
+    # masks[i] is the i-th distinct ideal found and sizes[i] its size; each
+    # is hashed once, and comp_pid[c] indexes the principal ideal of c
     trivial = np.zeros(n, dtype=bool)
     trivial[ring.zero] = True
-    comp_ideal = [None] * n_comp
-    comp_count = np.zeros(n_comp, dtype=np.int64)
+    masks, sizes = [trivial], [1]
+    index_of = {trivial.tobytes(): 0}
+
+    def grow(i, extra):
+        """Index of the ideal masks[i] + <extra>, adding it when new."""
+        mask = additive_closure(ring, extra, masks[i])
+        j = index_of.setdefault(mask.tobytes(), len(masks))
+        if j == len(masks):
+            masks.append(mask)
+            sizes.append(int(mask.sum()))
+        return j
+
+    # principal ideal of each component, children first: the sum of the
+    # children's ideals (pairwise sums kept), grown by the component itself
+    comp_pid = np.zeros(n_comp, dtype=np.int64)
+    joined = {}
     for c in order:
-        base = trivial
-        base_count = 1
-        for d in children[c]:
-            if comp_count[d] > base_count:
-                base = comp_ideal[d]
-                base_count = comp_count[d]
-        if base_count == n:
-            comp_ideal[c] = base
-            comp_count[c] = n
-            continue
-        merged = np.zeros(n, dtype=bool)
-        merged[comp_members[c]] = True
-        for d in children[c]:
-            merged |= comp_ideal[d]
-        extra = np.flatnonzero(merged & ~base)
-        if extra.size == 0:
-            comp_ideal[c] = base
-            comp_count[c] = base_count
-        else:
-            comp_ideal[c] = additive_closure(ring, extra, base)
-            comp_count[c] = int(comp_ideal[c].sum())
+        below = sorted(set(comp_pid[kids[ptr[c]:ptr[c + 1]]].tolist()),
+                       key=lambda k: (-sizes[k], k))
+        base = below[0] if below else 0
+        for k in below[1:]:
+            if (base, k) not in joined:
+                extra = np.flatnonzero(masks[k] & ~masks[base])
+                joined[base, k] = grow(base, extra) if extra.size else base
+            base = joined[base, k]
+        members = by_comp[bounds[c]:bounds[c + 1]]
+        extra = members[~masks[base][members]]
+        comp_pid[c] = grow(base, extra) if extra.size else base
 
-    by_key = {}
-    principal_key = [None] * n_comp
-    for c in range(n_comp):
-        k = comp_ideal[c].tobytes()
-        principal_key[c] = k
-        if k not in by_key:
-            by_key[k] = comp_ideal[c]
-
-    # close under sums
-    work = list(by_key.values())
-    while work:
-        a = work.pop()
-        for b in list(by_key.values()):
-            extra = np.flatnonzero(b & ~a)
-            if extra.size == 0:
+    # every ideal is a sum of principals: add one principal at a time, and
+    # close only when no known ideal of size |A||P|/|A & P| holds A | P
+    pids = sorted(set(comp_pid.tolist()))
+    principals = np.array([masks[i] for i in pids])
+    psizes = np.array([sizes[i] for i in pids])
+    of_size = {}
+    for i, size in enumerate(sizes):
+        of_size.setdefault(size, []).append(i)
+    head = 0
+    while head < len(masks):
+        a, asize = masks[head], sizes[head]
+        head += 1
+        common = np.count_nonzero(principals & a, axis=1)
+        for j in np.flatnonzero((common != psizes) & (common != asize)):
+            size = asize * int(psizes[j]) // int(common[j])
+            union = a | principals[j]
+            if any(not (union & ~masks[k]).any()
+                   for k in of_size.get(size, ())):
                 continue
-            u = additive_closure(ring, extra, a)
-            k = u.tobytes()
-            if k not in by_key:
-                if len(by_key) >= budget:
-                    partial = sorted(by_key.values(),
-                                     key=lambda m: (int(m.sum()), m.tobytes()))
-                    raise CapacityExceeded(
-                        "ideal lattice larger than budget",
-                        partial=[IdealSet(ring, m) for m in partial],
-                        budget=budget, ring=ring.label)
-                by_key[k] = u
-                work.append(u)
+            if len(masks) >= budget:
+                raise _budget_error(ring, masks, budget)
+            of_size.setdefault(size, []).append(len(masks))
+            masks.append(additive_closure(
+                ring, np.flatnonzero(principals[j] & ~a), a))
+            sizes.append(size)
+    if len(masks) > budget:
+        raise _budget_error(ring, masks, budget)
 
-    full = np.ones(n, dtype=bool)
-    by_key.setdefault(full.tobytes(), full)
-    if len(by_key) > budget:
-        partial = sorted(by_key.values(),
-                         key=lambda m: (int(m.sum()), m.tobytes()))
-        raise CapacityExceeded("ideal lattice larger than budget",
-                               partial=[IdealSet(ring, m) for m in partial],
-                               budget=budget, ring=ring.label)
-
-    masks = sorted(by_key.values(), key=lambda m: (int(m.sum()), m.tobytes()))
-    ideals = [IdealSet(ring, m) for m in masks]
-    key_to_idx = {ideal.key: i for i, ideal in enumerate(ideals)}
-    principal_of = np.array(
-        [key_to_idx[principal_key[labels[x]]] for x in range(n)],
-        dtype=np.int64)
-    return IdealLattice(ring, ideals, principal_of)
+    rank = sorted(range(len(masks)),
+                  key=lambda i: (sizes[i], masks[i].tobytes()))
+    ideals = [IdealSet(ring, masks[i]) for i in rank]
+    position = np.empty(len(masks), dtype=np.int64)
+    position[rank] = np.arange(len(masks))
+    return IdealLattice(ring, ideals, position[comp_pid[labels]])

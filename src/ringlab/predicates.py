@@ -425,7 +425,8 @@ def _right_sj_elementwise(ring, pmask, subset, jacobson, lattice, mode):
         hyp &= pmask[ring.mul_vec(xg[:, None], els[None, :])]
 
     def disjuncts(s):
-        smem = np.flatnonzero(ideal_generate(ring, [s]))
+        smem = (lattice.principal(s).members if lattice is not None
+                else np.flatnonzero(ideal_generate(ring, [s])))
         prods = ring.mul_vec(els[:, None], smem[None, :])
         return jmask[prods].all(axis=1), pmask[prods].all(axis=1)
 

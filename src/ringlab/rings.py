@@ -24,25 +24,25 @@ def _as_idx(a):
     return np.asarray(a, dtype=np.int64)
 
 
-def _subgroup_extend(mask, x, add_scalar, add_vec):
+def _subgroup_extend(mask, x, add_vec):
     """Grow the subgroup ``mask`` by the cyclic group of ``x``, in place.
 
-    mask must already be a subgroup H.  The result is H + <x>, built as a
-    union of cosets H + j*x over the multiples of x that lie outside H.
+    mask must already be a subgroup H.  Doubling: with S = H and t = x,
+    each step sets S to S | (S + t) and t to 2t, so after i steps S is
+    H + {0, ..., 2^i - 1}x and t = 2^i x.  Once t lies in S, the order k
+    of x modulo H is at most 2^i, so S is already H + <x>.  An x of order
+    k costs ceil(log2 k) vector adds; t rides at the end of the member
+    array, so one add also yields 2t.
     """
-    if mask[x]:
-        return
-    reps = []
-    r = int(x)
-    while not mask[r]:
-        reps.append(r)
-        r = add_scalar(r, int(x))
-    members = np.flatnonzero(mask)
-    for rep in reps:
-        mask[add_vec(members, rep)] = True
+    t = int(x)
+    while not mask[t]:
+        members = np.append(np.flatnonzero(mask), t)
+        out = add_vec(members, t)
+        mask[out[:-1]] = True
+        t = int(out[-1])
 
 
-def _group_addgens(size, zero, add_scalar, add_vec):
+def _group_addgens(size, zero, add_vec):
     """Greedy additive generating set; at most log2(size) generators."""
     mask = np.zeros(size, dtype=bool)
     mask[zero] = True
@@ -52,7 +52,7 @@ def _group_addgens(size, zero, add_scalar, add_vec):
         if mask[nxt]:
             break
         gens.append(nxt)
-        _subgroup_extend(mask, nxt, add_scalar, add_vec)
+        _subgroup_extend(mask, nxt, add_vec)
     return gens
 
 
@@ -147,7 +147,7 @@ class Ring:
     def addgens(self):
         """Additive generating set; every element is a Z-combination of these."""
         return once(self._facts, "addgens", lambda: _group_addgens(
-            self.size, self.zero, self.add, lambda m, r: self.add_vec(m, r)))
+            self.size, self.zero, self.add_vec))
 
     @property
     def one(self):
@@ -193,24 +193,22 @@ class Ring:
 def additive_closure(ring, seeds, base_mask=None):
     """Smallest additive subgroup containing ``seeds`` and ``base_mask``.
 
-    base_mask, when given, must already be a subgroup.  Seeds already
-    absorbed by the growing subgroup are dropped in bulk, so the number of
-    actual extensions is at most log2 of the ring size.
+    base_mask, when given, must already be a subgroup.  The subgroup grows
+    by the smallest seed it does not yet hold; the closure is the same set
+    whatever the order, and seeds it absorbs are dropped in bulk, so the
+    number of extensions is at most log2 of the ring size.
     """
     if base_mask is None:
         mask = np.zeros(ring.size, dtype=bool)
         mask[ring.zero] = True
     else:
         mask = base_mask.copy()
-    add_vec = lambda m, r: ring.add_vec(m, r)
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64).ravel())
-    while seeds.size:
+    seeds = np.asarray(seeds, dtype=np.int64).ravel()
+    while True:
         seeds = seeds[~mask[seeds]]
         if not seeds.size:
-            break
-        _subgroup_extend(mask, int(seeds[0]), ring.add, add_vec)
-        seeds = seeds[1:]
-    return mask
+            return mask
+        _subgroup_extend(mask, int(seeds.min()), ring.add_vec)
 
 
 def is_subgroup_mask(ring, mask):
@@ -504,44 +502,7 @@ class Module:
     @property
     def addgens(self):
         return once(self._facts, "addgens", lambda: _group_addgens(
-            self.size, self.zero, self.madd,
-            lambda m, r: self.madd_vec(m, np.int64(r))))
-
-    def submodule_masks(self):
-        """All submodule masks; generic fixpoint enumeration."""
-        elems = np.arange(self.size, dtype=np.int64)
-        ridx = self.ring.elements
-        seen = {}
-        for seed in range(self.size):
-            mask = np.zeros(self.size, dtype=bool)
-            mask[self.zero] = True
-            _subgroup_extend(mask, seed, self.madd,
-                             lambda m, r: self.madd_vec(m, np.int64(r)))
-            # close under the ring action
-            changed = True
-            while changed:
-                changed = False
-                members = np.flatnonzero(mask)
-                for g in self.ring.addgens:
-                    hit = self.act_vec(np.int64(g), members)
-                    new = hit[~mask[hit]]
-                    if new.size:
-                        for x in np.unique(new):
-                            _subgroup_extend(mask, int(x), self.madd,
-                                             lambda m, r: self.madd_vec(m, np.int64(r)))
-                        changed = True
-            seen[mask.tobytes()] = mask
-        # close the collection under sums of pairs
-        work = list(seen.values())
-        while work:
-            a = work.pop()
-            for b in list(seen.values()):
-                u = additive_closure_mod(self, np.flatnonzero(b), a)
-                if u.tobytes() not in seen:
-                    seen[u.tobytes()] = u
-                    work.append(u)
-        out = sorted(seen.values(), key=lambda m: (int(m.sum()), m.tobytes()))
-        return out
+            self.size, self.zero, self.madd_vec))
 
 
 def additive_closure_mod(module, seeds, base_mask=None):
@@ -551,8 +512,7 @@ def additive_closure_mod(module, seeds, base_mask=None):
     else:
         mask = base_mask.copy()
     for x in np.asarray(seeds, dtype=np.int64).ravel():
-        _subgroup_extend(mask, int(x), module.madd,
-                         lambda m, r: module.madd_vec(m, np.int64(r)))
+        _subgroup_extend(mask, int(x), module.madd_vec)
     return mask
 
 
@@ -577,15 +537,6 @@ class CyclicModule(Module):
 
     def act_vec(self, r, m):
         return (r * m) % self.k
-
-    def submodule_masks(self):
-        out = []
-        for d in sorted(d for d in range(1, self.k + 1) if self.k % d == 0):
-            mask = np.zeros(self.size, dtype=bool)
-            mask[np.arange(0, self.k, d)] = True
-            out.append(mask)
-        out.sort(key=lambda m: (int(m.sum()), m.tobytes()))
-        return out
 
 
 def validate_module(module):

@@ -1,11 +1,16 @@
 """Ideal lattice enumeration, lattice ops, colon ideals, flags."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
+from test_exprs import _rand_ring
 
-from ringlab import naive
-from ringlab.errors import CapacityExceeded
-from ringlab.exprs import build_ring, parse_ring_expr
+from ringlab import exprs as E
+from ringlab import naive, rings
+from ringlab.errors import CapacityExceeded, RinglabError
+from ringlab.exprs import build_ring, parse_ring_expr, print_ring
 from ringlab.ideals import (
     IdealSet,
     colon_elem_mask,
@@ -23,6 +28,7 @@ from ringlab.ideals import (
     s_finite_witness,
     zero_ideal,
 )
+from ringlab.rings import additive_closure
 from ringlab.subsets import SubsetS
 
 LATTICE_EXPRS = [
@@ -168,6 +174,105 @@ def test_enumeration_budget():
     ring = build_ring(parse_ring_expr("Z24"))
     with pytest.raises(CapacityExceeded):
         enumerate_ideals(ring, budget=3)
+
+
+def test_enumeration_budget_boundary():
+    # 12 ideals, 9 of them principal: the sum phase trips the budget
+    ring = build_ring(parse_ring_expr("idealize(Z8, 4)"))
+    lattice = enumerate_ideals(ring, budget=12)
+    assert len(lattice) == 12
+    assert len(set(lattice.principal_of.tolist())) == 9
+    with pytest.raises(CapacityExceeded) as err:
+        enumerate_ideals(ring, budget=11)
+    assert len(err.value.partial) == 11
+
+
+def test_formula_path_lattices_match_table_path(monkeypatch):
+    want = {}
+    for expr in LATTICE_EXPRS:
+        want[expr] = enumerate_ideals(build_ring(parse_ring_expr(expr)))
+    monkeypatch.setattr(rings, "TABLE_LIMIT", 0)
+    for expr in LATTICE_EXPRS:
+        ring = build_ring(parse_ring_expr(expr))
+        lattice = enumerate_ideals(ring)
+        assert ring._add_table is None, expr
+        assert [i.key for i in lattice.ideals] == \
+            [i.key for i in want[expr].ideals], expr
+        assert (lattice.principal_of == want[expr].principal_of).all(), expr
+
+
+# --- generated rings against the naive oracle -------------------------------
+
+def _size_bound(node):
+    """An upper bound on the size of the ring a node builds."""
+    if isinstance(node, E.Zn):
+        return node.n
+    if isinstance(node, (E.Prod, E.Amalg)):
+        return _size_bound(node.left) * _size_bound(node.right)
+    if isinstance(node, E.Mat):
+        return _size_bound(node.inner) ** (node.k * node.k)
+    if isinstance(node, E.Idealize):
+        return _size_bound(node.inner) * node.k
+    if isinstance(node, E.Trunc):
+        return _size_bound(node.inner) ** node.d
+    return _size_bound(node.inner)          # quotients and ideal rings
+
+
+def _small_moduli(node):
+    """The same expression with every modulus cut to 2..6, so that nested
+    products, matrices and truncations stay within a few dozen elements."""
+    if isinstance(node, E.Zn):
+        return dataclasses.replace(node, n=2 + node.n % 5)
+    return dataclasses.replace(node, **{
+        f: _small_moduli(getattr(node, f))
+        for f in ("left", "right", "inner") if hasattr(node, f)})
+
+
+@pytest.fixture(scope="module")
+def generated_rings():
+    """30 distinct rings of at most 64 elements, at most 5 per top-level
+    constructor, from the round-trip grammar generator."""
+    rng = random.Random(0x1DEA1)
+    out, kinds = {}, []
+    while len(out) < 30:
+        node = _small_moduli(_rand_ring(rng))
+        kind = type(node)
+        if _size_bound(node) > 256 or kinds.count(kind) >= 5:
+            continue
+        try:
+            ring = build_ring(node)
+        except RinglabError:
+            continue
+        label = print_ring(node)
+        if ring.size <= 64 and label not in out:
+            out[label] = ring
+            kinds.append(kind)
+    return [(label, ring, naive.NaiveRing(ring))
+            for label, ring in out.items()]
+
+
+def test_generated_additive_closure_matches_naive(generated_rings):
+    rng = np.random.default_rng(5)
+    for label, ring, nr in generated_rings:
+        for _ in range(4):
+            base = naive.add_closure(
+                nr, rng.integers(0, ring.size, size=2).tolist())
+            base_mask = np.zeros(ring.size, dtype=bool)
+            base_mask[sorted(base)] = True
+            seeds = rng.integers(0, ring.size, size=3).tolist()
+            got = additive_closure(ring, seeds, base_mask)
+            want = naive.add_closure(nr, set(seeds) | base)
+            assert frozenset(np.flatnonzero(got).tolist()) == want, label
+
+
+def test_generated_lattices_match_naive(generated_rings):
+    for label, ring, nr in generated_rings:
+        lattice = enumerate_ideals(ring)
+        assert len(lattice) == len(naive.all_ideals(nr)), label
+        assert _sets(lattice) == set(naive.all_ideals(nr)), label
+        for x in range(ring.size):
+            assert frozenset(map(int, lattice.principal(x).members)) == \
+                naive.principal(nr, x), label
 
 
 def test_s_finite_witness_on_finite_ring():
