@@ -7,6 +7,19 @@ counted separately), evaluates the conclusion, and reports violations
 as fully replayable payloads: ring expression, ideal generators, subset
 spec, quantifier mode, and a labeled counterexample.
 
+Each corpus ring is a ``RingCtx``: the ring with its ideal lattice, its
+radicals, the picked ideals, subsets and quotients, and one owner per
+fact that several laws share.  ``sj`` and ``sj_witnesses`` give the
+fixed-s subset-radical verdict and its witness vector, both read from
+one violation table per ideal mask; ``right_sj`` gives the right-sided
+verdict (lattice method); ``j_check`` the plain radical-membership
+verdict; ``idealization`` the trivial extensions.  Each is computed once
+per mask (and subset) through ``memo.once``.  Most laws walk the
+instances with ``RingCtx.pairs``, which yields every picked ideal with
+every picked subset it misses and counts the rest as vacuous.  Checks on
+derived rings (quotients, products, truncations, idealizations,
+amalgamations) call the predicates directly.
+
 Reports are deterministic: the corpus is generated in a fixed order, no
 randomness is involved, and per-law reports are merged in registry
 order no matter how many worker threads run the checks.
@@ -30,14 +43,13 @@ from .ideals import (
     ideal_generate,
     minimal_generating_set,
     unit_ideal,
-    zero_ideal,
 )
 from .memo import once
 from .predicates import (
-    _arb_violation,
-    _first_violation,
-    _product_hyp_matrix,
-    _scan,
+    ELEMENTWISE_LIMIT,
+    CheckResult,
+    arb_violation,
+    first_violation,
     is_J_ideal,
     is_S_J_ideal,
     is_S_n_ideal,
@@ -45,8 +57,9 @@ from .predicates import (
     is_n_ideal,
     is_right_S_J_ideal,
     is_right_S_prime,
+    pair_scan,
+    product_hyp_matrix,
 )
-from .predicates import ELEMENTWISE_LIMIT
 from .radicals import j_star, jacobson_radical, prime_radical
 from .rings import (
     canonical_surjection,
@@ -107,10 +120,13 @@ class RingCtx:
     subsets: tuple = ()
     quotients: tuple = ()
     skipped: str = ""
-    # memos of sj_witnesses and j_check, keyed by mask bytes, and of
-    # idealization, keyed by module order
+    # memos keyed by mask bytes: the left verdicts with their witness
+    # vectors (per subset key), the right verdicts (per subset key) and
+    # j_check; the idealizations are keyed by module order
     _sj: dict = field(default_factory=dict, init=False, repr=False,
                       compare=False)
+    _right: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
     _j: dict = field(default_factory=dict, init=False, repr=False,
                      compare=False)
     _ext: dict = field(default_factory=dict, init=False, repr=False,
@@ -124,31 +140,63 @@ class RingCtx:
     def ident(self):
         return self.ring.one is not None
 
+    def pairs(self, rep):
+        """The (I, S) instances with I missing S, ideal-major; each pair
+        whose ideal meets its subset counts as vacuous."""
+        for I in self.ideals:
+            for S in self.subsets:
+                if _disjoint(I, S):
+                    yield I, S
+                else:
+                    rep.vacuous += 1
+
+    def sj(self, ideal, subset):
+        """is_S_J_ideal (fixed-s) of the ideal or mask against this
+        context's radical, for one of the context's subsets missing it."""
+        return self._left(ideal)[subset.key][1]
+
     def sj_witnesses(self, ideal, subset):
         """wits[k]: is subset.members[k] a fixed witness of the subset-
-        radical law for the ideal?  The subset is one of the context's
-        subsets and misses the ideal.
+        radical law for the ideal?  sj(ideal, subset) is read from the
+        same violation table, so the two always agree."""
+        return self._left(ideal)[subset.key][0]
 
-        One hypothesis matrix per ideal yields the vectors of every
-        subset of the context that misses it; the vectors are kept.
-        """
-        return once(self._sj, ideal.key,
-                    lambda: self._witness_vectors(ideal))[subset.key]
+    def _left(self, ideal):
+        mask = getattr(ideal, "mask", ideal)
+        return once(self._sj, mask.tobytes(),
+                    lambda: self._left_verdicts(mask))
 
-    def _witness_vectors(self, ideal):
-        ring, jm, imask = self.ring, self.jac.mask, ideal.mask
-        hyp = _product_hyp_matrix(ring, imask)
+    def _left_verdicts(self, imask):
+        """One hypothesis matrix per mask gives the whole violation table
+        of every context subset that misses it."""
+        ring, jm = self.ring, self.jac.mask
+        self.lattice.idx_of(IdealSet(ring, imask))   # raises unless an ideal
+        hyp = product_hyp_matrix(ring, imask)
         per_subset = {}
         for S in self.subsets:
-            if not _disjoint(ideal, S):
+            if (imask & S.mask).any():
                 continue
-            wits = np.zeros(len(S.members), dtype=bool)
-            for k, s in enumerate(S.members):
+            table = []
+            for s in S.members:
                 row = ring.mul_vec(np.int64(s), ring.elements)
-                wits[k] = _first_violation(hyp, jm[row], imask[row]) is None
+                table.append((int(s), first_violation(hyp, jm[row],
+                                                      imask[row])))
+            wits = np.array([v is None for _, v in table], dtype=bool)
             wits.setflags(write=False)
-            per_subset[S.key] = wits
+            witness = next((s for s, v in table if v is None), None)
+            res = (CheckResult(False, counterexample=tuple(table))
+                   if witness is None else CheckResult(True, witness_s=witness))
+            per_subset[S.key] = (wits, res)
         return per_subset
+
+    def right_sj(self, ideal, subset):
+        """is_right_S_J_ideal (lattice method, fixed-s) against this
+        context's radical, kept per (mask, subset)."""
+        mask = getattr(ideal, "mask", ideal)
+        return once(self._right, (mask.tobytes(), subset.key),
+                    lambda: is_right_S_J_ideal(
+                        self.ring, mask, subset, lattice=self.lattice,
+                        jacobson=self.jac))
 
     def j_check(self, ideal):
         """is_J_ideal against this context's radical, kept per mask.
@@ -476,7 +524,7 @@ def _right_witness(lattice, hyp, pidx, jidx, s):
     col = lattice.prod[:, lattice.principal_of[int(s)]]
     a_ok = lattice.leq[col, jidx]
     b_ok = lattice.leq[col, pidx]
-    return _first_violation(hyp, a_ok, b_ok) is None
+    return first_violation(hyp, a_ok, b_ok) is None
 
 
 # ---------------------------------------------------------------------------
@@ -489,27 +537,23 @@ def _p1(corpus, rep):
         if not ctx.comm_ident:
             continue
         ring, jm = ctx.ring, ctx.jac.mask
-        for I in ctx.ideals:
-            for S in ctx.subsets:
-                if not _disjoint(I, S):
-                    rep.vacuous += 1
+        for I, S in ctx.pairs(rep):
+            wits = ctx.sj_witnesses(I, S)
+            if not wits.any():
+                rep.vacuous += 1
+                continue
+            rep.tested += 1
+            for s, ok in zip(S.members, wits):
+                if not ok:
                     continue
-                wits = ctx.sj_witnesses(I, S)
-                if not wits.any():
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                for s, ok in zip(S.members, wits):
-                    if not ok:
-                        continue
-                    colon = colon_elem_mask(ring, jm, int(s))
-                    if (I.mask & ~colon).any():
-                        bad = int(np.flatnonzero(I.mask & ~colon)[0])
-                        rep.violation(ring, I, S, {
-                            "witness_s": ring.element_label(int(s)),
-                            "ideal_element_outside_colon":
-                                ring.element_label(bad)})
-                        break
+                colon = colon_elem_mask(ring, jm, int(s))
+                if (I.mask & ~colon).any():
+                    bad = int(np.flatnonzero(I.mask & ~colon)[0])
+                    rep.violation(ring, I, S, {
+                        "witness_s": ring.element_label(int(s)),
+                        "ideal_element_outside_colon":
+                            ring.element_label(bad)})
+                    break
 
 
 def _p2(corpus, rep):
@@ -538,45 +582,39 @@ def _p3(corpus, rep):
             continue
         ring = ctx.ring
         beta = ctx.beta[0]
-        for I in ctx.ideals:
-            sub_free_done = False
-            for S in ctx.subsets:
-                if not _disjoint(I, S):
-                    rep.vacuous += 1
-                    continue
-                rn = is_S_n_ideal(ring, I, S, beta=beta, lattice=ctx.lattice)
-                if rn.verdict:
+        sub_free_done = set()
+        for I, S in ctx.pairs(rep):
+            rn = is_S_n_ideal(ring, I, S, beta=beta, lattice=ctx.lattice)
+            if rn.verdict:
+                rep.tested += 1
+                rj = ctx.sj(I, S)
+                if not rj.verdict:
+                    rep.violation(ring, I, S, {
+                        "part": "subset-nilradical-but-not-subset-radical",
+                        "nilradical_check": _labeled_result(ring, rn),
+                        "radical_check": _labeled_result(ring, rj)})
+            else:
+                rep.vacuous += 1
+            if I.key not in sub_free_done:
+                sub_free_done.add(I.key)
+                n_res = is_n_ideal(ring, I, beta=beta, lattice=ctx.lattice)
+                if n_res.verdict:
                     rep.tested += 1
-                    rj = is_S_J_ideal(ring, I, S, jacobson=ctx.jac,
-                                      lattice=ctx.lattice)
-                    if not rj.verdict:
-                        rep.violation(ring, I, S, {
-                            "part": "subset-nilradical-but-not-subset-radical",
-                            "nilradical_check": _labeled_result(ring, rn),
-                            "radical_check": _labeled_result(ring, rj)})
+                    j_res = ctx.j_check(I)
+                    if not j_res.verdict:
+                        rep.violation(ring, I, None, {
+                            "part": "nilradical-but-not-radical",
+                            "counterexample":
+                                _lbl(ring, j_res.counterexample)})
                 else:
                     rep.vacuous += 1
-                if not sub_free_done:
-                    sub_free_done = True
-                    n_res = is_n_ideal(ring, I, beta=beta, lattice=ctx.lattice)
-                    if n_res.verdict:
-                        rep.tested += 1
-                        j_res = ctx.j_check(I)
-                        if not j_res.verdict:
-                            rep.violation(ring, I, None, {
-                                "part": "nilradical-but-not-radical",
-                                "counterexample":
-                                    _lbl(ring, j_res.counterexample)})
-                    else:
-                        rep.vacuous += 1
         if ctx.jac.is_proper:
             for S in ctx.subsets:
                 if not _disjoint(ctx.jac, S):
                     rep.vacuous += 1
                     continue
                 rep.tested += 1
-                rj = is_S_J_ideal(ring, ctx.jac, S, jacobson=ctx.jac,
-                                  lattice=ctx.lattice)
+                rj = ctx.sj(ctx.jac, S)
                 rp = is_S_prime(ring, ctx.jac, S)
                 if rj.verdict != rp.verdict:
                     rep.violation(ring, ctx.jac, S, {
@@ -591,24 +629,20 @@ def _p4(corpus, rep):
         if not ctx.comm_ident:
             continue
         ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
-        for I in ctx.ideals:
+        for I, S in ctx.pairs(rep):
             hyp_lat = lattice.leq[lattice.prod, lattice.idx_of(I)]
-            for S in ctx.subsets:
-                if not _disjoint(I, S):
-                    rep.vacuous += 1
-                    continue
-                wits = ctx.sj_witnesses(I, S)
-                rep.tested += 1
-                for s, ok in zip(S.members, wits):
-                    a_ok = _ideal_times_s_inside(ring, lattice, s, jm)
-                    b_ok = _ideal_times_s_inside(ring, lattice, s, I.mask)
-                    pair_ok = _first_violation(hyp_lat, a_ok, b_ok) is None
-                    if pair_ok != bool(ok):
-                        rep.violation(ring, I, S, {
-                            "s": ring.element_label(int(s)),
-                            "elementwise_witness": bool(ok),
-                            "ideal_pair_witness": pair_ok})
-                        break
+            wits = ctx.sj_witnesses(I, S)
+            rep.tested += 1
+            for s, ok in zip(S.members, wits):
+                a_ok = _ideal_times_s_inside(ring, lattice, s, jm)
+                b_ok = _ideal_times_s_inside(ring, lattice, s, I.mask)
+                pair_ok = first_violation(hyp_lat, a_ok, b_ok) is None
+                if pair_ok != bool(ok):
+                    rep.violation(ring, I, S, {
+                        "s": ring.element_label(int(s)),
+                        "elementwise_witness": bool(ok),
+                        "ideal_pair_witness": pair_ok})
+                    break
 
 
 def _p5(corpus, rep):
@@ -619,33 +653,29 @@ def _p5(corpus, rep):
             continue
         ring, jm = ctx.ring, ctx.jac.mask
         jac_is_j = ctx.j_check(ctx.jac).verdict
-        for I in ctx.ideals:
-            for S in ctx.subsets:
-                if not _disjoint(I, S):
-                    rep.vacuous += 1
-                    continue
-                wits = ctx.sj_witnesses(I, S)
-                conv = jac_is_j and not (jm & S.mask).any()
-                colon_j = []
-                for s in S.members:
-                    cmask = colon_elem_mask(ring, I.mask, int(s))
-                    colon_j.append(not cmask.all()
-                                   and ctx.j_check(cmask).verdict)
-                if not any(colon_j) and not (conv and wits.any()):
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                for s, cj, w in zip(S.members, colon_j, wits):
-                    if cj and not w:
-                        rep.violation(ring, I, S, {
-                            "direction": "colon-certificate-but-no-witness",
-                            "s": ring.element_label(int(s))})
-                        break
-                    if conv and w and not cj:
-                        rep.violation(ring, I, S, {
-                            "direction": "witness-but-colon-not-certificate",
-                            "s": ring.element_label(int(s))})
-                        break
+        for I, S in ctx.pairs(rep):
+            wits = ctx.sj_witnesses(I, S)
+            conv = jac_is_j and not (jm & S.mask).any()
+            colon_j = []
+            for s in S.members:
+                cmask = colon_elem_mask(ring, I.mask, int(s))
+                colon_j.append(not cmask.all()
+                               and ctx.j_check(cmask).verdict)
+            if not any(colon_j) and not (conv and wits.any()):
+                rep.vacuous += 1
+                continue
+            rep.tested += 1
+            for s, cj, w in zip(S.members, colon_j, wits):
+                if cj and not w:
+                    rep.violation(ring, I, S, {
+                        "direction": "colon-certificate-but-no-witness",
+                        "s": ring.element_label(int(s))})
+                    break
+                if conv and w and not cj:
+                    rep.violation(ring, I, S, {
+                        "direction": "witness-but-colon-not-certificate",
+                        "s": ring.element_label(int(s))})
+                    break
 
 
 def _p6(corpus, rep):
@@ -655,28 +685,24 @@ def _p6(corpus, rep):
             continue
         ring, jm = ctx.ring, ctx.jac.mask
         els = ring.elements
-        for I in ctx.ideals:
-            for S in ctx.subsets:
-                if not _disjoint(I, S):
-                    rep.vacuous += 1
-                    continue
-                wits = ctx.sj_witnesses(I, S)
-                rep.tested += 1
-                for s, w in zip(S.members, wits):
-                    colon_s = colon_elem_mask(ring, I.mask, int(s))
-                    jcolon_s = colon_elem_mask(ring, jm, int(s))
-                    bad = np.flatnonzero(~jcolon_s)
-                    if bad.size:
-                        viol_a = I.mask[ring.mul_vec(bad[:, None],
-                                                     els[None, :])].any(axis=0)
-                        rhs = not (viol_a & ~colon_s).any()
-                    else:
-                        rhs = True
-                    if rhs != bool(w):
-                        rep.violation(ring, I, S, {
-                            "s": ring.element_label(int(s)),
-                            "witness": bool(w), "colon_form": rhs})
-                        break
+        for I, S in ctx.pairs(rep):
+            wits = ctx.sj_witnesses(I, S)
+            rep.tested += 1
+            for s, w in zip(S.members, wits):
+                colon_s = colon_elem_mask(ring, I.mask, int(s))
+                jcolon_s = colon_elem_mask(ring, jm, int(s))
+                bad = np.flatnonzero(~jcolon_s)
+                if bad.size:
+                    viol_a = I.mask[ring.mul_vec(bad[:, None],
+                                                 els[None, :])].any(axis=0)
+                    rhs = not (viol_a & ~colon_s).any()
+                else:
+                    rhs = True
+                if rhs != bool(w):
+                    rep.violation(ring, I, S, {
+                        "s": ring.element_label(int(s)),
+                        "witness": bool(w), "colon_form": rhs})
+                    break
 
 
 def _p7(corpus, rep):
@@ -686,28 +712,24 @@ def _p7(corpus, rep):
             continue
         ring, jm = ctx.ring, ctx.jac.mask
         els = ring.elements
-        for I in ctx.ideals:
-            for S in ctx.subsets:
-                if not _disjoint(I, S):
-                    rep.vacuous += 1
-                    continue
-                wits = ctx.sj_witnesses(I, S)
-                rep.tested += 1
-                for s, w in zip(S.members, wits):
-                    colon_s = colon_elem_mask(ring, I.mask, int(s))
-                    jcolon_s = colon_elem_mask(ring, jm, int(s))
-                    bad = np.flatnonzero(~colon_s)
-                    if bad.size:
-                        viol_b = I.mask[ring.mul_vec(bad[:, None],
-                                                     els[None, :])].any(axis=0)
-                        rhs = not (viol_b & ~jcolon_s).any()
-                    else:
-                        rhs = True
-                    if rhs != bool(w):
-                        rep.violation(ring, I, S, {
-                            "s": ring.element_label(int(s)),
-                            "witness": bool(w), "colon_form": rhs})
-                        break
+        for I, S in ctx.pairs(rep):
+            wits = ctx.sj_witnesses(I, S)
+            rep.tested += 1
+            for s, w in zip(S.members, wits):
+                colon_s = colon_elem_mask(ring, I.mask, int(s))
+                jcolon_s = colon_elem_mask(ring, jm, int(s))
+                bad = np.flatnonzero(~colon_s)
+                if bad.size:
+                    viol_b = I.mask[ring.mul_vec(bad[:, None],
+                                                 els[None, :])].any(axis=0)
+                    rhs = not (viol_b & ~jcolon_s).any()
+                else:
+                    rhs = True
+                if rhs != bool(w):
+                    rep.violation(ring, I, S, {
+                        "s": ring.element_label(int(s)),
+                        "witness": bool(w), "colon_form": rhs})
+                    break
 
 
 def _p8(corpus, rep):
@@ -744,13 +766,13 @@ def _p8(corpus, rep):
                         rep.vacuous += 1
                         continue
                     rep.tested += 1
-                    sub_hyp = _product_hyp_matrix(sub_ring, P.mask)
+                    sub_hyp = product_hyp_matrix(sub_ring, P.mask)
                     witnessed = False
                     for s in S.members:
                         row_base = ring.mul_vec(np.int64(s), base_members)
                         row = sub_ring.pos[row_base]
-                        if _first_violation(sub_hyp, sub_jac.mask[row],
-                                            P.mask[row]) is None:
+                        if first_violation(sub_hyp, sub_jac.mask[row],
+                                           P.mask[row]) is None:
                             witnessed = True
                             break
                     if not witnessed:
@@ -865,35 +887,31 @@ def _p11(corpus, rep):
             continue
         ring, jm = ctx.ring, ctx.jac.mask
         els = ring.elements
-        for I in ctx.ideals:
-            for S in ctx.subsets:
-                if not _disjoint(I, S):
-                    rep.vacuous += 1
-                    continue
-                if not ctx.sj_witnesses(I, S).any():
-                    rep.vacuous += 1
-                    continue
-                xsets = []
-                outside = [int(x) for x in range(ring.size)
-                           if not I.mask[x]][:2]
-                xsets.extend([x] for x in outside)
-                xsets.append([int(x) for x in S.members])
-                for xs in xsets:
-                    cmask = colon_subset_mask(ring, I.mask, xs)
-                    rep.tested += 1
-                    if (cmask & S.mask).any():
-                        meets += 1
-                    chyp = _product_hyp_matrix(ring, cmask)
+        for I, S in ctx.pairs(rep):
+            if not ctx.sj_witnesses(I, S).any():
+                rep.vacuous += 1
+                continue
+            xsets = []
+            outside = [int(x) for x in range(ring.size)
+                       if not I.mask[x]][:2]
+            xsets.extend([x] for x in outside)
+            xsets.append([int(x) for x in S.members])
+            for xs in xsets:
+                cmask = colon_subset_mask(ring, I.mask, xs)
+                rep.tested += 1
+                if (cmask & S.mask).any():
+                    meets += 1
+                chyp = product_hyp_matrix(ring, cmask)
 
-                    def disjuncts(s):
-                        row = ring.mul_vec(np.int64(s), els)
-                        return jm[row], cmask[row]
+                def disjuncts(s):
+                    row = ring.mul_vec(np.int64(s), els)
+                    return jm[row], cmask[row]
 
-                    res = _scan(ring, chyp, S.members, disjuncts, "fixed-s")
-                    if not res.verdict:
-                        rep.violation(ring, I, S, {
-                            "x_set": [ring.element_label(x) for x in xs],
-                            "colon_check": _labeled_result(ring, res)})
+                res = pair_scan(chyp, S.members, disjuncts, "fixed-s")
+                if not res.verdict:
+                    rep.violation(ring, I, S, {
+                        "x_set": [ring.element_label(x) for x in xs],
+                        "colon_check": _labeled_result(ring, res)})
     if meets:
         rep.notes["colon_meets_subset"] = meets
 
@@ -950,40 +968,27 @@ def _p13(corpus, rep):
         if not ctx.comm_ident:
             continue
         ring, jm = ctx.ring, ctx.jac.mask
-        els = ring.elements
-        for I in ctx.ideals:
-            hyp = None
-            jstar = None
-            for S in ctx.subsets:
-                if not _disjoint(I, S):
-                    rep.vacuous += 1
-                    continue
-                good_s = [int(s) for s in S.members
-                          if np.array_equal(
-                              colon_elem_mask(ring, jm, int(s)), jm)]
-                if not good_s:
-                    rep.vacuous += 1
-                    continue
-                if hyp is None:
-                    hyp = _product_hyp_matrix(ring, I.mask)
-                if jstar is None:
-                    jstar = j_star(ring, I, ctx.lattice)
-                rep.tested += 1
-                for s in good_s:
-                    row_l = ring.mul_vec(np.int64(s), els)
-                    lhs = _first_violation(hyp, jm[row_l],
-                                           I.mask[row_l]) is None
-                    row_r = ring.mul_vec(els, np.int64(s))
-                    pair_ok = _first_violation(hyp, jstar.mask[row_r],
-                                               I.mask[row_r]) is None
-                    contain = not (I.mask & ~colon_elem_mask(
-                        ring, jm, s)).any()
-                    rhs = pair_ok and contain
-                    if lhs != rhs:
-                        rep.violation(ring, I, S, {
-                            "s": ring.element_label(s),
-                            "witness": lhs, "rewritten_form": rhs})
-                        break
+        for I, S in ctx.pairs(rep):
+            good = [(int(s), bool(w))
+                    for s, w in zip(S.members, ctx.sj_witnesses(I, S))
+                    if np.array_equal(colon_elem_mask(ring, jm, int(s)), jm)]
+            if not good:
+                rep.vacuous += 1
+                continue
+            jstar = j_star(ring, I, ctx.lattice)
+            rep.tested += 1
+            for s, lhs in good:
+                # ab in I forces a*s in J*(I) or b*s in I (aRb = abR here)
+                pair_ok = arb_violation(
+                    ring, I.mask, colon_elem_mask(ring, jstar.mask, s),
+                    colon_elem_mask(ring, I.mask, s)) is None
+                contain = not (I.mask & ~colon_elem_mask(ring, jm, s)).any()
+                rhs = pair_ok and contain
+                if lhs != rhs:
+                    rep.violation(ring, I, S, {
+                        "s": ring.element_label(s),
+                        "witness": lhs, "rewritten_form": rhs})
+                    break
 
 
 def _p14(corpus, rep):
@@ -1004,9 +1009,7 @@ def _p14(corpus, rep):
                         rep.vacuous += 1
                         continue
                     if not (kernel.mask & ~I.mask).any():
-                        res = is_S_J_ideal(ring, I, S, jacobson=ctx.jac,
-                                           lattice=ctx.lattice)
-                        if res.verdict:
+                        if ctx.sj(I, S).verdict:
                             rep.tested += 1
                             qmask = np.zeros(qring.size, dtype=bool)
                             qmask[hom.map[I.members]] = True
@@ -1039,8 +1042,7 @@ def _p14(corpus, rep):
                         continue
                     rep.tested += 1
                     pre = L.mask[hom.map]
-                    res = is_S_J_ideal(ring, pre, S, jacobson=ctx.jac,
-                                       lattice=ctx.lattice)
+                    res = ctx.sj(pre, S)
                     if not res.verdict:
                         rep.violation(ring, IdealSet(ring, pre), S, {
                             "part": "preimage-loses-the-law",
@@ -1071,8 +1073,7 @@ def _p15(corpus, rep):
                         continue
                     qmask = np.zeros(qring.size, dtype=bool)
                     qmask[hom.map[P2.members]] = True
-                    down = is_S_J_ideal(ring, P2, S, jacobson=ctx.jac,
-                                        lattice=ctx.lattice)
+                    down = ctx.sj(P2, S)
                     up = is_S_J_ideal(qring, qmask, simg, jacobson=qjac,
                                       lattice=qlat) \
                         if not (qmask & simg.mask).any() else None
@@ -1102,16 +1103,10 @@ def _p16(corpus, rep):
     for ctx in corpus.contexts:
         if not ctx.comm_ident:
             continue
-        ring, jm = ctx.ring, ctx.jac.mask
+        ring = ctx.ring
         for S in ctx.subsets:
-            holders = []
-            for I in ctx.ideals:
-                if not _disjoint(I, S):
-                    continue
-                res = is_S_J_ideal(ring, I, S, jacobson=ctx.jac,
-                                   lattice=ctx.lattice)
-                if res.verdict:
-                    holders.append(I)
+            holders = [I for I in ctx.ideals
+                       if _disjoint(I, S) and ctx.sj(I, S).verdict]
             if len(holders) < 2:
                 rep.vacuous += 1
                 continue
@@ -1119,8 +1114,7 @@ def _p16(corpus, rep):
                 for j in range(i + 1, len(holders)):
                     rep.tested += 1
                     mask = holders[i].mask & holders[j].mask
-                    res = is_S_J_ideal(ring, mask, S, jacobson=ctx.jac,
-                                       lattice=ctx.lattice)
+                    res = ctx.sj(mask, S)
                     if not res.verdict:
                         rep.violation(ring, IdealSet(ring, mask), S, {
                             "intersection_of": [holders[i].label,
@@ -1150,8 +1144,7 @@ def _p17(corpus, rep):
                     if not _disjoint(I, Sa):
                         rep.vacuous += 1
                         continue
-                    comp = is_S_J_ideal(ca.ring, I, Sa, jacobson=ca.jac,
-                                        lattice=ca.lattice)
+                    comp = ca.sj(I, Sa)
                     for Sb in cb.subsets[:2]:
                         rep.tested += 1
                         meets = bool((cb.jac.mask & Sb.mask).any())
@@ -1205,29 +1198,24 @@ def _p18(corpus, rep):
                     "note": "radical of the truncated ring is not "
                             "constant-term-in-radical"})
                 continue
-            for I in ctx.ideals:
+            for I, S in ctx.pairs(rep):
                 lift = np.ones(trunc.size, dtype=bool)
                 c = np.arange(trunc.size)
                 for _ in range(d):
                     lift &= I.mask[c % n]
                     c //= n
-                for S in ctx.subsets:
-                    if not _disjoint(I, S):
-                        rep.vacuous += 1
-                        continue
-                    rep.tested += 1
-                    sc = subset_const_embed(
-                        S, trunc, label="mulclosed(%s)" % ", ".join(
-                            trunc.element_label(int(x)) for x in S.members))
-                    base = is_S_J_ideal(ring, I, S, jacobson=ctx.jac,
-                                        lattice=ctx.lattice)
-                    up = is_S_J_ideal(trunc, lift, sc, jacobson=tjac,
-                                      lattice=tlat)
-                    if base.verdict != up.verdict:
-                        rep.violation(trunc, IdealSet(trunc, lift), sc, {
-                            "base_ring": ctx.expr,
-                            "base_verdict": base.verdict,
-                            "lifted_verdict": up.verdict})
+                rep.tested += 1
+                sc = subset_const_embed(
+                    S, trunc, label="mulclosed(%s)" % ", ".join(
+                        trunc.element_label(int(x)) for x in S.members))
+                base = ctx.sj(I, S)
+                up = is_S_J_ideal(trunc, lift, sc, jacobson=tjac,
+                                  lattice=tlat)
+                if base.verdict != up.verdict:
+                    rep.violation(trunc, IdealSet(trunc, lift), sc, {
+                        "base_ring": ctx.expr,
+                        "base_verdict": base.verdict,
+                        "lifted_verdict": up.verdict})
 
 
 def _p19(corpus, rep):
@@ -1241,7 +1229,7 @@ def _p20(corpus, rep):
     for ctx in corpus.contexts:
         if not ctx.comm_ident or ctx.family != "zn":
             continue
-        ring, n = ctx.ring, ctx.ring.size
+        n = ctx.ring.size
         ks = [k for k in _divisors(n) if k >= 2 and n * k <= IDEALIZE_CAP]
         picks = []
         if ks:
@@ -1250,27 +1238,22 @@ def _p20(corpus, rep):
                 picks.append(ks[-1])
         for k in dict.fromkeys(picks):
             ext, elat, ejac = ctx.idealization(k)
-            for I in ctx.ideals:
+            for I, S in ctx.pairs(rep):
                 emask = np.zeros(ext.size, dtype=bool)
                 emask[(I.members[:, None] * k
                        + np.arange(k)[None, :]).ravel()] = True
-                for S in ctx.subsets:
-                    if not _disjoint(I, S):
-                        rep.vacuous += 1
-                        continue
-                    rep.tested += 1
-                    se = subset_idealization(S, ext)
-                    se.label = "mulclosed(%s)" % ", ".join(
-                        ext.element_label(int(x)) for x in se.members)
-                    base = is_S_J_ideal(ring, I, S, jacobson=ctx.jac,
-                                        lattice=ctx.lattice)
-                    up = is_S_J_ideal(ext, emask, se, jacobson=ejac,
-                                      lattice=elat)
-                    if base.verdict != up.verdict:
-                        rep.violation(ext, IdealSet(ext, emask), se, {
-                            "base_ring": ctx.expr,
-                            "base_verdict": base.verdict,
-                            "extension_verdict": up.verdict})
+                rep.tested += 1
+                se = subset_idealization(S, ext)
+                se.label = "mulclosed(%s)" % ", ".join(
+                    ext.element_label(int(x)) for x in se.members)
+                base = ctx.sj(I, S)
+                up = is_S_J_ideal(ext, emask, se, jacobson=ejac,
+                                  lattice=elat)
+                if base.verdict != up.verdict:
+                    rep.violation(ext, IdealSet(ext, emask), se, {
+                        "base_ring": ctx.expr,
+                        "base_verdict": base.verdict,
+                        "extension_verdict": up.verdict})
 
 
 def _p21(corpus, rep):
@@ -1306,8 +1289,7 @@ def _p21(corpus, rep):
                             rep.vacuous += 1
                             continue
                         rep.tested += 1
-                        base = is_S_J_ideal(ring, I, S, jacobson=ctx.jac,
-                                            lattice=ctx.lattice)
+                        base = ctx.sj(I, S)
                         if not base.verdict:
                             rep.violation(ext, IdealSet(ext, emask), se, {
                                 "base_ring": ctx.expr,
@@ -1327,33 +1309,25 @@ def _p22(corpus, rep):
                          if c.expr == base_expr), None)
         if base_ctx is None:
             continue
-        bring = amalg.base
-        blat = enumerate_ideals(bring)
-        bjac = jacobson_radical(bring, blat)
         nj = len(amalg.jmembers)
-        for I in base_ctx.ideals:
+        for I, S in base_ctx.pairs(rep):
             amask = np.zeros(amalg.size, dtype=bool)
             amask[(I.members[:, None] * nj
                    + np.arange(nj)[None, :]).ravel()] = True
-            for S in base_ctx.subsets:
-                if not _disjoint(I, S):
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                sb = SubsetS(bring, S.members, kind=S.kind, check=False,
-                             label=S.label)
-                sa = subset_amalgamation(sb, amalg)
-                sa.label = "mulclosed(%s)" % ", ".join(
-                    amalg.element_label(int(x)) for x in sa.members)
-                base = is_S_J_ideal(bring, IdealSet(bring, I.mask), sb,
-                                    jacobson=bjac, lattice=blat)
-                up = is_S_J_ideal(amalg, amask, sa, jacobson=ctx.jac,
-                                  lattice=ctx.lattice)
-                if base.verdict != up.verdict:
-                    rep.violation(amalg, IdealSet(amalg, amask), sa, {
-                        "base_ring": base_expr,
-                        "base_verdict": base.verdict,
-                        "amalgamation_verdict": up.verdict})
+            rep.tested += 1
+            sb = SubsetS(amalg.base, S.members, kind=S.kind, check=False,
+                         label=S.label)
+            sa = subset_amalgamation(sb, amalg)
+            sa.label = "mulclosed(%s)" % ", ".join(
+                amalg.element_label(int(x)) for x in sa.members)
+            base = base_ctx.sj(I, S)
+            up = is_S_J_ideal(amalg, amask, sa, jacobson=ctx.jac,
+                              lattice=ctx.lattice)
+            if base.verdict != up.verdict:
+                rep.violation(amalg, IdealSet(amalg, amask), sa, {
+                    "base_ring": base_expr,
+                    "base_verdict": base.verdict,
+                    "amalgamation_verdict": up.verdict})
 
 
 def _p23(corpus, rep):
@@ -1366,34 +1340,27 @@ def _p23(corpus, rep):
         prod = lattice.prod
         jidx = lattice.idx_of(ctx.jac)
         prin = np.unique(lattice.principal_of)
-        for P in ctx.ideals:
+        for P, S in ctx.pairs(rep):
             pidx = lattice.idx_of(P)
-            hyp = lattice.leq[prod, pidx]
-            hyp_pr = hyp[np.ix_(prin, prin)]
-            for S in ctx.subsets:
-                if not _disjoint(P, S):
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                full = is_right_S_J_ideal(ring, P, S, lattice=lattice,
-                                          jacobson=ctx.jac)
-                pair = False
-                for s in S.members:
-                    col = prod[:, lattice.principal_of[int(s)]]
-                    a_ok = lattice.leq[col, jidx][prin]
-                    b_ok = lattice.leq[col, pidx][prin]
-                    if _first_violation(hyp_pr, a_ok, b_ok) is None:
-                        pair = True
-                        break
-                verdicts = {"ideal_pairs": full.verdict,
-                            "principal_pairs": pair}
-                if ring.size <= ELEMENTWISE_LIMIT:
-                    el = is_right_S_J_ideal(ring, P, S, lattice=lattice,
-                                            jacobson=ctx.jac,
-                                            method="elementwise")
-                    verdicts["elementwise"] = el.verdict
-                if len(set(verdicts.values())) > 1:
-                    rep.violation(ring, P, S, verdicts)
+            hyp_pr = lattice.leq[prod, pidx][np.ix_(prin, prin)]
+            rep.tested += 1
+            pair = False
+            for s in S.members:
+                col = prod[:, lattice.principal_of[int(s)]]
+                a_ok = lattice.leq[col, jidx][prin]
+                b_ok = lattice.leq[col, pidx][prin]
+                if first_violation(hyp_pr, a_ok, b_ok) is None:
+                    pair = True
+                    break
+            verdicts = {"ideal_pairs": ctx.right_sj(P, S).verdict,
+                        "principal_pairs": pair}
+            if ring.size <= ELEMENTWISE_LIMIT:
+                el = is_right_S_J_ideal(ring, P, S, lattice=lattice,
+                                        jacobson=ctx.jac,
+                                        method="elementwise")
+                verdicts["elementwise"] = el.verdict
+            if len(set(verdicts.values())) > 1:
+                rep.violation(ring, P, S, verdicts)
 
 
 def _p24(corpus, rep):
@@ -1403,42 +1370,30 @@ def _p24(corpus, rep):
         if not ctx.comm_ident:
             continue
         ring = ctx.ring
-        for P in ctx.ideals:
-            for S in ctx.subsets:
-                if not _disjoint(P, S):
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                left = is_S_J_ideal(ring, P, S, jacobson=ctx.jac,
-                                    lattice=ctx.lattice)
-                right = is_right_S_J_ideal(ring, P, S, lattice=ctx.lattice,
-                                           jacobson=ctx.jac)
-                if left.verdict != right.verdict:
-                    rep.violation(ring, P, S, {
-                        "elementwise": _labeled_result(ring, left),
-                        "ideal_pairs": _labeled_result(ring, right)})
+        for P, S in ctx.pairs(rep):
+            rep.tested += 1
+            left, right = ctx.sj(P, S), ctx.right_sj(P, S)
+            if left.verdict != right.verdict:
+                rep.violation(ring, P, S, {
+                    "elementwise": _labeled_result(ring, left),
+                    "ideal_pairs": _labeled_result(ring, right)})
 
 
 def _p25(corpus, rep):
     # right subset-prime ideals inside the radical satisfy the right law
     for ctx in corpus.contexts:
         ring = ctx.ring
-        for P in ctx.ideals:
-            inside = not (P.mask & ~ctx.jac.mask).any()
-            for S in ctx.subsets:
-                if not inside or not _disjoint(P, S):
-                    rep.vacuous += 1
-                    continue
-                pr = is_right_S_prime(ring, P, S, lattice=ctx.lattice)
-                if not pr.verdict:
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                res = is_right_S_J_ideal(ring, P, S, lattice=ctx.lattice,
-                                         jacobson=ctx.jac)
-                if not res.verdict:
-                    rep.violation(ring, P, S, {
-                        "check": _labeled_result(ring, res)})
+        for P, S in ctx.pairs(rep):
+            if ((P.mask & ~ctx.jac.mask).any()
+                    or not is_right_S_prime(ring, P, S,
+                                            lattice=ctx.lattice).verdict):
+                rep.vacuous += 1
+                continue
+            rep.tested += 1
+            res = ctx.right_sj(P, S)
+            if not res.verdict:
+                rep.violation(ring, P, S, {
+                    "check": _labeled_result(ring, res)})
 
 
 def _p26(corpus, rep):
@@ -1447,27 +1402,20 @@ def _p26(corpus, rep):
         if not ctx.ident:
             continue
         ring = ctx.ring
-        for P in ctx.ideals:
-            for S in ctx.subsets:
-                if not _disjoint(P, S):
-                    rep.vacuous += 1
+        for P, S in ctx.pairs(rep):
+            rep.tested += 1
+            rhs = ctx.right_sj(P, S).verdict
+            lhs = False
+            for s in S.members:
+                q = colon_ideal_mask(ring, P.mask, ctx.lattice.principal(s))
+                if (q & S.mask).any() or q.all():
                     continue
-                rep.tested += 1
-                rhs = is_right_S_J_ideal(ring, P, S, lattice=ctx.lattice,
-                                         jacobson=ctx.jac)
-                lhs = False
-                for s in S.members:
-                    q = colon_ideal_mask(ring, P.mask,
-                                         ctx.lattice.principal(s))
-                    if (q & S.mask).any() or q.all():
-                        continue
-                    if is_right_S_J_ideal(ring, q, S, lattice=ctx.lattice,
-                                          jacobson=ctx.jac).verdict:
-                        lhs = True
-                        break
-                if lhs != rhs.verdict:
-                    rep.violation(ring, P, S, {
-                        "colon_side": lhs, "direct_side": rhs.verdict})
+                if ctx.right_sj(q, S).verdict:
+                    lhs = True
+                    break
+            if lhs != rhs:
+                rep.violation(ring, P, S, {
+                    "colon_side": lhs, "direct_side": rhs})
 
 
 def _p27(corpus, rep):
@@ -1476,30 +1424,24 @@ def _p27(corpus, rep):
         if not ctx.ident:
             continue
         ring = ctx.ring
-        for P in ctx.ideals:
-            for S in ctx.subsets:
-                if not _disjoint(P, S):
-                    rep.vacuous += 1
+        for P, S in ctx.pairs(rep):
+            cert = None
+            for s in S.members:
+                q = colon_ideal_mask(ring, P.mask, ctx.lattice.principal(s))
+                if q.all():
                     continue
-                cert = None
-                for s in S.members:
-                    q = colon_ideal_mask(ring, P.mask,
-                                         ctx.lattice.principal(s))
-                    if q.all():
-                        continue
-                    if ctx.j_check(q).verdict:
-                        cert = int(s)
-                        break
-                if cert is None:
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                res = is_right_S_J_ideal(ring, P, S, lattice=ctx.lattice,
-                                         jacobson=ctx.jac)
-                if not res.verdict:
-                    rep.violation(ring, P, S, {
-                        "certifying_s": ring.element_label(cert),
-                        "check": _labeled_result(ring, res)})
+                if ctx.j_check(q).verdict:
+                    cert = int(s)
+                    break
+            if cert is None:
+                rep.vacuous += 1
+                continue
+            rep.tested += 1
+            res = ctx.right_sj(P, S)
+            if not res.verdict:
+                rep.violation(ring, P, S, {
+                    "certifying_s": ring.element_label(cert),
+                    "check": _labeled_result(ring, res)})
 
 
 def _p28(corpus, rep):
@@ -1528,8 +1470,7 @@ def _p28(corpus, rep):
                 if not _disjoint(P, S):
                     rep.vacuous += 1
                     continue
-                if not is_right_S_J_ideal(ring, P, S, lattice=ctx.lattice,
-                                          jacobson=ctx.jac).verdict:
+                if not ctx.right_sj(P, S).verdict:
                     rep.vacuous += 1
                     continue
                 rep.tested += 1
@@ -1556,9 +1497,7 @@ def _p29(corpus, rep):
                     if not _disjoint(P, S):
                         rep.vacuous += 1
                         continue
-                    res = is_right_S_J_ideal(ring, P, S, lattice=ctx.lattice,
-                                             jacobson=ctx.jac)
-                    if not res.verdict:
+                    if not ctx.right_sj(P, S).verdict:
                         rep.vacuous += 1
                         continue
                     rep.tested += 1
@@ -1609,8 +1548,7 @@ def _p30(corpus, rep):
                         rep.vacuous += 1
                         continue
                     rep.tested += 1
-                    res = is_right_S_J_ideal(ring, P, S, lattice=ctx.lattice,
-                                             jacobson=ctx.jac)
+                    res = ctx.right_sj(P, S)
                     if not res.verdict:
                         rep.violation(ring, P, S, {
                             "quotient": qring.label,
@@ -1626,39 +1564,32 @@ def _p31(corpus, rep):
             continue
         ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
         jidx = lattice.idx_of(ctx.jac)
-        for P in ctx.ideals:
+        for P, S in ctx.pairs(rep):
+            good = [int(s) for s in S.members
+                    if np.array_equal(
+                        colon_ideal_mask(ring, jm, lattice.principal(s)), jm)]
+            if not good:
+                rep.vacuous += 1
+                continue
             pidx = lattice.idx_of(P)
             hyp = lattice.leq[lattice.prod, pidx]
-            jstar = None
-            for S in ctx.subsets:
-                if not _disjoint(P, S):
-                    rep.vacuous += 1
-                    continue
-                good = [int(s) for s in S.members
-                        if np.array_equal(
-                            colon_ideal_mask(ring, jm, lattice.principal(s)),
-                            jm)]
-                if not good:
-                    rep.vacuous += 1
-                    continue
-                if jstar is None:
-                    jstar = j_star(ring, P, lattice)
-                rep.tested += 1
-                for s in good:
-                    lhs = _right_witness(lattice, hyp, pidx, jidx, s)
-                    sgen = lattice.principal(s)
-                    contain = not (P.mask & ~colon_ideal_mask(
-                        ring, jm, sgen)).any()
-                    a_skip = colon_ideal_mask(ring, jstar.mask, sgen)
-                    b_skip = colon_ideal_mask(ring, P.mask, sgen)
-                    pair_ok = _arb_violation(ring, P.mask, a_skip,
-                                             b_skip) is None
-                    rhs = contain and pair_ok
-                    if lhs != rhs:
-                        rep.violation(ring, P, S, {
-                            "s": ring.element_label(s),
-                            "witness": lhs, "rewritten_form": rhs})
-                        break
+            jstar = j_star(ring, P, lattice)
+            rep.tested += 1
+            for s in good:
+                lhs = _right_witness(lattice, hyp, pidx, jidx, s)
+                sgen = lattice.principal(s)
+                contain = not (P.mask & ~colon_ideal_mask(
+                    ring, jm, sgen)).any()
+                a_skip = colon_ideal_mask(ring, jstar.mask, sgen)
+                b_skip = colon_ideal_mask(ring, P.mask, sgen)
+                pair_ok = arb_violation(ring, P.mask, a_skip,
+                                        b_skip) is None
+                rhs = contain and pair_ok
+                if lhs != rhs:
+                    rep.violation(ring, P, S, {
+                        "s": ring.element_label(s),
+                        "witness": lhs, "rewritten_form": rhs})
+                    break
 
 
 def _p32(corpus, rep):
@@ -1668,32 +1599,22 @@ def _p32(corpus, rep):
         if not ctx.ident:
             continue
         ring, jm = ctx.ring, ctx.jac.mask
-        for P in ctx.ideals:
-            for S in ctx.subsets:
-                if not _disjoint(P, S):
-                    rep.vacuous += 1
-                    continue
-                res = is_right_S_J_ideal(ring, P, S, lattice=ctx.lattice,
-                                         jacobson=ctx.jac)
-                if res.verdict:
-                    rep.tested += 1
-                    ok = any(
-                        not (P.mask & ~colon_ideal_mask(
-                            ring, jm, ctx.lattice.principal(s))).any()
-                        for s in S.members)
-                    if not ok:
-                        rep.violation(ring, P, S, {
-                            "part": "no-colon-container"})
-                else:
-                    rep.vacuous += 1
+        for P, S in ctx.pairs(rep):
+            if not ctx.right_sj(P, S).verdict:
+                rep.vacuous += 1
+                continue
+            rep.tested += 1
+            if not any(not (P.mask & ~colon_ideal_mask(
+                    ring, jm, ctx.lattice.principal(s))).any()
+                    for s in S.members):
+                rep.violation(ring, P, S, {"part": "no-colon-container"})
         if ctx.jac.is_proper:
             for S in ctx.subsets:
                 if not _disjoint(ctx.jac, S):
                     rep.vacuous += 1
                     continue
                 rep.tested += 1
-                rj = is_right_S_J_ideal(ring, ctx.jac, S,
-                                        lattice=ctx.lattice, jacobson=ctx.jac)
+                rj = ctx.right_sj(ctx.jac, S)
                 rp = is_right_S_prime(ring, ctx.jac, S, lattice=ctx.lattice)
                 if rj.verdict != rp.verdict:
                     rep.violation(ring, ctx.jac, S, {
@@ -1725,8 +1646,7 @@ def _p33(corpus, rep):
                 if not _disjoint(P, S):
                     rep.vacuous += 1
                     continue
-                if not is_right_S_J_ideal(ring, P, S, lattice=ctx.lattice,
-                                          jacobson=ctx.jac).verdict:
+                if not ctx.right_sj(P, S).verdict:
                     rep.vacuous += 1
                     continue
                 rep.tested += 1
@@ -1909,9 +1829,9 @@ def run_worked_examples():
     ok = (not plain.verdict and plain.counterexample == (2, 2)
           and rel.verdict and rel.witness_s == 3)
     # the chosen witness must replay: no violating pair for s = 3
-    hyp = _product_hyp_matrix(r36, i4.mask)
+    hyp = product_hyp_matrix(r36, i4.mask)
     row = r36.mul_vec(np.int64(3), r36.elements)
-    ok = ok and _first_violation(hyp, jac36.mask[row], i4.mask[row]) is None
+    ok = ok and first_violation(hyp, jac36.mask[row], i4.mask[row]) is None
     out.append({"id": "E1", "passed": bool(ok),
                 "description": "Z36: gen(4) fails the plain radical-"
                                "membership law at (2, 2) but holds the "
@@ -1934,7 +1854,7 @@ def run_worked_examples():
     ok = not res.verdict and res.counterexample is not None
     covered = {entry[0] for entry in (res.counterexample or ())}
     ok = ok and covered == {int(x) for x in s_prod.members}
-    hyp = _product_hyp_matrix(prod, imask)
+    hyp = product_hyp_matrix(prod, imask)
     for s in s_prod.members:
         row = prod.mul_vec(np.int64(int(s)), prod.elements)
         ok = ok and bool(hyp[pair, pair]) \
@@ -1956,10 +1876,10 @@ def run_worked_examples():
                          lattice=plat38)
     ok = bool(res38.verdict)
     if ok:
-        hyp = _product_hyp_matrix(prod38, imask38)
+        hyp = product_hyp_matrix(prod38, imask38)
         row = prod38.mul_vec(np.int64(int(res38.witness_s)),
                              prod38.elements)
-        ok = _first_violation(hyp, pjac38.mask[row],
+        ok = first_violation(hyp, pjac38.mask[row],
                               imask38[row]) is None
     out.append({"id": "E3", "passed": bool(ok),
                 "description": "gen(4) x Z8 with the paired subset "

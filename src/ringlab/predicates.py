@@ -28,7 +28,6 @@ from .errors import (
     RingMismatch,
 )
 from .ideals import (
-    IdealLattice,
     IdealSet,
     colon_elem_mask,
     colon_ideal_mask,
@@ -140,10 +139,11 @@ def _check_mode(mode):
 
 
 # ---------------------------------------------------------------------------
-# dense pair-scan engine (commutative checks and elementwise forms)
+# pair-scan engine (commutative checks and elementwise forms), shared with
+# the law harness
 # ---------------------------------------------------------------------------
 
-def _product_hyp_matrix(ring, imask):
+def product_hyp_matrix(ring, imask):
     """hyp[a, b] = (a*b lands in the ideal), built in row chunks."""
     n = int(ring.size)
     if n > PAIR_SCAN_LIMIT:
@@ -158,7 +158,7 @@ def _product_hyp_matrix(ring, imask):
     return out
 
 
-def _first_violation(hyp, a_ok, b_ok):
+def first_violation(hyp, a_ok, b_ok):
     """Lex-least (a, b) with hyp[a, b] true and both disjuncts false."""
     bad = hyp & ~b_ok[None, :]
     rows = bad.any(axis=1) & ~a_ok
@@ -169,13 +169,13 @@ def _first_violation(hyp, a_ok, b_ok):
     return (a, b)
 
 
-def _scan(ring, hyp, members, disjuncts, mode):
+def pair_scan(hyp, members, disjuncts, mode):
     """Run the quantifier over s; disjuncts(s) -> (a_ok, b_ok) masks."""
     if mode == "fixed-s":
         table = []
         for s in members:
             a_ok, b_ok = disjuncts(int(s))
-            v = _first_violation(hyp, a_ok, b_ok)
+            v = first_violation(hyp, a_ok, b_ok)
             if v is None:
                 return CheckResult(True, witness_s=int(s))
             table.append((int(s), v))
@@ -186,17 +186,13 @@ def _scan(ring, hyp, members, disjuncts, mode):
         a_ok, b_ok = disjuncts(int(s))
         any_a |= a_ok
         any_b |= b_ok
-    v = _first_violation(hyp, any_a, any_b)
+    v = first_violation(hyp, any_a, any_b)
     if v is None:
         return CheckResult(True, quantifier_mode="per-pair-s")
     return CheckResult(False, counterexample=v, quantifier_mode="per-pair-s")
 
 
-# ---------------------------------------------------------------------------
-# one-sided (no subset) checks
-# ---------------------------------------------------------------------------
-
-def _arb_violation(ring, imask, a_skip, b_skip):
+def arb_violation(ring, imask, a_skip, b_skip):
     """Lex-least (a, b) with aRb inside the ideal, a and b outside the
     skip masks.  Streams row chunks so huge rings never materialize an
     n x n matrix."""
@@ -222,6 +218,10 @@ def _arb_violation(ring, imask, a_skip, b_skip):
     return None
 
 
+# ---------------------------------------------------------------------------
+# one-sided (no subset) checks
+# ---------------------------------------------------------------------------
+
 def is_J_ideal(ring, ideal, jacobson=None, lattice=None):
     """Pairs landing in the ideal force membership: if the product is in
     the ideal and the left factor is outside the Jacobson radical, the
@@ -232,10 +232,10 @@ def is_J_ideal(ring, ideal, jacobson=None, lattice=None):
         raise InvalidIdeal("expected a proper ideal", ring=ring.label)
     jmask = _jac_mask(ring, jacobson, lattice)
     if ring.commutative:
-        hyp = _product_hyp_matrix(ring, imask)
-        v = _first_violation(hyp, jmask, imask)
+        hyp = product_hyp_matrix(ring, imask)
+        v = first_violation(hyp, jmask, imask)
     else:
-        v = _arb_violation(ring, imask, jmask, imask)
+        v = arb_violation(ring, imask, jmask, imask)
     if v is None:
         return CheckResult(True)
     return CheckResult(False, counterexample=v)
@@ -251,8 +251,8 @@ def is_n_ideal(ring, ideal, beta=None, lattice=None):
     if beta is None:
         beta, _ = prime_radical(ring, lattice)
     bmask = _resolve_ideal(ring, beta)
-    hyp = _product_hyp_matrix(ring, imask)
-    v = _first_violation(hyp, bmask, imask)
+    hyp = product_hyp_matrix(ring, imask)
+    v = first_violation(hyp, bmask, imask)
     if v is None:
         return CheckResult(True)
     return CheckResult(False, counterexample=v)
@@ -272,14 +272,14 @@ def is_S_J_ideal(ring, ideal, subset, jacobson=None, lattice=None,
     subset = _resolve_subset(ring, subset)
     _require_disjoint(ring, imask, subset)
     jmask = _jac_mask(ring, jacobson, lattice)
-    hyp = _product_hyp_matrix(ring, imask)
+    hyp = product_hyp_matrix(ring, imask)
     els = ring.elements
 
     def disjuncts(s):
         row = ring.mul_vec(s, els)
         return jmask[row], imask[row]
 
-    return _scan(ring, hyp, subset.members, disjuncts, mode)
+    return pair_scan(hyp, subset.members, disjuncts, mode)
 
 
 def is_S_n_ideal(ring, ideal, subset, beta=None, lattice=None,
@@ -294,14 +294,14 @@ def is_S_n_ideal(ring, ideal, subset, beta=None, lattice=None,
     if beta is None:
         beta, _ = prime_radical(ring, lattice)
     bmask = _resolve_ideal(ring, beta)
-    hyp = _product_hyp_matrix(ring, imask)
+    hyp = product_hyp_matrix(ring, imask)
     els = ring.elements
 
     def disjuncts(s):
         row = ring.mul_vec(els, s)
         return bmask[row], imask[row]
 
-    return _scan(ring, hyp, subset.members, disjuncts, mode)
+    return pair_scan(hyp, subset.members, disjuncts, mode)
 
 
 def is_S_prime(ring, ideal, subset, mode="fixed-s"):
@@ -311,14 +311,14 @@ def is_S_prime(ring, ideal, subset, mode="fixed-s"):
     imask = _resolve_ideal(ring, ideal)
     subset = _resolve_subset(ring, subset)
     _require_disjoint(ring, imask, subset)
-    hyp = _product_hyp_matrix(ring, imask)
+    hyp = product_hyp_matrix(ring, imask)
     els = ring.elements
 
     def disjuncts(s):
         row = imask[ring.mul_vec(els, s)]
         return row, row
 
-    return _scan(ring, hyp, subset.members, disjuncts, mode)
+    return pair_scan(hyp, subset.members, disjuncts, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ def _lattice_scan(lattice, pidx, target_a_idx, members, mode):
         table = []
         for s in members:
             a_ok, b_ok = disjuncts(int(s))
-            v = _first_violation(hyp, a_ok, b_ok)
+            v = first_violation(hyp, a_ok, b_ok)
             if v is None:
                 return CheckResult(True, witness_s=int(s), method="lattice")
             table.append((int(s), gens_pair(*v)))
@@ -365,7 +365,7 @@ def _lattice_scan(lattice, pidx, target_a_idx, members, mode):
         a_ok, b_ok = disjuncts(int(s))
         any_a |= a_ok
         any_b |= b_ok
-    v = _first_violation(hyp, any_a, any_b)
+    v = first_violation(hyp, any_a, any_b)
     if v is None:
         return CheckResult(True, quantifier_mode="per-pair-s",
                            method="lattice")
@@ -430,7 +430,7 @@ def _right_sj_elementwise(ring, pmask, subset, jacobson, lattice, mode):
         prods = ring.mul_vec(els[:, None], smem[None, :])
         return jmask[prods].all(axis=1), pmask[prods].all(axis=1)
 
-    return _scan(ring, hyp, subset.members, disjuncts, mode)
+    return pair_scan(hyp, subset.members, disjuncts, mode)
 
 
 # ---------------------------------------------------------------------------

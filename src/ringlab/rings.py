@@ -266,47 +266,6 @@ class ZnRing(Ring):
         return 1 % self.n
 
 
-class TableRing(Ring):
-    """Ring given by explicit Cayley tables.  Used by tests and ad hoc data."""
-
-    def __init__(self, add_table, mul_table, label="table"):
-        add_table = np.asarray(add_table, dtype=np.int64)
-        mul_table = np.asarray(mul_table, dtype=np.int64)
-        n = add_table.shape[0]
-        if add_table.shape != (n, n) or mul_table.shape != (n, n):
-            raise InvalidParameter("tables must be square and same size")
-        if add_table.min() < 0 or add_table.max() >= n or \
-           mul_table.min() < 0 or mul_table.max() >= n:
-            raise InvalidParameter("table entries out of range")
-        zero = None
-        idx = np.arange(n)
-        for e in range(n):
-            if (add_table[e] == idx).all():
-                zero = e
-                break
-        if zero is None:
-            raise InvalidParameter("no additive identity in table")
-        self._given_add = add_table
-        self._given_mul = mul_table
-        super().__init__(n, label, zero)
-
-    def _add_vec(self, a, b):
-        return self._given_add[a, b]
-
-    def _mul_vec(self, a, b):
-        return self._given_mul[a, b]
-
-    def _neg_vec(self, a):
-        a = np.atleast_1d(_as_idx(a))
-        out = np.empty_like(a)
-        for i, x in enumerate(a.ravel()):
-            hits = np.flatnonzero(self._given_add[x] == self.zero)
-            if hits.size == 0:
-                raise InvalidParameter("element %d has no negative" % x)
-            out.ravel()[i] = hits[0]
-        return out.reshape(np.shape(a))
-
-
 class ProductRing(Ring):
     """Direct product; index = i1 * |R2| + i2."""
 
@@ -858,16 +817,6 @@ def make_hom(source, target, map_array, check=True, label=""):
     return h
 
 
-def zn_reduction(n, m):
-    """The reduction map Z_n -> Z_m for m | n."""
-    if m < 1 or n % m != 0:
-        raise InvalidParameter("reduction needs m dividing n", n=n, m=m)
-    src = make_zn(n)
-    dst = make_zn(m)
-    return make_hom(src, dst, np.arange(n, dtype=np.int64) % m,
-                    label="mod(%d -> %d)" % (n, m))
-
-
 def canonical_surjection(ring, ideal_mask, label=None):
     """Quotient map R -> R/I as a Hom; returns (quotient, hom)."""
     q = QuotientRing(ring, ideal_mask, label=label)
@@ -905,10 +854,6 @@ def make_idealization(ring, module, label=None):
     return IdealizationRing(ring, module, label=label)
 
 
-def make_amalgamation(base, target, hom, j_mask, label=None):
-    return AmalgRing(base, target, hom, j_mask, label=label)
-
-
 def make_truncated_poly(base, d, label=None):
     return TruncPolyRing(base, d, label=label)
 
@@ -917,93 +862,3 @@ def make_ideal_as_ring(base, ideal_mask, label=None):
     # accept an IdealSet-like object in place of a raw mask
     mask = getattr(ideal_mask, "mask", ideal_mask)
     return IdealSubringRing(base, mask, label=label)
-
-
-# ---------------------------------------------------------------------------
-# axiom checking
-
-
-_LAWS = ("add-assoc", "add-comm", "zero-identity", "neg-inverse",
-         "mul-assoc", "distrib-left", "distrib-right")
-
-
-def ring_axioms_check(ring, effort="auto", seed=20180614, samples=1_000_000):
-    """Verify the ring laws, exhaustively for small rings, sampled above.
-
-    Returns a report dict with ``passed``, the mode used, the sampling seed
-    (sampled mode only) and the first violating triple if any.
-    """
-    n = ring.size
-    idx = ring.elements
-    exhaustive = effort == "exhaustive" or (effort == "auto" and n <= 256)
-
-    def fail(law, triple):
-        return {"passed": False, "mode": "exhaustive" if exhaustive else "sampled",
-                "law": law, "witness": tuple(int(t) for t in triple)}
-
-    # pair laws (cheap enough to do exhaustively whenever tables are sane)
-    if exhaustive:
-        a2 = idx[:, None]
-        b2 = idx[None, :]
-        if not (ring.add_vec(a2, b2) == ring.add_vec(b2, a2)).all():
-            bad = np.argwhere(ring.add_vec(a2, b2) != ring.add_vec(b2, a2))[0]
-            return fail("add-comm", (bad[0], bad[1], 0))
-        z = np.int64(ring.zero)
-        if not (ring.add_vec(idx, z) == idx).all():
-            bad = np.flatnonzero(ring.add_vec(idx, z) != idx)[0]
-            return fail("zero-identity", (bad, 0, 0))
-        if not (ring.add_vec(idx, ring.neg_vec(idx)) == ring.zero).all():
-            bad = np.flatnonzero(ring.add_vec(idx, ring.neg_vec(idx)) != ring.zero)[0]
-            return fail("neg-inverse", (bad, 0, 0))
-        for a in range(n):
-            a64 = np.int64(a)
-            ab = ring.add_vec(a64, idx)[:, None]
-            bc = ring.add_vec(idx[:, None], idx[None, :])
-            if not (ring.add_vec(ab, idx[None, :]) == ring.add_vec(a64, bc)).all():
-                bad = np.argwhere(ring.add_vec(ab, idx[None, :]) != ring.add_vec(a64, bc))[0]
-                return fail("add-assoc", (a, bad[0], bad[1]))
-            mab = ring.mul_vec(a64, idx)[:, None]
-            mbc = ring.mul_vec(idx[:, None], idx[None, :])
-            if not (ring.mul_vec(mab, idx[None, :]) == ring.mul_vec(a64, mbc)).all():
-                bad = np.argwhere(ring.mul_vec(mab, idx[None, :]) != ring.mul_vec(a64, mbc))[0]
-                return fail("mul-assoc", (a, bad[0], bad[1]))
-            sbc = ring.add_vec(idx[:, None], idx[None, :])
-            left = ring.mul_vec(a64, sbc)
-            right = ring.add_vec(ring.mul_vec(a64, idx)[:, None],
-                                 ring.mul_vec(a64, idx)[None, :])
-            if not (left == right).all():
-                bad = np.argwhere(left != right)[0]
-                return fail("distrib-left", (a, bad[0], bad[1]))
-            left = ring.mul_vec(sbc, a64)
-            right = ring.add_vec(ring.mul_vec(idx, a64)[:, None],
-                                 ring.mul_vec(idx, a64)[None, :])
-            if not (left == right).all():
-                bad = np.argwhere(left != right)[0]
-                return fail("distrib-right", (bad[0], bad[1], a))
-        return {"passed": True, "mode": "exhaustive",
-                "triples_checked": n * n * n, "laws": list(_LAWS)}
-
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, n, size=samples, dtype=np.int64)
-    b = rng.integers(0, n, size=samples, dtype=np.int64)
-    c = rng.integers(0, n, size=samples, dtype=np.int64)
-    checks = (
-        ("add-assoc", lambda: ring.add_vec(ring.add_vec(a, b), c)
-                              == ring.add_vec(a, ring.add_vec(b, c))),
-        ("add-comm", lambda: ring.add_vec(a, b) == ring.add_vec(b, a)),
-        ("zero-identity", lambda: ring.add_vec(a, np.int64(ring.zero)) == a),
-        ("neg-inverse", lambda: ring.add_vec(a, ring.neg_vec(a)) == ring.zero),
-        ("mul-assoc", lambda: ring.mul_vec(ring.mul_vec(a, b), c)
-                              == ring.mul_vec(a, ring.mul_vec(b, c))),
-        ("distrib-left", lambda: ring.mul_vec(a, ring.add_vec(b, c))
-                                 == ring.add_vec(ring.mul_vec(a, b), ring.mul_vec(a, c))),
-        ("distrib-right", lambda: ring.mul_vec(ring.add_vec(a, b), c)
-                                  == ring.add_vec(ring.mul_vec(a, c), ring.mul_vec(b, c))),
-    )
-    for law, run in checks:
-        ok = run()
-        if not ok.all():
-            i = int(np.flatnonzero(~ok)[0])
-            return fail(law, (a[i], b[i], c[i]))
-    return {"passed": True, "mode": "sampled", "seed": seed,
-            "triples_checked": samples, "laws": list(_LAWS)}

@@ -206,3 +206,78 @@ def test_j_check_work_does_not_depend_on_the_argument_form(monkeypatch):
         seen.append((verdicts, len(checked)))
     assert seen[0] == seen[1]
     assert seen[0][1] == len(ctx.ideals)
+
+
+def test_verdict_owners_answer_as_the_predicates():
+    """ctx.sj and ctx.right_sj give what a direct predicate call gives,
+    whether the ideal comes as an IdealSet or a bare mask, also for a
+    lattice ideal outside the picks; the witness vector agrees with the
+    left verdict."""
+    corpus = harness.build_corpus(CACHE_CORPUS)
+    checked = unpicked = 0
+    for ctx in corpus.contexts:
+        picked = {I.key for I in ctx.ideals}
+        others = [i for i in ctx.lattice.ideals
+                  if i.is_proper and i.key not in picked]
+        for k, I in enumerate(list(ctx.ideals) + others[:1]):
+            forms = (I, I.mask) if k % 2 else (I.mask, I)
+            for S in ctx.subsets:
+                if (I.mask & S.mask).any():
+                    continue
+                right = predicates.is_right_S_J_ideal(
+                    ctx.ring, I, S, lattice=ctx.lattice, jacobson=ctx.jac)
+                assert [ctx.right_sj(X, S).to_json() for X in forms] \
+                    == [right.to_json()] * 2
+                if ctx.comm_ident:
+                    left = predicates.is_S_J_ideal(
+                        ctx.ring, I, S, jacobson=ctx.jac, lattice=ctx.lattice)
+                    assert [ctx.sj(X, S).to_json() for X in forms] \
+                        == [left.to_json()] * 2
+                    wits = ctx.sj_witnesses(I, S)
+                    assert wits.any() == ctx.sj(I, S).verdict
+                    if wits.any():
+                        assert left.witness_s == S.members[wits.argmax()]
+                checked += 1
+                unpicked += I.key not in picked
+    assert checked and unpicked
+
+
+def test_registry_evaluates_each_context_verdict_once(monkeypatch):
+    """Over a full registry run, each (context ring, mask, subset) left
+    and right verdict is evaluated at most once, whichever laws ask."""
+    corpus = harness.build_corpus(CACHE_CORPUS)
+    ctx_rings = {id(ctx.ring) for ctx in corpus.contexts}
+    lock = threading.Lock()
+    seen = {}
+
+    def count(kind, ring, ideal, subset_key):
+        if id(ring) in ctx_rings:
+            key = (kind, id(ring), getattr(ideal, "mask", ideal).tobytes(),
+                   subset_key)
+            with lock:
+                seen[key] = seen.get(key, 0) + 1
+
+    left, right = harness.is_S_J_ideal, harness.is_right_S_J_ideal
+    table = harness.RingCtx._left_verdicts
+
+    def counted_left(ring, ideal, subset, **kwargs):
+        count("left", ring, ideal, subset.key)
+        return left(ring, ideal, subset, **kwargs)
+
+    def counted_right(ring, ideal, subset, **kwargs):
+        if kwargs.get("method", "lattice") == "lattice":
+            count("right", ring, ideal, subset.key)
+        return right(ring, ideal, subset, **kwargs)
+
+    def counted_table(self, imask):
+        out = table(self, imask)
+        for subset_key in out:
+            count("left", self.ring, imask, subset_key)
+        return out
+
+    monkeypatch.setattr(harness, "is_S_J_ideal", counted_left)
+    monkeypatch.setattr(harness, "is_right_S_J_ideal", counted_right)
+    monkeypatch.setattr(harness.RingCtx, "_left_verdicts", counted_table)
+    harness.verify_properties(corpus)
+    assert {key[0] for key in seen} == {"left", "right"}
+    assert max(seen.values()) == 1
