@@ -40,7 +40,6 @@ from .rings import (
     make_idealization,
     make_matrix_ring,
     make_product,
-    make_quotient,
     make_truncated_poly,
     make_zn,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "make_idealization",
     "make_matrix_ring",
     "make_product",
-    "make_quotient",
     "make_truncated_poly",
     "make_zn",
     "minimal_generating_set",

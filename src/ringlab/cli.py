@@ -213,8 +213,7 @@ def cmd_verify(args):
                                               corpus.instance_count))
     for entry in corpus.skipped:
         print("skipped %s: %s" % (entry["ring_expr"], entry["reason"]))
-    reports = harness.verify_properties(corpus=corpus, ids=ids,
-                                        threads=args.threads)
+    reports = harness.verify_properties(corpus=corpus, ids=ids)
     print("%-4s  %-38s %7s %8s %7s %9s" % (
         "id", "citation", "tested", "vacuous", "passed", "violated"))
     for r in reports:
@@ -281,7 +280,6 @@ def build_parser():
                    help="comma-separated law ids, e.g. P1,P24")
     p.add_argument("--max-size", type=int, metavar="N",
                    help="drop rings larger than N (also drops matrix rings)")
-    p.add_argument("--threads", type=int, metavar="N")
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_verify)
 

@@ -40,13 +40,13 @@ from .rings import (
     QuotientRing,
     TruncPolyRing,
     ZnRing,
+    canonical_surjection,
     make_cyclic_module,
     make_hom,
     make_ideal_as_ring,
     make_idealization,
     make_matrix_ring,
     make_product,
-    make_quotient,
     make_truncated_poly,
     make_zn,
 )
@@ -510,7 +510,7 @@ def build_ring(node):
     if isinstance(node, Quot):
         inner = build_ring(node.inner)
         ideal = build_ideal(inner, node.ideal)
-        return make_quotient(inner, ideal.mask, label=label)[0]
+        return canonical_surjection(inner, ideal.mask, label=label)[0]
     if isinstance(node, Idealize):
         inner = build_ring(node.inner)
         if not isinstance(inner, ZnRing):

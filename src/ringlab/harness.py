@@ -21,13 +21,11 @@ derived rings (quotients, products, truncations, idealizations,
 amalgamations) call the predicates directly.
 
 Reports are deterministic: the corpus is generated in a fixed order, no
-randomness is involved, and per-law reports are merged in registry
-order no matter how many worker threads run the checks.
+randomness is involved, and the laws run one after another in registry
+order on the calling thread.
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +36,6 @@ from .ideals import (
     IdealSet,
     colon_elem_mask,
     colon_ideal_mask,
-    colon_subset_mask,
     enumerate_ideals,
     ideal_generate,
     minimal_generating_set,
@@ -90,17 +87,9 @@ IDEALIZE_BASES = (4, 6, 8, 9, 12, 16, 18, 24, 27, 36)
 
 
 def default_threads():
-    env = os.environ.get("RINGLAB_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise InvalidParameter("RINGLAB_THREADS must be an integer",
-                                   got=env)
-        if n < 1:
-            raise InvalidParameter("RINGLAB_THREADS must be positive", got=n)
-        return n
-    return os.cpu_count() or 1
+    """1: verify_properties runs every law on the calling thread.  Kept
+    for callers that record the thread count beside their timings."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +110,8 @@ class RingCtx:
     quotients: tuple = ()
     skipped: str = ""
     # memos keyed by mask bytes: the left verdicts with their witness
-    # vectors (per subset key), the right verdicts (per subset key) and
-    # j_check; the idealizations are keyed by module order
+    # vectors and the right verdicts (per subset key), j_check and the
+    # colons (per s or <s>); the idealizations are keyed by module order
     _sj: dict = field(default_factory=dict, init=False, repr=False,
                       compare=False)
     _right: dict = field(default_factory=dict, init=False, repr=False,
@@ -131,6 +120,8 @@ class RingCtx:
                      compare=False)
     _ext: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
+    _colon: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def comm_ident(self):
@@ -207,6 +198,19 @@ class RingCtx:
         mask = getattr(ideal, "mask", ideal)
         return once(self._j, mask.tobytes(), lambda: is_J_ideal(
             self.ring, mask, jacobson=self.jac, lattice=self.lattice))
+
+    def colon(self, mask, s):
+        """(I : s) = {x : xs in I} of a mask on this context's ring, kept
+        read-only per (mask, s)."""
+        return once(self._colon, (mask.tobytes(), "s", int(s)),
+                    lambda: _readonly(colon_elem_mask(self.ring, mask, s)))
+
+    def colon_principal(self, mask, s):
+        """(I : <s>) of a mask on this context's ring, kept read-only per
+        (mask, <s>)."""
+        sgen = self.lattice.principal(s)
+        return once(self._colon, (mask.tobytes(), "<s>", sgen.key),
+                    lambda: _readonly(colon_ideal_mask(self.ring, mask, sgen)))
 
     def idealization(self, k):
         """(ext, lattice, radical) of the trivial extension of the ring by
@@ -506,6 +510,11 @@ def _disjoint(ideal, subset):
     return not (ideal.mask & subset.mask).any()
 
 
+def _readonly(array):
+    array.setflags(write=False)
+    return array
+
+
 def _ideal_times_s_inside(ring, lattice, s, target_mask):
     """Per lattice ideal A: is the set A*s inside the target?"""
     out = np.empty(len(lattice), dtype=bool)
@@ -546,7 +555,7 @@ def _p1(corpus, rep):
             for s, ok in zip(S.members, wits):
                 if not ok:
                     continue
-                colon = colon_elem_mask(ring, jm, int(s))
+                colon = ctx.colon(jm, s)
                 if (I.mask & ~colon).any():
                     bad = int(np.flatnonzero(I.mask & ~colon)[0])
                     rep.violation(ring, I, S, {
@@ -658,7 +667,7 @@ def _p5(corpus, rep):
             conv = jac_is_j and not (jm & S.mask).any()
             colon_j = []
             for s in S.members:
-                cmask = colon_elem_mask(ring, I.mask, int(s))
+                cmask = ctx.colon(I.mask, s)
                 colon_j.append(not cmask.all()
                                and ctx.j_check(cmask).verdict)
             if not any(colon_j) and not (conv and wits.any()):
@@ -689,8 +698,8 @@ def _p6(corpus, rep):
             wits = ctx.sj_witnesses(I, S)
             rep.tested += 1
             for s, w in zip(S.members, wits):
-                colon_s = colon_elem_mask(ring, I.mask, int(s))
-                jcolon_s = colon_elem_mask(ring, jm, int(s))
+                colon_s = ctx.colon(I.mask, s)
+                jcolon_s = ctx.colon(jm, s)
                 bad = np.flatnonzero(~jcolon_s)
                 if bad.size:
                     viol_a = I.mask[ring.mul_vec(bad[:, None],
@@ -716,8 +725,8 @@ def _p7(corpus, rep):
             wits = ctx.sj_witnesses(I, S)
             rep.tested += 1
             for s, w in zip(S.members, wits):
-                colon_s = colon_elem_mask(ring, I.mask, int(s))
-                jcolon_s = colon_elem_mask(ring, jm, int(s))
+                colon_s = ctx.colon(I.mask, s)
+                jcolon_s = ctx.colon(jm, s)
                 bad = np.flatnonzero(~colon_s)
                 if bad.size:
                     viol_b = I.mask[ring.mul_vec(bad[:, None],
@@ -832,7 +841,7 @@ def _p10(corpus, rep):
             for A in a_pool:
                 if A.key not in lattice.key_to_idx:
                     continue
-                big = all((A.mask & ~colon_elem_mask(ring, jm, int(s))).any()
+                big = all((A.mask & ~ctx.colon(jm, s)).any()
                           for s in S.members)
                 if not big:
                     rep.vacuous += 1
@@ -897,7 +906,8 @@ def _p11(corpus, rep):
             xsets.extend([x] for x in outside)
             xsets.append([int(x) for x in S.members])
             for xs in xsets:
-                cmask = colon_subset_mask(ring, I.mask, xs)
+                cmask = np.logical_and.reduce(
+                    [ctx.colon(I.mask, x) for x in xs])
                 rep.tested += 1
                 if (cmask & S.mask).any():
                     meets += 1
@@ -943,10 +953,8 @@ def _p12(corpus, rep):
                 idl = lattice.ideals[i]
                 if not lattice.is_prime_idx(i) or (idl.mask & S.mask).any():
                     continue
-                hit = any(
-                    np.array_equal(colon_elem_mask(ring, jm, int(s)),
-                                   idl.mask)
-                    for s in S.members)
+                hit = any(np.array_equal(ctx.colon(jm, s), idl.mask)
+                          for s in S.members)
                 if not hit:
                     continue
                 rep.tested += 1
@@ -971,7 +979,7 @@ def _p13(corpus, rep):
         for I, S in ctx.pairs(rep):
             good = [(int(s), bool(w))
                     for s, w in zip(S.members, ctx.sj_witnesses(I, S))
-                    if np.array_equal(colon_elem_mask(ring, jm, int(s)), jm)]
+                    if np.array_equal(ctx.colon(jm, s), jm)]
             if not good:
                 rep.vacuous += 1
                 continue
@@ -980,9 +988,9 @@ def _p13(corpus, rep):
             for s, lhs in good:
                 # ab in I forces a*s in J*(I) or b*s in I (aRb = abR here)
                 pair_ok = arb_violation(
-                    ring, I.mask, colon_elem_mask(ring, jstar.mask, s),
-                    colon_elem_mask(ring, I.mask, s)) is None
-                contain = not (I.mask & ~colon_elem_mask(ring, jm, s)).any()
+                    ring, I.mask, ctx.colon(jstar.mask, s),
+                    ctx.colon(I.mask, s)) is None
+                contain = not (I.mask & ~ctx.colon(jm, s)).any()
                 rhs = pair_ok and contain
                 if lhs != rhs:
                     rep.violation(ring, I, S, {
@@ -1407,7 +1415,7 @@ def _p26(corpus, rep):
             rhs = ctx.right_sj(P, S).verdict
             lhs = False
             for s in S.members:
-                q = colon_ideal_mask(ring, P.mask, ctx.lattice.principal(s))
+                q = ctx.colon_principal(P.mask, s)
                 if (q & S.mask).any() or q.all():
                     continue
                 if ctx.right_sj(q, S).verdict:
@@ -1427,7 +1435,7 @@ def _p27(corpus, rep):
         for P, S in ctx.pairs(rep):
             cert = None
             for s in S.members:
-                q = colon_ideal_mask(ring, P.mask, ctx.lattice.principal(s))
+                q = ctx.colon_principal(P.mask, s)
                 if q.all():
                     continue
                 if ctx.j_check(q).verdict:
@@ -1458,7 +1466,7 @@ def _p28(corpus, rep):
                 continue
             good = []
             for s in S.members:
-                qj = colon_ideal_mask(ring, jm, ctx.lattice.principal(s))
+                qj = ctx.colon_principal(jm, s)
                 if qj.all() or (qj & S.mask).any():
                     continue
                 if ctx.j_check(qj).verdict:
@@ -1475,8 +1483,7 @@ def _p28(corpus, rep):
                     continue
                 rep.tested += 1
                 for s in good:
-                    q = colon_ideal_mask(ring, P.mask,
-                                         ctx.lattice.principal(s))
+                    q = ctx.colon_principal(P.mask, s)
                     if q.all() or not ctx.j_check(q).verdict:
                         rep.violation(ring, P, S, {
                             "s": ring.element_label(s),
@@ -1566,8 +1573,7 @@ def _p31(corpus, rep):
         jidx = lattice.idx_of(ctx.jac)
         for P, S in ctx.pairs(rep):
             good = [int(s) for s in S.members
-                    if np.array_equal(
-                        colon_ideal_mask(ring, jm, lattice.principal(s)), jm)]
+                    if np.array_equal(ctx.colon_principal(jm, s), jm)]
             if not good:
                 rep.vacuous += 1
                 continue
@@ -1577,11 +1583,9 @@ def _p31(corpus, rep):
             rep.tested += 1
             for s in good:
                 lhs = _right_witness(lattice, hyp, pidx, jidx, s)
-                sgen = lattice.principal(s)
-                contain = not (P.mask & ~colon_ideal_mask(
-                    ring, jm, sgen)).any()
-                a_skip = colon_ideal_mask(ring, jstar.mask, sgen)
-                b_skip = colon_ideal_mask(ring, P.mask, sgen)
+                contain = not (P.mask & ~ctx.colon_principal(jm, s)).any()
+                a_skip = ctx.colon_principal(jstar.mask, s)
+                b_skip = ctx.colon_principal(P.mask, s)
                 pair_ok = arb_violation(ring, P.mask, a_skip,
                                         b_skip) is None
                 rhs = contain and pair_ok
@@ -1604,9 +1608,8 @@ def _p32(corpus, rep):
                 rep.vacuous += 1
                 continue
             rep.tested += 1
-            if not any(not (P.mask & ~colon_ideal_mask(
-                    ring, jm, ctx.lattice.principal(s))).any()
-                    for s in S.members):
+            if not any(not (P.mask & ~ctx.colon_principal(jm, s)).any()
+                       for s in S.members):
                 rep.violation(ring, P, S, {"part": "no-colon-container"})
         if ctx.jac.is_proper:
             for S in ctx.subsets:
@@ -1635,7 +1638,7 @@ def _p33(corpus, rep):
         for S in ctx.subsets:
             good = False
             for s in S.members:
-                q = colon_ideal_mask(ring, jm, lattice.principal(s))
+                q = ctx.colon_principal(jm, s)
                 if not q.all() and ctx.j_check(q).verdict:
                     good = True
                     break
@@ -1756,9 +1759,9 @@ REGISTRY = [
 GATED_IDS = tuple(l.id for l in REGISTRY if l.gating)
 
 
-def verify_properties(corpus=None, ids=None, threads=None):
-    """Run the registry (or a subset) and return reports in registry
-    order.  Reports are plain dicts ready for JSON serialization."""
+def verify_properties(corpus=None, ids=None):
+    """Run the registry (or a subset) on the calling thread; the reports
+    come in registry order as plain dicts ready for JSON serialization."""
     if corpus is None:
         corpus = build_corpus()
     laws = [l for l in REGISTRY if ids is None or l.id in set(ids)]
@@ -1767,7 +1770,6 @@ def verify_properties(corpus=None, ids=None, threads=None):
         bad = sorted(set(ids) - known)
         if bad:
             raise InvalidParameter("unknown property ids", ids=bad)
-    workers = threads or default_threads()
 
     def run(law):
         rep = _Rep()
@@ -1787,10 +1789,7 @@ def verify_properties(corpus=None, ids=None, threads=None):
             out["note"] = rep.notes
         return out
 
-    if workers == 1 or len(laws) == 1:
-        return [run(law) for law in laws]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, laws))
+    return [run(law) for law in laws]
 
 
 def gate_passed(reports):

@@ -270,7 +270,7 @@ class IdealLattice:
         self.ideals = ideals
         self.principal_of = principal_of
         self.key_to_idx = {ideal.key: i for i, ideal in enumerate(ideals)}
-        self._facts = {}        # leq, prod
+        self._facts = {}        # leq, prod, principals
         self._prod = {}
         self._sum = {}
         self._nilpotent = {}
@@ -347,16 +347,17 @@ class IdealLattice:
         return once(self._prime, i, lambda: self._compute_prime(i))
 
     def _compute_prime(self, i):
+        """A proper P is prime iff no two principal ideals outside it
+        multiply into it: for ideals A, B not inside P, pick a in A and
+        b in B outside P; then <a><b> lies in AB, commutative or not."""
         if i == self.top_idx:
             return False
-        m = len(self.ideals)
         inside = self.leq[:, i]
-        for a in range(m):
-            if inside[a]:
-                continue
-            for b in range(m):
-                if inside[b]:
-                    continue
+        principals = once(self._facts, "principals",
+                          lambda: np.unique(self.principal_of).tolist())
+        outside = [a for a in principals if not inside[a]]
+        for a in outside:
+            for b in outside:
                 if self.leq[self.product_idx(a, b), i]:
                     return False
         return True

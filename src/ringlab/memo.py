@@ -1,23 +1,22 @@
 """Fill-once memo tables.
 
-The law checks run on a thread pool and share rings, ideals, lattices
-and ring contexts.  Each lazily derived fact on them is filled through
-``once``, so it is computed exactly once however the threads interleave,
-and the work a run does repeats exactly.
+Rings, ideals, lattices and ring contexts derive facts lazily and keep
+them in plain dicts.  ``once`` is the one way such a fact is filled: the
+first lookup computes and stores it, and every later lookup reads the
+stored value, so each fact is computed once per object and the work a
+run does repeats exactly.
 """
-
-import threading
-
-_LOCK = threading.RLock()
 
 
 def once(table, key, compute):
-    """table[key], set to compute() by the first caller only."""
+    """table[key], set to compute() on the first lookup.
+
+    A stored None is a value, not a miss, and compute may fill other keys
+    of the same table.
+    """
     try:
         return table[key]
     except KeyError:
         pass
-    with _LOCK:
-        if key not in table:
-            table[key] = compute()
-        return table[key]
+    value = table[key] = compute()
+    return value

@@ -825,10 +825,6 @@ def canonical_surjection(ring, ideal_mask, label=None):
     return q, h
 
 
-def make_quotient(ring, ideal_mask, label=None):
-    return canonical_surjection(ring, ideal_mask, label=label)
-
-
 # ---------------------------------------------------------------------------
 # factories
 

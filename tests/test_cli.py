@@ -1,20 +1,16 @@
 """End-to-end command-line behavior via subprocess."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "ringlab.cli", *args],
-        capture_output=True, text=True, env=env, timeout=600)
+        capture_output=True, text=True, timeout=600)
 
 
 def test_describe():
@@ -134,23 +130,6 @@ def test_verify_properties_filter(tmp_path):
     assert p.returncode == 0, p.stderr
     reports = json.loads(out.read_text())
     assert [r["property_id"] for r in reports] == ["P2", "P16"]
-
-
-def test_verify_thread_env_does_not_change_output(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    pa = run_cli("verify", "--max-size", "20", "--json", str(a),
-                 env_extra={"RINGLAB_THREADS": "1"})
-    pb = run_cli("verify", "--max-size", "20", "--json", str(b),
-                 env_extra={"RINGLAB_THREADS": "4"})
-    assert pa.returncode == 0 and pb.returncode == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_verify_bad_thread_env():
-    p = run_cli("verify", "--max-size", "8",
-                env_extra={"RINGLAB_THREADS": "zero"})
-    assert p.returncode == 2
 
 
 def test_reproduce():

@@ -1,5 +1,6 @@
 """Corpus construction, law registry, determinism, report format."""
 
+import dataclasses
 import json
 import threading
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ringlab import harness, ideals, predicates, rings
+from ringlab import harness, predicates
 from ringlab.errors import InvalidParameter
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" \
@@ -86,12 +87,6 @@ def test_property_subset_selection(minimal):
     assert [r["property_id"] for r in reports] == ["P1", "P3"]
 
 
-def test_thread_count_does_not_change_the_report(minimal):
-    one = harness.verify_properties(minimal, threads=1)
-    four = harness.verify_properties(minimal, threads=4)
-    assert harness.report_json(one) == harness.report_json(four)
-
-
 def test_default_reports_validate_against_schema(suite):
     reports, _ = suite
     with open(SCHEMA_PATH) as fh:
@@ -148,44 +143,13 @@ def test_law_caches_do_not_change_the_report():
     a full registry run, and a second run on the warmed corpus writes the
     same bytes: the per-context caches never change an answer."""
     warm = harness.build_corpus(CACHE_CORPUS)
-    full = harness.verify_properties(warm, threads=1)
+    full = harness.verify_properties(warm)
     for law, entry in zip(harness.REGISTRY, full):
         alone = harness.verify_properties(harness.build_corpus(CACHE_CORPUS),
-                                          ids=[law.id], threads=1)
+                                          ids=[law.id])
         assert alone == [entry]
-    again = harness.verify_properties(warm, threads=1)
+    again = harness.verify_properties(warm)
     assert harness.report_json(again) == harness.report_json(full)
-
-
-def test_thread_count_does_not_change_the_work(monkeypatch):
-    """Threads share the corpus caches, and each cached fact is computed
-    once however they interleave: a threaded run makes exactly the
-    is_J_ideal, ideal-product and additive-closure calls of a serial
-    run."""
-    corpora = [harness.build_corpus(CACHE_CORPUS) for _ in range(2)]
-    lock = threading.Lock()
-    calls = {}
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            with lock:
-                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(harness, "is_J_ideal", counted(harness.is_J_ideal))
-    monkeypatch.setattr(ideals, "ideal_product",
-                        counted(ideals.ideal_product))
-    for mod in (rings, ideals):
-        monkeypatch.setattr(mod, "additive_closure",
-                            counted(rings.additive_closure))
-    seen = []
-    for corpus, threads in zip(corpora, (1, 8)):
-        calls.clear()
-        harness.verify_properties(corpus, threads=threads)
-        seen.append(dict(calls))
-    assert seen[0] == seen[1]
-    assert seen[0]["is_J_ideal"] > 0 and seen[0]["ideal_product"] > 0
 
 
 def test_j_check_work_does_not_depend_on_the_argument_form(monkeypatch):
@@ -244,18 +208,17 @@ def test_verdict_owners_answer_as_the_predicates():
 
 def test_registry_evaluates_each_context_verdict_once(monkeypatch):
     """Over a full registry run, each (context ring, mask, subset) left
-    and right verdict is evaluated at most once, whichever laws ask."""
+    and right verdict is evaluated at most once, whichever laws ask, and
+    so is each colon (I : s) and (I : <s>) of a context ring."""
     corpus = harness.build_corpus(CACHE_CORPUS)
     ctx_rings = {id(ctx.ring) for ctx in corpus.contexts}
-    lock = threading.Lock()
     seen = {}
 
     def count(kind, ring, ideal, subset_key):
         if id(ring) in ctx_rings:
             key = (kind, id(ring), getattr(ideal, "mask", ideal).tobytes(),
                    subset_key)
-            with lock:
-                seen[key] = seen.get(key, 0) + 1
+            seen[key] = seen.get(key, 0) + 1
 
     left, right = harness.is_S_J_ideal, harness.is_right_S_J_ideal
     table = harness.RingCtx._left_verdicts
@@ -277,7 +240,36 @@ def test_registry_evaluates_each_context_verdict_once(monkeypatch):
 
     monkeypatch.setattr(harness, "is_S_J_ideal", counted_left)
     monkeypatch.setattr(harness, "is_right_S_J_ideal", counted_right)
+    elem_colon, ideal_colon = harness.colon_elem_mask, harness.colon_ideal_mask
+
+    def counted_elem_colon(ring, imask, a, **kwargs):
+        count("colon", ring, imask, int(a))
+        return elem_colon(ring, imask, a, **kwargs)
+
+    def counted_ideal_colon(ring, pmask, t_ideal, **kwargs):
+        count("colon_ideal", ring, pmask, t_ideal.key)
+        return ideal_colon(ring, pmask, t_ideal, **kwargs)
+
     monkeypatch.setattr(harness.RingCtx, "_left_verdicts", counted_table)
+    monkeypatch.setattr(harness, "colon_elem_mask", counted_elem_colon)
+    monkeypatch.setattr(harness, "colon_ideal_mask", counted_ideal_colon)
     harness.verify_properties(corpus)
-    assert {key[0] for key in seen} == {"left", "right"}
+    assert {key[0] for key in seen} \
+        == {"left", "right", "colon", "colon_ideal"}
     assert max(seen.values()) == 1
+
+
+def test_verify_runs_every_law_on_the_calling_thread(monkeypatch, minimal):
+    threads = set()
+
+    def on_this_thread(check):
+        def wrapper(corpus, rep):
+            threads.add(threading.get_ident())
+            return check(corpus, rep)
+        return wrapper
+
+    monkeypatch.setattr(harness, "REGISTRY", [
+        dataclasses.replace(law, check=on_this_thread(law.check))
+        for law in harness.REGISTRY])
+    harness.verify_properties(minimal)
+    assert threads == {threading.get_ident()}

@@ -273,6 +273,9 @@ def test_generated_lattices_match_naive(generated_rings):
         for x in range(ring.size):
             assert frozenset(map(int, lattice.principal(x).members)) == \
                 naive.principal(nr, x), label
+        primes = {frozenset(map(int, lattice.ideals[i].members))
+                  for i in lattice.prime_indices()}
+        assert primes == set(naive.prime_ideals(nr)), label
 
 
 def test_s_finite_witness_on_finite_ring():
