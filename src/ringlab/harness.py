@@ -13,11 +13,15 @@ fact that several laws share.  ``sj`` and ``sj_witnesses`` give the
 fixed-s subset-radical verdict and its witness vector, both read from
 one violation table per ideal mask; ``right_sj`` gives the right-sided
 verdict (lattice method); ``j_check`` the plain radical-membership
-verdict; ``idealization`` the trivial extensions.  Each is computed once
-per mask (and subset) through ``memo.once``.  Most laws walk the
-instances with ``RingCtx.pairs``, which yields every picked ideal with
-every picked subset it misses and counts the rest as vacuous.  Checks on
-derived rings (quotients, products, truncations, idealizations,
+verdict; ``two_sided`` the read-only matrix T[a, b] = (aRb inside I)
+that P13 and P31 scan with ``first_violation``; ``quotient_sj`` the left
+and right verdicts on the picked quotients, shared by P14/P15 and
+P29/P30; ``idealization`` the trivial extensions.  Each is computed once
+per mask (and subset) through ``memo.once``.  P4 reads lattice columns:
+A*s lies in T exactly when A lies in the colon (T : s).  Most laws walk
+the instances with ``RingCtx.pairs``, which yields every picked ideal
+with every picked subset it misses and counts the rest as vacuous.
+Checks on other derived rings (products, truncations, idealizations,
 amalgamations) call the predicates directly.
 
 Reports are deterministic: the corpus is generated in a fixed order, no
@@ -45,7 +49,6 @@ from .memo import once
 from .predicates import (
     ELEMENTWISE_LIMIT,
     CheckResult,
-    arb_violation,
     first_violation,
     is_J_ideal,
     is_S_J_ideal,
@@ -56,6 +59,7 @@ from .predicates import (
     is_right_S_prime,
     pair_scan,
     product_hyp_matrix,
+    two_sided_matrix,
 )
 from .radicals import j_star, jacobson_radical, prime_radical
 from .rings import (
@@ -96,6 +100,10 @@ def default_threads():
 # corpus
 # ---------------------------------------------------------------------------
 
+def _memo():
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
 @dataclass
 class RingCtx:
     expr: str
@@ -110,18 +118,17 @@ class RingCtx:
     quotients: tuple = ()
     skipped: str = ""
     # memos keyed by mask bytes: the left verdicts with their witness
-    # vectors and the right verdicts (per subset key), j_check and the
-    # colons (per s or <s>); the idealizations are keyed by module order
-    _sj: dict = field(default_factory=dict, init=False, repr=False,
-                      compare=False)
-    _right: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-    _j: dict = field(default_factory=dict, init=False, repr=False,
-                     compare=False)
-    _ext: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
-    _colon: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    # vectors and the right verdicts (per subset key), j_check, the
+    # two-sided matrices and the colons (per s or <s>); the quotient
+    # verdicts by (quotient index, side, image mask, image subset key);
+    # the idealizations by module order
+    _sj: dict = _memo()
+    _right: dict = _memo()
+    _j: dict = _memo()
+    _ext: dict = _memo()
+    _colon: dict = _memo()
+    _pair: dict = _memo()
+    _quot: dict = _memo()
 
     @property
     def comm_ident(self):
@@ -198,6 +205,22 @@ class RingCtx:
         mask = getattr(ideal, "mask", ideal)
         return once(self._j, mask.tobytes(), lambda: is_J_ideal(
             self.ring, mask, jacobson=self.jac, lattice=self.lattice))
+
+    def two_sided(self, mask):
+        """T[a, b] = (aRb inside the ideal) of a mask on this context's
+        ring, kept read-only per mask."""
+        return once(self._pair, mask.tobytes(),
+                    lambda: _readonly(two_sided_matrix(self.ring, mask)))
+
+    def quotient_sj(self, q, qmask, simg, right=False):
+        """is_S_J_ideal (fixed-s), or with right=True is_right_S_J_ideal
+        (lattice method), of an image mask and image subset on the q-th
+        picked quotient, kept per (q, side, mask, subset)."""
+        _, qring, _, qlat, qjac = self.quotients[q]
+        check = is_right_S_J_ideal if right else is_S_J_ideal
+        return once(self._quot, (q, right, qmask.tobytes(), simg.key),
+                    lambda: check(qring, qmask, simg, lattice=qlat,
+                                  jacobson=qjac))
 
     def colon(self, mask, s):
         """(I : s) = {x : xs in I} of a mask on this context's ring, kept
@@ -515,20 +538,6 @@ def _readonly(array):
     return array
 
 
-def _ideal_times_s_inside(ring, lattice, s, target_mask):
-    """Per lattice ideal A: is the set A*s inside the target?"""
-    out = np.empty(len(lattice), dtype=bool)
-    s64 = np.int64(s)
-    for i, idl in enumerate(lattice.ideals):
-        gens = idl.addgens
-        if not gens:
-            out[i] = True
-            continue
-        prods = ring.mul_vec(np.asarray(gens, dtype=np.int64), s64)
-        out[i] = bool(target_mask[prods].all())
-    return out
-
-
 def _right_witness(lattice, hyp, pidx, jidx, s):
     col = lattice.prod[:, lattice.principal_of[int(s)]]
     a_ok = lattice.leq[col, jidx]
@@ -643,8 +652,9 @@ def _p4(corpus, rep):
             wits = ctx.sj_witnesses(I, S)
             rep.tested += 1
             for s, ok in zip(S.members, wits):
-                a_ok = _ideal_times_s_inside(ring, lattice, s, jm)
-                b_ok = _ideal_times_s_inside(ring, lattice, s, I.mask)
+                # A*s lies in T iff A lies in the ideal (T : s)
+                a_ok, b_ok = (lattice.leq[:, lattice.idx_of(IdealSet(
+                    ring, ctx.colon(t, s)))] for t in (jm, I.mask))
                 pair_ok = first_violation(hyp_lat, a_ok, b_ok) is None
                 if pair_ok != bool(ok):
                     rep.violation(ring, I, S, {
@@ -987,8 +997,8 @@ def _p13(corpus, rep):
             rep.tested += 1
             for s, lhs in good:
                 # ab in I forces a*s in J*(I) or b*s in I (aRb = abR here)
-                pair_ok = arb_violation(
-                    ring, I.mask, ctx.colon(jstar.mask, s),
+                pair_ok = first_violation(
+                    ctx.two_sided(I.mask), ctx.colon(jstar.mask, s),
                     ctx.colon(I.mask, s)) is None
                 contain = not (I.mask & ~ctx.colon(jm, s)).any()
                 rhs = pair_ok and contain
@@ -1006,7 +1016,7 @@ def _p14(corpus, rep):
         if not ctx.comm_ident:
             continue
         ring, jm = ctx.ring, ctx.jac.mask
-        for kernel, qring, hom, qlat, qjac in ctx.quotients:
+        for q, (kernel, qring, hom, qlat, _) in enumerate(ctx.quotients):
             for S in ctx.subsets:
                 simg = subset_quotient_image(
                     S, hom, label="mulclosed(%s)" % ", ".join(
@@ -1025,8 +1035,7 @@ def _p14(corpus, rep):
                                 rep.violation(ring, I, S, {
                                     "part": "image-meets-image-subset"})
                                 continue
-                            qres = is_S_J_ideal(qring, qmask, simg,
-                                                jacobson=qjac, lattice=qlat)
+                            qres = ctx.quotient_sj(q, qmask, simg)
                             if not qres.verdict:
                                 rep.violation(ring, I, S, {
                                     "part": "image-loses-the-law",
@@ -1043,8 +1052,7 @@ def _p14(corpus, rep):
                     if (L.mask & simg.mask).any():
                         rep.vacuous += 1
                         continue
-                    qres = is_S_J_ideal(qring, L, simg, jacobson=qjac,
-                                        lattice=qlat)
+                    qres = ctx.quotient_sj(q, L.mask, simg)
                     if not qres.verdict:
                         rep.vacuous += 1
                         continue
@@ -1065,7 +1073,7 @@ def _p15(corpus, rep):
         if not ctx.comm_ident:
             continue
         ring, jm = ctx.ring, ctx.jac.mask
-        for kernel, qring, hom, qlat, qjac in ctx.quotients:
+        for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
             k_in_jac = not (kernel.mask & ~jm).any()
             k_is_j = ctx.j_check(kernel).verdict
             uppers = [i for i in ctx.lattice.ideals
@@ -1082,8 +1090,7 @@ def _p15(corpus, rep):
                     qmask = np.zeros(qring.size, dtype=bool)
                     qmask[hom.map[P2.members]] = True
                     down = ctx.sj(P2, S)
-                    up = is_S_J_ideal(qring, qmask, simg, jacobson=qjac,
-                                      lattice=qlat) \
+                    up = ctx.quotient_sj(q, qmask, simg) \
                         if not (qmask & simg.mask).any() else None
                     hit = False
                     if down.verdict:
@@ -1495,7 +1502,7 @@ def _p29(corpus, rep):
     # right law pushes forward along surjections with kernel inside P
     for ctx in corpus.contexts:
         ring = ctx.ring
-        for kernel, qring, hom, qlat, qjac in ctx.quotients:
+        for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
             for P in ctx.ideals:
                 if (kernel.mask & ~P.mask).any():
                     rep.vacuous += 1
@@ -1518,8 +1525,7 @@ def _p29(corpus, rep):
                             "part": "image-meets-image-subset",
                             "quotient": qring.label})
                         continue
-                    qres = is_right_S_J_ideal(qring, qmask, simg,
-                                              lattice=qlat, jacobson=qjac)
+                    qres = ctx.quotient_sj(q, qmask, simg, right=True)
                     if not qres.verdict:
                         rep.violation(ring, P, S, {
                             "quotient": qring.label,
@@ -1530,7 +1536,7 @@ def _p30(corpus, rep):
     # right law pulls back when the kernel sits in both P and the radical
     for ctx in corpus.contexts:
         ring, jm = ctx.ring, ctx.jac.mask
-        for kernel, qring, hom, qlat, qjac in ctx.quotients:
+        for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
             if (kernel.mask & ~jm).any():
                 continue
             for P in ctx.ideals:
@@ -1549,8 +1555,7 @@ def _p30(corpus, rep):
                     if (qmask & simg.mask).any():
                         rep.vacuous += 1
                         continue
-                    qres = is_right_S_J_ideal(qring, qmask, simg,
-                                              lattice=qlat, jacobson=qjac)
+                    qres = ctx.quotient_sj(q, qmask, simg, right=True)
                     if not qres.verdict:
                         rep.vacuous += 1
                         continue
@@ -1586,8 +1591,8 @@ def _p31(corpus, rep):
                 contain = not (P.mask & ~ctx.colon_principal(jm, s)).any()
                 a_skip = ctx.colon_principal(jstar.mask, s)
                 b_skip = ctx.colon_principal(P.mask, s)
-                pair_ok = arb_violation(ring, P.mask, a_skip,
-                                        b_skip) is None
+                pair_ok = first_violation(ctx.two_sided(P.mask), a_skip,
+                                          b_skip) is None
                 rhs = contain and pair_ok
                 if lhs != rhs:
                     rep.violation(ring, P, S, {

@@ -140,21 +140,41 @@ def _check_mode(mode):
 
 # ---------------------------------------------------------------------------
 # pair-scan engine (commutative checks and elementwise forms), shared with
-# the law harness
+# the law harness.  On table rings each pair relation is a gather from
+# ring.mul_table.  Build a dense n x n matrix when one ideal is scanned
+# against many skip masks (first_violation per mask); arb_violation scans
+# once, streaming row chunks and stopping at the first hit.
 # ---------------------------------------------------------------------------
 
+def _in_ideal_rows(ring, imask, left):
+    """out[i, b] = (left[i] * b lands in the ideal)."""
+    table = ring.mul_table
+    if table is not None:
+        return imask[table[left]]
+    return imask[ring.mul_vec(left[:, None], ring.elements[None, :])]
+
+
 def product_hyp_matrix(ring, imask):
-    """hyp[a, b] = (a*b lands in the ideal), built in row chunks."""
+    """hyp[a, b] = (a*b lands in the ideal); formula rings in row chunks."""
     n = int(ring.size)
     if n > PAIR_SCAN_LIMIT:
         raise CapacityExceeded("dense pair scan capped", size=n,
                                limit=PAIR_SCAN_LIMIT)
+    if ring.mul_table is not None:
+        return imask[ring.mul_table]
     els = ring.elements
-    out = np.empty((n, n), dtype=bool)
     step = max(1, 4_000_000 // n)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        out[lo:hi] = imask[ring.mul_vec(els[lo:hi, None], els[None, :])]
+    return np.concatenate([_in_ideal_rows(ring, imask, els[lo:lo + step])
+                           for lo in range(0, n, step)])
+
+
+def two_sided_matrix(ring, imask):
+    """T[a, b] = (aRb inside the ideal): the AND over additive generators
+    g of hyp[a*g, b]."""
+    hyp = product_hyp_matrix(ring, imask)
+    out = np.ones_like(hyp)
+    for g in ring.addgens:
+        out &= hyp[ring.mul_vec(ring.elements, g)]
     return out
 
 
@@ -197,9 +217,7 @@ def arb_violation(ring, imask, a_skip, b_skip):
     skip masks.  Streams row chunks so huge rings never materialize an
     n x n matrix."""
     n = int(ring.size)
-    els = ring.elements
-    gens = [int(g) for g in ring.addgens]
-    ag_rows = [ring.mul_vec(els, g) for g in gens]
+    ag_rows = [ring.mul_vec(ring.elements, g) for g in ring.addgens]
     step = max(1, 2_000_000 // n)
     want_a = ~a_skip
     for lo in range(0, n, step):
@@ -208,7 +226,7 @@ def arb_violation(ring, imask, a_skip, b_skip):
             continue
         rows = np.ones((hi - lo, n), dtype=bool)
         for ag in ag_rows:
-            rows &= imask[ring.mul_vec(ag[lo:hi, None], els[None, :])]
+            rows &= _in_ideal_rows(ring, imask, ag[lo:hi])
         rows &= want_a[lo:hi, None]
         rows &= ~b_skip[None, :]
         hit = rows.any(axis=1)
@@ -419,10 +437,7 @@ def _right_sj_elementwise(ring, pmask, subset, jacobson, lattice, mode):
                                size=n, limit=ELEMENTWISE_LIMIT)
     jmask = _jac_mask(ring, jacobson, lattice)
     els = ring.elements
-    hyp = np.ones((n, n), dtype=bool)
-    for g in ring.addgens:
-        xg = ring.mul_vec(els, int(g))
-        hyp &= pmask[ring.mul_vec(xg[:, None], els[None, :])]
+    hyp = two_sided_matrix(ring, pmask)
 
     def disjuncts(s):
         smem = (lattice.principal(s).members if lattice is not None

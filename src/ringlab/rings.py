@@ -96,6 +96,15 @@ class Ring:
         self._add_table = self._add_vec(idx[:, None], idx[None, :]).astype(np.int32)
         self._mul_table = self._mul_vec(idx[:, None], idx[None, :]).astype(np.int32)
         self._neg_table = self._neg_vec(idx).astype(np.int32)
+        for table in (self._add_table, self._mul_table, self._neg_table):
+            table.setflags(write=False)
+
+    @property
+    def mul_table(self):
+        """table[a, b] = a*b, read-only; None above TABLE_LIMIT."""
+        if self._mul_table is None and self.size <= TABLE_LIMIT:
+            self._materialize()
+        return self._mul_table
 
     @property
     def elements(self):
@@ -115,10 +124,9 @@ class Ring:
     def mul_vec(self, a, b):
         a = _as_idx(a)
         b = _as_idx(b)
-        if self._mul_table is None and self.size <= TABLE_LIMIT:
-            self._materialize()
-        if self._mul_table is not None:
-            return self._mul_table[a, b].astype(np.int64)
+        table = self.mul_table
+        if table is not None:
+            return table[a, b].astype(np.int64)
         return self._mul_vec(a, b)
 
     def neg_vec(self, a):

@@ -209,16 +209,22 @@ def test_verdict_owners_answer_as_the_predicates():
 def test_registry_evaluates_each_context_verdict_once(monkeypatch):
     """Over a full registry run, each (context ring, mask, subset) left
     and right verdict is evaluated at most once, whichever laws ask, and
-    so is each colon (I : s) and (I : <s>) of a context ring."""
+    so is each colon (I : s) and (I : <s>) of a context ring and each
+    left and right verdict on a picked quotient ring."""
     corpus = harness.build_corpus(CACHE_CORPUS)
     ctx_rings = {id(ctx.ring) for ctx in corpus.contexts}
+    quotient_rings = {id(q[1]) for ctx in corpus.contexts
+                      for q in ctx.quotients}
     seen = {}
 
     def count(kind, ring, ideal, subset_key):
-        if id(ring) in ctx_rings:
-            key = (kind, id(ring), getattr(ideal, "mask", ideal).tobytes(),
-                   subset_key)
-            seen[key] = seen.get(key, 0) + 1
+        if id(ring) in quotient_rings:
+            kind = "quotient_" + kind
+        elif id(ring) not in ctx_rings:
+            return
+        key = (kind, id(ring), getattr(ideal, "mask", ideal).tobytes(),
+               subset_key)
+        seen[key] = seen.get(key, 0) + 1
 
     left, right = harness.is_S_J_ideal, harness.is_right_S_J_ideal
     table = harness.RingCtx._left_verdicts
@@ -255,8 +261,28 @@ def test_registry_evaluates_each_context_verdict_once(monkeypatch):
     monkeypatch.setattr(harness, "colon_ideal_mask", counted_ideal_colon)
     harness.verify_properties(corpus)
     assert {key[0] for key in seen} \
-        == {"left", "right", "colon", "colon_ideal"}
+        == {"left", "right", "colon", "colon_ideal", "quotient_left",
+            "quotient_right"}
     assert max(seen.values()) == 1
+
+
+def test_registry_builds_each_two_sided_matrix_once(monkeypatch):
+    """Over a full registry run, each (context ring, mask) two-sided
+    matrix aRb-inside-I is built at most once, and only on context
+    rings."""
+    corpus = harness.build_corpus(CACHE_CORPUS)
+    ctx_rings = {id(ctx.ring) for ctx in corpus.contexts}
+    built = []
+    build = harness.two_sided_matrix
+
+    def counted(ring, imask):
+        built.append((id(ring), imask.tobytes()))
+        return build(ring, imask)
+
+    monkeypatch.setattr(harness, "two_sided_matrix", counted)
+    harness.verify_properties(corpus)
+    assert built and len(set(built)) == len(built)
+    assert {ring for ring, _ in built} <= ctx_rings
 
 
 def test_verify_runs_every_law_on_the_calling_thread(monkeypatch, minimal):

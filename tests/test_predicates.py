@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab import naive
+from ringlab import naive, rings
 from ringlab.errors import (
     CapacityExceeded,
     InvalidIdeal,
@@ -18,6 +18,8 @@ from ringlab.ideals import IdealSet, enumerate_ideals, principal_ideal
 from ringlab.radicals import jacobson_radical
 from ringlab.subsets import SubsetS, enumerate_subsets, generated_subset
 from ringlab.predicates import (
+    arb_violation,
+    first_violation,
     is_J_ideal,
     is_S_J_ideal,
     is_S_n_ideal,
@@ -25,8 +27,11 @@ from ringlab.predicates import (
     is_n_ideal,
     is_right_S_J_ideal,
     is_right_S_prime,
+    product_hyp_matrix,
     related_checks,
+    two_sided_matrix,
 )
+from test_ideals import generated_rings  # noqa: F401  (fixture)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +152,8 @@ def test_capacity_guards():
     subset = SubsetS(big, [big.one], kind="mulclosed")
     with pytest.raises(CapacityExceeded):
         is_S_J_ideal(big, zero, subset)
+    with pytest.raises(CapacityExceeded):
+        two_sided_matrix(big, zero.mask)
 
     mat = build_ring(parse_ring_expr("M(2, Z6)"))   # 1296 > 300
     lattice = enumerate_ideals(mat)
@@ -244,3 +251,69 @@ def test_sj_matches_naive_on_random_zn(n, ideal_seed, subset_seed):
     rs = is_S_prime(ring, ideal, subset)
     nv, nw, _ = naive.s_prime_check(nr, iset, sm)
     assert rs.verdict == nv and rs.witness_s == nw
+
+
+# --- pair matrices against the naive relation and the streamed scan ---------
+
+@pytest.fixture(scope="module")
+def pair_rings(generated_rings):
+    """(label, ring, naive ring, lattice) for the generated rings, two
+    matrix rings and two identity-free rings, one noncommutative."""
+    out = list(generated_rings)
+    for expr in ("M(2, Z2)", "M(2, Z3)", "idealring(Z36, gen(6))",
+                 "M(2, Z2) x idealring(Z4, gen(2))"):
+        ring = build_ring(parse_ring_expr(expr))
+        out.append((expr, ring, naive.NaiveRing(ring)))
+    return [(label, ring, nr, enumerate_ideals(ring))
+            for label, ring, nr in out]
+
+
+def test_two_sided_matrix_matches_naive(pair_rings):
+    """T[a, b] is the naive aRb-inside-I relation, r ranging over all of
+    R, for every ideal of every ring."""
+    for label, ring, nr, lattice in pair_rings:
+        mul = np.array(nr.mul)
+        arb = mul[mul[:, :, None], np.arange(nr.size)[None, None, :]]
+        for ideal in lattice.ideals:
+            want = ideal.mask[arb].all(axis=1)
+            assert (two_sided_matrix(ring, ideal.mask) == want).all(), label
+            assert (product_hyp_matrix(ring, ideal.mask)
+                    == ideal.mask[mul]).all(), label
+
+
+def test_first_violation_of_two_sided_matrix_is_arb_violation(pair_rings):
+    rng = np.random.default_rng(11)
+    for label, ring, nr, lattice in pair_rings:
+        for ideal in lattice.ideals:
+            T = two_sided_matrix(ring, ideal.mask)
+            for density in (0.1, 0.5, 0.9):
+                a_skip = rng.random(ring.size) < density
+                for b_skip in (rng.random(ring.size) < density, ideal.mask):
+                    assert first_violation(T, a_skip, b_skip) \
+                        == arb_violation(ring, ideal.mask, a_skip,
+                                         b_skip), label
+
+
+def test_formula_path_pair_matrices_match_table_path(pair_rings,
+                                                     monkeypatch):
+    want = {label: [(two_sided_matrix(ring, i.mask),
+                     product_hyp_matrix(ring, i.mask))
+                    for i in lattice.ideals]
+            for label, ring, nr, lattice in pair_rings}
+    monkeypatch.setattr(rings, "TABLE_LIMIT", 0)
+    for label, ring, nr, lattice in pair_rings:
+        formula = build_ring(parse_ring_expr(label))
+        assert formula.mul_table is None, label
+        for ideal, (T, hyp) in zip(lattice.ideals, want[label]):
+            assert (two_sided_matrix(formula, ideal.mask) == T).all(), label
+            assert (product_hyp_matrix(formula, ideal.mask)
+                    == hyp).all(), label
+
+
+def test_mul_table_is_read_only():
+    ring = build_ring(parse_ring_expr("Z4 x Z6"))
+    table = ring.mul_table
+    assert table[3, 5] == ring.mul(3, 5)
+    assert ring.mul_table is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
