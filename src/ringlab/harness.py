@@ -14,7 +14,8 @@ fixed-s subset-radical verdict and its witness vector, both read from
 one violation table per ideal mask; ``right_sj`` gives the right-sided
 verdict (lattice method); ``j_check`` the plain radical-membership
 verdict; ``two_sided`` the read-only matrix T[a, b] = (aRb inside I)
-that P13 and P31 scan with ``first_violation``; ``quotient_sj`` the left
+that P13 and P31 scan through ``two_sided_violation`` (rings above
+``PAIR_SCAN_LIMIT`` stream the scan instead); ``quotient_sj`` the left
 and right verdicts on the picked quotients, shared by P14/P15 and
 P29/P30; ``idealization`` the trivial extensions.  Each is computed once
 per mask (and subset) through ``memo.once``.  P4 reads lattice columns:
@@ -60,6 +61,7 @@ from .predicates import (
     pair_scan,
     product_hyp_matrix,
     two_sided_matrix,
+    two_sided_violation,
 )
 from .radicals import j_star, jacobson_radical, prime_radical
 from .rings import (
@@ -208,7 +210,7 @@ class RingCtx:
 
     def two_sided(self, mask):
         """T[a, b] = (aRb inside the ideal) of a mask on this context's
-        ring, kept read-only per mask."""
+        ring, kept read-only per mask; within PAIR_SCAN_LIMIT only."""
         return once(self._pair, mask.tobytes(),
                     lambda: _readonly(two_sided_matrix(self.ring, mask)))
 
@@ -997,9 +999,9 @@ def _p13(corpus, rep):
             rep.tested += 1
             for s, lhs in good:
                 # ab in I forces a*s in J*(I) or b*s in I (aRb = abR here)
-                pair_ok = first_violation(
-                    ctx.two_sided(I.mask), ctx.colon(jstar.mask, s),
-                    ctx.colon(I.mask, s)) is None
+                pair_ok = two_sided_violation(
+                    ring, I.mask, ctx.colon(jstar.mask, s),
+                    ctx.colon(I.mask, s), ctx.two_sided) is None
                 contain = not (I.mask & ~ctx.colon(jm, s)).any()
                 rhs = pair_ok and contain
                 if lhs != rhs:
@@ -1591,8 +1593,8 @@ def _p31(corpus, rep):
                 contain = not (P.mask & ~ctx.colon_principal(jm, s)).any()
                 a_skip = ctx.colon_principal(jstar.mask, s)
                 b_skip = ctx.colon_principal(P.mask, s)
-                pair_ok = first_violation(ctx.two_sided(P.mask), a_skip,
-                                          b_skip) is None
+                pair_ok = two_sided_violation(ring, P.mask, a_skip, b_skip,
+                                              ctx.two_sided) is None
                 rhs = contain and pair_ok
                 if lhs != rhs:
                     rep.violation(ring, P, S, {

@@ -35,13 +35,14 @@ from .ideals import (
     ideal_generate,
     minimal_generating_set,
 )
-from .rings import is_ideal_mask
+from .rings import TABLE_LIMIT, is_ideal_mask
 from .radicals import jacobson_radical, prime_radical
 from . import radicals as _radicals
 from .subsets import SubsetS
 
-# dense pair scans build an n x n boolean hypothesis matrix
-PAIR_SCAN_LIMIT = 4096
+# dense pair scans gather an n x n boolean matrix from the product table,
+# so they stop where the tables do
+PAIR_SCAN_LIMIT = TABLE_LIMIT
 # elementwise right-sided checks do |R|^2 colon tests on top of that
 ELEMENTWISE_LIMIT = 300
 
@@ -140,32 +141,21 @@ def _check_mode(mode):
 
 # ---------------------------------------------------------------------------
 # pair-scan engine (commutative checks and elementwise forms), shared with
-# the law harness.  On table rings each pair relation is a gather from
-# ring.mul_table.  Build a dense n x n matrix when one ideal is scanned
-# against many skip masks (first_violation per mask); arb_violation scans
-# once, streaming row chunks and stopping at the first hit.
+# the law harness.  Within PAIR_SCAN_LIMIT every ring has its product
+# table, and the dense n x n matrices below are gathers from it; build one
+# when it is scanned against several skip masks (first_violation per
+# mask).  Above the limit only the two-sided relation is scanned, by
+# arb_violation, which streams row chunks and stops at the first hit;
+# two_sided_violation picks between the two by ring size.
 # ---------------------------------------------------------------------------
 
-def _in_ideal_rows(ring, imask, left):
-    """out[i, b] = (left[i] * b lands in the ideal)."""
-    table = ring.mul_table
-    if table is not None:
-        return imask[table[left]]
-    return imask[ring.mul_vec(left[:, None], ring.elements[None, :])]
-
-
 def product_hyp_matrix(ring, imask):
-    """hyp[a, b] = (a*b lands in the ideal); formula rings in row chunks."""
+    """hyp[a, b] = (a*b lands in the ideal)."""
     n = int(ring.size)
     if n > PAIR_SCAN_LIMIT:
         raise CapacityExceeded("dense pair scan capped", size=n,
                                limit=PAIR_SCAN_LIMIT)
-    if ring.mul_table is not None:
-        return imask[ring.mul_table]
-    els = ring.elements
-    step = max(1, 4_000_000 // n)
-    return np.concatenate([_in_ideal_rows(ring, imask, els[lo:lo + step])
-                           for lo in range(0, n, step)])
+    return imask[ring.mul_table]
 
 
 def two_sided_matrix(ring, imask):
@@ -217,7 +207,8 @@ def arb_violation(ring, imask, a_skip, b_skip):
     skip masks.  Streams row chunks so huge rings never materialize an
     n x n matrix."""
     n = int(ring.size)
-    ag_rows = [ring.mul_vec(ring.elements, g) for g in ring.addgens]
+    els = ring.elements
+    ag_rows = [ring.mul_vec(els, g) for g in ring.addgens]
     step = max(1, 2_000_000 // n)
     want_a = ~a_skip
     for lo in range(0, n, step):
@@ -226,7 +217,7 @@ def arb_violation(ring, imask, a_skip, b_skip):
             continue
         rows = np.ones((hi - lo, n), dtype=bool)
         for ag in ag_rows:
-            rows &= _in_ideal_rows(ring, imask, ag[lo:hi])
+            rows &= imask[ring.mul_vec(ag[lo:hi, None], els[None, :])]
         rows &= want_a[lo:hi, None]
         rows &= ~b_skip[None, :]
         hit = rows.any(axis=1)
@@ -234,6 +225,16 @@ def arb_violation(ring, imask, a_skip, b_skip):
             off = int(np.argmax(hit))
             return (lo + off, int(np.argmax(rows[off])))
     return None
+
+
+def two_sided_violation(ring, imask, a_skip, b_skip, matrix=None):
+    """arb_violation's pair, read from the dense two-sided matrix within
+    PAIR_SCAN_LIMIT (matrix(imask), when given, supplies a kept one) and
+    streamed above it."""
+    if ring.size > PAIR_SCAN_LIMIT:
+        return arb_violation(ring, imask, a_skip, b_skip)
+    T = two_sided_matrix(ring, imask) if matrix is None else matrix(imask)
+    return first_violation(T, a_skip, b_skip)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,7 @@ def is_J_ideal(ring, ideal, jacobson=None, lattice=None):
         hyp = product_hyp_matrix(ring, imask)
         v = first_violation(hyp, jmask, imask)
     else:
-        v = arb_violation(ring, imask, jmask, imask)
+        v = two_sided_violation(ring, imask, jmask, imask)
     if v is None:
         return CheckResult(True)
     return CheckResult(False, counterexample=v)

@@ -285,6 +285,29 @@ def test_registry_builds_each_two_sided_matrix_once(monkeypatch):
     assert {ring for ring, _ in built} <= ctx_rings
 
 
+def test_p31_streams_its_scan_above_the_pair_scan_limit(monkeypatch):
+    """Above PAIR_SCAN_LIMIT P31 streams the aRb scan, builds no dense
+    matrix, and reports what the dense scan reports."""
+    dense = harness.verify_properties(harness.build_corpus(CACHE_CORPUS),
+                                      ids=["P31"])
+    assert dense[0]["tested"]
+
+    def no_matrix(ring, imask):
+        raise AssertionError("dense two-sided matrix above the limit")
+
+    monkeypatch.setattr(predicates, "PAIR_SCAN_LIMIT", 0)
+    monkeypatch.setattr(harness, "two_sided_matrix", no_matrix)
+    assert harness.verify_properties(harness.build_corpus(CACHE_CORPUS),
+                                     ids=["P31"]) == dense
+
+
+def test_p31_runs_on_a_noncommutative_ring_above_the_pair_scan_limit():
+    corpus = harness.build_corpus({"rings": ["M(2, Z2) x Z257"]})
+    assert corpus.contexts[0].ring.size > predicates.PAIR_SCAN_LIMIT
+    (rep,) = harness.verify_properties(corpus, ids=["P31"])
+    assert rep["tested"] and not rep["violated"]
+
+
 def test_verify_runs_every_law_on_the_calling_thread(monkeypatch, minimal):
     threads = set()
 

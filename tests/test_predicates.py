@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab import naive, rings
+from ringlab import naive, predicates, rings
 from ringlab.errors import (
     CapacityExceeded,
     InvalidIdeal,
@@ -30,6 +30,7 @@ from ringlab.predicates import (
     product_hyp_matrix,
     related_checks,
     two_sided_matrix,
+    two_sided_violation,
 )
 from test_ideals import generated_rings  # noqa: F401  (fixture)
 
@@ -294,20 +295,30 @@ def test_first_violation_of_two_sided_matrix_is_arb_violation(pair_rings):
                                          b_skip), label
 
 
-def test_formula_path_pair_matrices_match_table_path(pair_rings,
-                                                     monkeypatch):
-    want = {label: [(two_sided_matrix(ring, i.mask),
-                     product_hyp_matrix(ring, i.mask))
-                    for i in lattice.ideals]
-            for label, ring, nr, lattice in pair_rings}
-    monkeypatch.setattr(rings, "TABLE_LIMIT", 0)
+def test_streamed_formula_scan_matches_dense_table_scan(pair_rings,
+                                                       monkeypatch):
+    """Above PAIR_SCAN_LIMIT two_sided_violation streams arb_violation
+    through the formula path; it finds the pair that the dense scan of
+    the table ring finds."""
+    rng = np.random.default_rng(12)
+    cases = []
     for label, ring, nr, lattice in pair_rings:
-        formula = build_ring(parse_ring_expr(label))
-        assert formula.mul_table is None, label
-        for ideal, (T, hyp) in zip(lattice.ideals, want[label]):
-            assert (two_sided_matrix(formula, ideal.mask) == T).all(), label
-            assert (product_hyp_matrix(formula, ideal.mask)
-                    == hyp).all(), label
+        for ideal in lattice.ideals:
+            T = two_sided_matrix(ring, ideal.mask)
+            for density in (0.1, 0.5, 0.9):
+                a_skip = rng.random(ring.size) < density
+                for b_skip in (rng.random(ring.size) < density, ideal.mask):
+                    cases.append((label, ideal.mask, a_skip, b_skip,
+                                  first_violation(T, a_skip, b_skip)))
+    monkeypatch.setattr(rings, "TABLE_LIMIT", 0)
+    monkeypatch.setattr(predicates, "PAIR_SCAN_LIMIT", 0)
+    formula = {}
+    for label, mask, a_skip, b_skip, want in cases:
+        if label not in formula:
+            formula[label] = build_ring(parse_ring_expr(label))
+            assert formula[label].mul_table is None, label
+        assert two_sided_violation(formula[label], mask, a_skip,
+                                   b_skip) == want, label
 
 
 def test_mul_table_is_read_only():
