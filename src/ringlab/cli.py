@@ -86,7 +86,7 @@ def _emit_json(path, payload):
 def _label(ring, obj, raw):
     if raw:
         return obj if obj is None else _plain_nested(obj)
-    return harness._lbl(ring, obj)
+    return harness.label_indices(ring, obj)
 
 
 def _plain_nested(obj):
@@ -108,12 +108,12 @@ def cmd_describe(args):
         "ideal_count": len(lattice),
         "maximal_ideal_count": len(lattice.maximal_indices()),
         "prime_ideal_count": len(lattice.prime_indices()),
-        "radical": harness._gens_label(ring, jac),
+        "radical": harness.gens_label(ring, jac),
         "radical_size": jac.size,
     }
     if ring.commutative and ring.one is not None:
         beta, degenerate = prime_radical(ring, lattice)
-        info["nilradical"] = harness._gens_label(ring, beta)
+        info["nilradical"] = harness.gens_label(ring, beta)
         info["nilradical_size"] = beta.size
         if degenerate:
             info["nilradical_note"] = "no proper prime ideals"
@@ -129,7 +129,7 @@ def cmd_ideals(args):
     rows = []
     for i, idl in enumerate(lattice.ideals):
         rows.append({
-            "gens": harness._gens_label(ring, idl),
+            "gens": harness.gens_label(ring, idl),
             "size": idl.size,
             "maximal": bool(lattice.is_maximal_idx(i)),
             "prime": bool(lattice.is_prime_idx(i)),

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import InvalidParameter, ParseError
 from .ideals import IdealSet, ideal_generate
 from .rings import (
+    MAX_RING_SIZE,
     AmalgRing,
     IdealizationRing,
     IdealSubringRing,
@@ -51,8 +52,6 @@ from .rings import (
     make_zn,
 )
 from .subsets import SubsetS, generated_subset
-
-MAX_RING_SIZE = 50_000_000
 
 
 def _pos_field():

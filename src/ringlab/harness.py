@@ -267,7 +267,8 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _gens_label(ring, ideal):
+def gens_label(ring, ideal):
+    """``gen(...)`` of the ideal's minimal generators, as element labels."""
     gens = minimal_generating_set(ideal)
     if not gens:
         gens = [ring.zero]
@@ -342,7 +343,7 @@ def _pick_ideals(ctx, limit=6):
         take(i)
     out = []
     for idl in chosen:
-        out.append(IdealSet(ring, idl.mask, label=_gens_label(ring, idl)))
+        out.append(IdealSet(ring, idl.mask, label=gens_label(ring, idl)))
     return tuple(out)
 
 
@@ -498,7 +499,7 @@ class _Rep:
         if len(self.violations) >= MAX_VIOLATIONS_KEPT:
             return
         if isinstance(ideal, IdealSet):
-            gens = _gens_label(ring, ideal)
+            gens = gens_label(ring, ideal)
         else:
             gens = ideal
         self.violations.append({
@@ -510,22 +511,22 @@ class _Rep:
         })
 
 
-def _lbl(ring, obj):
+def label_indices(ring, obj):
     """Map element indices inside a nested counterexample to labels."""
     if obj is None:
         return None
     if isinstance(obj, (int, np.integer)):
         return ring.element_label(int(obj))
     if isinstance(obj, (tuple, list)):
-        return [_lbl(ring, x) for x in obj]
+        return [label_indices(ring, x) for x in obj]
     return obj
 
 
 def _labeled_result(ring, res):
     return {
         "verdict": bool(res.verdict),
-        "witness_s": _lbl(ring, res.witness_s),
-        "counterexample": _lbl(ring, res.counterexample),
+        "witness_s": label_indices(ring, res.witness_s),
+        "counterexample": label_indices(ring, res.counterexample),
         "quantifier_mode": res.quantifier_mode,
         "method": res.method,
     }
@@ -625,7 +626,7 @@ def _p3(corpus, rep):
                         rep.violation(ring, I, None, {
                             "part": "nilradical-but-not-radical",
                             "counterexample":
-                                _lbl(ring, j_res.counterexample)})
+                                label_indices(ring, j_res.counterexample)})
                 else:
                     rep.vacuous += 1
         if ctx.jac.is_proper:

@@ -337,11 +337,8 @@ class IdealLattice:
             ideal_sum(self.ideals[i], self.ideals[j])))
 
     def is_maximal_idx(self, i):
-        if i == self.top_idx:
-            return False
-        above = self.leq[i] & ~np.eye(len(self.ideals), dtype=bool)[i]
-        strict = np.flatnonzero(above)
-        return all(j == self.top_idx for j in strict)
+        """Proper, and only itself and the top lie above it."""
+        return i != self.top_idx and int(self.leq[i].sum()) == 2
 
     def is_prime_idx(self, i):
         return once(self._prime, i, lambda: self._compute_prime(i))

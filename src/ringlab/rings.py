@@ -1,11 +1,14 @@
 """Finite ring backends.
 
-A ring is a finite set of element indices 0..size-1 with addition,
-multiplication and negation given either by stored Cayley tables or by
-vectorized index formulas.  Tables are materialized lazily and only for
-rings with at most TABLE_LIMIT elements; larger rings (the 2x2 matrices
-over Z12, for instance) always evaluate through the formula path, which
-operates on whole numpy arrays at once.
+A ring is a finite set of element indices 0..size-1.  Each backend
+defines addition, multiplication and negation by vectorized index
+formulas, which operate on whole numpy arrays at once.  Rings with at
+most TABLE_LIMIT elements also get read-only int32 Cayley tables, built
+lazily: the formulas give only the rows of the additive generators, and a
+walk over the additive group from zero gathers every other row from rows
+already filled.  Larger rings (the 2x2 matrices over Z12, for instance)
+always evaluate through the formulas.  The matrix and truncated
+polynomial constructors refuse rings above MAX_RING_SIZE elements.
 
 Rings without identity are first class: ``one`` is None when no identity
 exists and nothing downstream may assume otherwise.
@@ -18,6 +21,7 @@ from .errors import (InvalidParameter, InvalidModule, InvalidHom,
 from .memo import once
 
 TABLE_LIMIT = 4096
+MAX_RING_SIZE = 50_000_000
 
 
 def _as_idx(a):
@@ -61,6 +65,10 @@ class Ring:
 
     Subclasses implement ``_add_vec``, ``_mul_vec``, ``_neg_vec`` on int64
     arrays (broadcasting allowed) and may provide ``_one_candidate``.
+    These formulas define the ring: they give ``addgens`` and the
+    generator rows of the tables, and every op above TABLE_LIMIT.  The
+    public ``add_vec``/``mul_vec``/``neg_vec`` read the tables where they
+    exist.
     """
 
     def __init__(self, size, label, zero):
@@ -92,9 +100,46 @@ class Ring:
     # -- public vector ops (table-routed when cheap) ----------------------
 
     def _materialize(self):
+        """Fill the Cayley tables by walking the additive group from zero.
+
+        The formulas are evaluated only on the rows of the additive
+        generators.  Each generator g grows the filled set S by doubling,
+        as in ``_subgroup_extend``: with t = 2^i g, the new rows y = s + t
+        (s in S) are gathers of filled rows, add[y] = add[s][add[t]]
+        since (s + t) + b = s + (t + b), and add[2t] = add[t][add[t]].
+        The product rows replay the same steps on the finished sum table:
+        mul[y] = add[mul[s], mul[t]] since (s + t)b = sb + tb, and
+        mul[2t] = add[mul[t], mul[t]].
+        """
+        n = self.size
         idx = self.elements
-        self._add_table = self._add_vec(idx[:, None], idx[None, :]).astype(np.int32)
-        self._mul_table = self._mul_vec(idx[:, None], idx[None, :]).astype(np.int32)
+        add = np.empty((n, n), dtype=np.int32)
+        mul = np.empty((n, n), dtype=np.int32)
+        add[self.zero] = idx
+        mul[self.zero] = self.zero
+        filled = np.zeros(n, dtype=bool)
+        filled[self.zero] = True
+        walk = []                   # (g, [(sources, targets) per doubling])
+        for g in self.addgens:
+            steps = []
+            t, row = g, self._add_vec(np.int64(g), idx).astype(np.int32)
+            while not filled[t]:
+                src = np.flatnonzero(filled)
+                dst = row[src]
+                fresh = ~filled[dst]
+                src, dst = src[fresh], dst[fresh]
+                add[dst] = add[src[:, None], row]
+                filled[dst] = True
+                steps.append((src, dst))
+                t, row = int(row[t]), row[row]
+            walk.append((g, steps))
+        for g, steps in walk:
+            row = self._mul_vec(np.int64(g), idx).astype(np.int32)
+            for src, dst in steps:
+                mul[dst] = add[mul[src], row]
+                row = add[row, row]
+        self._add_table = add
+        self._mul_table = mul
         self._neg_table = self._neg_vec(idx).astype(np.int32)
         for table in (self._add_table, self._mul_table, self._neg_table):
             table.setflags(write=False)
@@ -153,9 +198,12 @@ class Ring:
 
     @property
     def addgens(self):
-        """Additive generating set; every element is a Z-combination of these."""
+        """Additive generating set; every element is a Z-combination of these.
+
+        Found with the formula addition, so the table walk can start from it.
+        """
         return once(self._facts, "addgens", lambda: _group_addgens(
-            self.size, self.zero, self.add_vec))
+            self.size, self.zero, self._add_vec))
 
     @property
     def one(self):
@@ -329,7 +377,7 @@ class MatrixRing(Ring):
         self.k = k
         self.base = base
         size = base.size ** (k * k)
-        if size > 50_000_000:
+        if size > MAX_RING_SIZE:
             raise InvalidParameter(
                 "matrix ring too large to index", size=size)
         if label is None:
@@ -681,7 +729,7 @@ class TruncPolyRing(Ring):
         self.base = base
         self.d = d
         size = base.size ** d
-        if size > 50_000_000:
+        if size > MAX_RING_SIZE:
             raise InvalidParameter("truncated ring too large", size=size)
         if label is None:
             label = "trunc(%s, %d)" % (base.label, d)

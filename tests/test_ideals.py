@@ -228,10 +228,23 @@ def _small_moduli(node):
         for f in ("left", "right", "inner") if hasattr(node, f)})
 
 
+# The generator rarely draws a ring without identity, so these are added
+# by hand: a zero-product ring, a product and a truncation over one, and a
+# noncommutative one.
+IDENTITY_FREE_EXPRS = [
+    "idealring(Z12, gen(2))",
+    "idealring(Z36, gen(6))",
+    "idealring(Z4, gen(2)) x Z3",
+    "trunc(idealring(Z12, gen(2)), 2)",
+    "M(2, Z2) x idealring(Z4, gen(2))",
+]
+
+
 @pytest.fixture(scope="module")
 def generated_rings():
     """30 distinct rings of at most 64 elements, at most 5 per top-level
-    constructor, from the round-trip grammar generator."""
+    constructor, from the round-trip grammar generator, then the rings of
+    IDENTITY_FREE_EXPRS."""
     rng = random.Random(0x1DEA1)
     out, kinds = {}, []
     while len(out) < 30:
@@ -247,6 +260,8 @@ def generated_rings():
         if ring.size <= 64 and label not in out:
             out[label] = ring
             kinds.append(kind)
+    for expr in IDENTITY_FREE_EXPRS:
+        out[expr] = build_ring(parse_ring_expr(expr))
     return [(label, ring, naive.NaiveRing(ring))
             for label, ring in out.items()]
 

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from ringlab import naive
+from test_ideals import generated_rings  # noqa: F401  (fixture)
+
+from ringlab import naive, rings
+from ringlab.errors import InvalidParameter
 from ringlab.exprs import build_ring, parse_ring_expr
 from ringlab.rings import (
+    _group_addgens,
     additive_closure,
     canonical_surjection,
     center_mask,
     is_ideal_mask,
+    make_matrix_ring,
+    make_truncated_poly,
     make_zn,
 )
 from ringlab.ideals import principal_ideal
@@ -129,3 +135,63 @@ def test_matrix_ring_layout():
     assert mat.mul(e12, e21) == 27
     assert mat.mul(e21, e12) == 1
     assert not mat.commutative
+
+
+# --- Cayley tables against the formulas --------------------------------------
+
+TABLE_EXPRS = FAMILY_EXPRS + ["Z1"]       # Z1: the walk has no generators
+
+
+def _assert_tables_match_formulas(expr, monkeypatch):
+    """The walked tables equal the full formula grid of a copy of the ring
+    built with no table anywhere, and addgens is the list the greedy
+    doubling finds over the tables."""
+    ring = build_ring(parse_ring_expr(expr))
+    tables = (ring.mul_table, ring._add_table, ring._neg_table)
+    for table in tables:
+        assert table.dtype == np.int32 and not table.flags.writeable, expr
+    with monkeypatch.context() as m:
+        m.setattr(rings, "TABLE_LIMIT", 0)
+        formula = build_ring(parse_ring_expr(expr))
+        idx = formula.elements
+        grids = (formula._mul_vec(idx[:, None], idx[None, :]),
+                 formula._add_vec(idx[:, None], idx[None, :]),
+                 formula._neg_vec(idx))
+        assert formula._add_table is None, expr
+    for table, grid in zip(tables, grids):
+        assert (table == grid).all(), expr
+    assert ring.addgens == formula.addgens == _group_addgens(
+        ring.size, ring.zero, ring.add_vec), expr
+
+
+@pytest.mark.parametrize("expr", TABLE_EXPRS)
+def test_tables_match_formulas(expr, monkeypatch):
+    _assert_tables_match_formulas(expr, monkeypatch)
+
+
+def test_generated_tables_match_formulas(generated_rings, monkeypatch):
+    for label, _, _ in generated_rings:
+        _assert_tables_match_formulas(label, monkeypatch)
+
+
+def test_table_limit_boundary(monkeypatch):
+    monkeypatch.setattr(rings, "TABLE_LIMIT", 16)
+    at = make_zn(16)
+    assert at.mul_table is not None
+    assert at.add(9, 9) == 2
+    above = make_zn(17)
+    assert above.mul_table is None
+    assert above.add(9, 9) == 1 and above.mul(4, 5) == 3
+    assert above._add_table is None
+
+
+def test_max_ring_size_boundary(monkeypatch):
+    base2, base4 = make_zn(2), make_zn(4)
+    monkeypatch.setattr(rings, "MAX_RING_SIZE", 16)
+    assert make_matrix_ring(2, base2).size == 16
+    assert make_truncated_poly(base4, 2).size == 16
+    monkeypatch.setattr(rings, "MAX_RING_SIZE", 15)
+    with pytest.raises(InvalidParameter):
+        make_matrix_ring(2, base2)
+    with pytest.raises(InvalidParameter):
+        make_truncated_poly(base4, 2)
