@@ -157,9 +157,6 @@ class IdealRing:
     pos: tuple = _pos_field()
 
 
-RING_NODES = (Zn, Prod, Mat, Quot, Idealize, Amalg, Trunc, IdealRing)
-
-
 # ---------------------------------------------------------------------------
 # printer
 

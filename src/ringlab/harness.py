@@ -46,7 +46,7 @@ from .ideals import (
     minimal_generating_set,
     unit_ideal,
 )
-from .memo import once
+from .memo import once, readonly
 from .predicates import (
     ELEMENTWISE_LIMIT,
     CheckResult,
@@ -181,8 +181,8 @@ class RingCtx:
                 row = ring.mul_vec(np.int64(s), ring.elements)
                 table.append((int(s), first_violation(hyp, jm[row],
                                                       imask[row])))
-            wits = np.array([v is None for _, v in table], dtype=bool)
-            wits.setflags(write=False)
+            wits = readonly(np.array([v is None for _, v in table],
+                                     dtype=bool))
             witness = next((s for s, v in table if v is None), None)
             res = (CheckResult(False, counterexample=tuple(table))
                    if witness is None else CheckResult(True, witness_s=witness))
@@ -212,7 +212,7 @@ class RingCtx:
         """T[a, b] = (aRb inside the ideal) of a mask on this context's
         ring, kept read-only per mask; within PAIR_SCAN_LIMIT only."""
         return once(self._pair, mask.tobytes(),
-                    lambda: _readonly(two_sided_matrix(self.ring, mask)))
+                    lambda: readonly(two_sided_matrix(self.ring, mask)))
 
     def quotient_sj(self, q, qmask, simg, right=False):
         """is_S_J_ideal (fixed-s), or with right=True is_right_S_J_ideal
@@ -228,14 +228,14 @@ class RingCtx:
         """(I : s) = {x : xs in I} of a mask on this context's ring, kept
         read-only per (mask, s)."""
         return once(self._colon, (mask.tobytes(), "s", int(s)),
-                    lambda: _readonly(colon_elem_mask(self.ring, mask, s)))
+                    lambda: readonly(colon_elem_mask(self.ring, mask, s)))
 
     def colon_principal(self, mask, s):
         """(I : <s>) of a mask on this context's ring, kept read-only per
         (mask, <s>)."""
         sgen = self.lattice.principal(s)
         return once(self._colon, (mask.tobytes(), "<s>", sgen.key),
-                    lambda: _readonly(colon_ideal_mask(self.ring, mask, sgen)))
+                    lambda: readonly(colon_ideal_mask(self.ring, mask, sgen)))
 
     def idealization(self, k):
         """(ext, lattice, radical) of the trivial extension of the ring by
@@ -534,11 +534,6 @@ def _labeled_result(ring, res):
 
 def _disjoint(ideal, subset):
     return not (ideal.mask & subset.mask).any()
-
-
-def _readonly(array):
-    array.setflags(write=False)
-    return array
 
 
 def _right_witness(lattice, hyp, pidx, jidx, s):

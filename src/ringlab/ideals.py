@@ -9,11 +9,13 @@ ZG + RG + GR + RGR.
 The lattice is enumerated by condensing the multiplication-reachability
 graph: elements in the same strongly connected component generate the same
 principal ideal, and principal ideals are built children first along the
-condensation DAG.  Every ideal is a sum of principals, so the rest of the
-lattice comes from adding one principal at a time to each ideal found.
-Since |A + B| = |A||B| / |A & B| for subgroups, a known ideal of that size
-holding both A and B is their sum, and an additive closure runs only for
-an ideal not seen before.
+condensation DAG; on table rings with identity, unit-group generators join
+the additive ones as multipliers, since x, ux and xu generate one ideal.
+Every ideal is a sum of principals, so the rest of the lattice comes from
+adding one principal at a time to each ideal found.  Since |A + B| =
+|A||B| / |A & B| for subgroups, a known ideal of that size holding both A
+and B is their sum, and an additive closure runs only for an ideal not
+seen before.  Lattice facts are read from containment, with no closure.
 """
 
 import numpy as np
@@ -21,8 +23,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityExceeded, InvalidIdeal
-from .memo import once
-from .rings import additive_closure, is_ideal_mask
+from .memo import fact, once, readonly
+from .rings import additive_closure, is_ideal_mask, units_mask
 
 DEFAULT_IDEAL_BUDGET = 100_000
 
@@ -38,17 +40,13 @@ class IdealSet:
         if check and not is_ideal_mask(ring, mask):
             raise InvalidIdeal("set is not a two-sided ideal", ring=ring.label)
         self.ring = ring
-        self.mask = mask.copy()
-        self.mask.setflags(write=False)
+        self.mask = readonly(mask.copy())
         self.label = label
-        self._members = None
-        self._facts = {}        # addgens, mingens
+        self._facts = {}        # members, addgens, mingens
 
-    @property
+    @fact
     def members(self):
-        if self._members is None:
-            self._members = np.flatnonzero(self.mask)
-        return self._members
+        return np.flatnonzero(self.mask)
 
     @property
     def size(self):
@@ -69,12 +67,9 @@ class IdealSet:
     def contains(self, x):
         return bool(self.mask[int(x)])
 
-    @property
+    @fact
     def addgens(self):
         """Additive generators of the ideal's underlying group."""
-        return once(self._facts, "addgens", self._additive_generators)
-
-    def _additive_generators(self):
         ring = self.ring
         cur = np.zeros(ring.size, dtype=bool)
         cur[ring.zero] = True
@@ -167,37 +162,21 @@ def ideal_product(a, b):
     return IdealSet(ring, additive_closure(ring, np.unique(prods)))
 
 
-def colon_elem_mask(ring, imask, a, side="right"):
-    """(I : a) as a mask; right means {x : x a in I}, left {x : a x in I}."""
-    idx = ring.elements
-    a = np.int64(a)
-    if side == "right":
-        return imask[ring.mul_vec(idx, a)]
-    return imask[ring.mul_vec(a, idx)]
+def colon_elem_mask(ring, imask, a):
+    """(I : a) = {x : x a in I} as a mask."""
+    return imask[ring.mul_vec(ring.elements, np.int64(a))]
 
 
-def colon_subset_mask(ring, imask, xs, side="right"):
+def colon_subset_mask(ring, imask, xs):
     out = np.ones(ring.size, dtype=bool)
     for x in np.asarray(xs, dtype=np.int64).ravel():
-        out &= colon_elem_mask(ring, imask, x, side=side)
+        out &= colon_elem_mask(ring, imask, x)
     return out
 
 
-def colon_ideal_mask(ring, pmask, t_ideal, side="right"):
+def colon_ideal_mask(ring, pmask, t_ideal):
     """(P : T) for an ideal T; membership needs only T's additive generators."""
-    return colon_subset_mask(ring, pmask, t_ideal.addgens, side=side)
-
-
-def is_nilpotent_ideal(ideal):
-    """I is nilpotent iff its power chain reaches the zero ideal."""
-    cur = ideal
-    while True:
-        if cur.is_zero:
-            return True
-        nxt = ideal_product(cur, ideal)
-        if nxt.size >= cur.size:
-            return False
-        cur = nxt
+    return colon_subset_mask(ring, pmask, t_ideal.addgens)
 
 
 def is_modular_ideal(ring, imask):
@@ -270,11 +249,7 @@ class IdealLattice:
         self.ideals = ideals
         self.principal_of = principal_of
         self.key_to_idx = {ideal.key: i for i, ideal in enumerate(ideals)}
-        self._facts = {}        # leq, prod, principals
-        self._prod = {}
-        self._sum = {}
-        self._nilpotent = {}
-        self._prime = {}
+        self._facts = {}        # the @fact properties below
 
     def __len__(self):
         return len(self.ideals)
@@ -294,88 +269,107 @@ class IdealLattice:
     def top_idx(self):
         return len(self.ideals) - 1
 
-    @property
+    @fact
     def leq(self):
         """leq[i, j] is True when ideal i is contained in ideal j."""
-        return once(self._facts, "leq", self._containment)
+        masks = np.array([ideal.mask for ideal in self.ideals], dtype=float)
+        return readonly(masks @ masks.T == masks.sum(axis=1)[:, None])
 
-    def _containment(self):
-        masks = np.array([ideal.mask for ideal in self.ideals])
-        m = len(self.ideals)
-        leq = np.zeros((m, m), dtype=bool)
-        for i in range(m):
-            leq[i] = ~(masks[i][None, :] & ~masks).any(axis=1)
-        return leq
+    @fact
+    def _basis(self):
+        """(principal indices, cover, pp).  An ideal is the sum of its
+        cover, the largest principal ideals inside it.  pp[a, b] indexes
+        <x><y> for generators x, y of principals a and b: the ideal made by
+        xy and x g y for additive generators g (terms r xy s, r x r'y s).
+        """
+        ring, leq, of = self.ring, self.leq, self.principal_of
+        pidx, reps = np.unique(of, return_index=True)
+        mids = np.array([reps] + [ring.mul_vec(np.int64(g), reps)
+                                  for g in ring.addgens])
+        pp = np.array([leq[of[ring.mul_vec(x, mids)]].all(axis=0).argmax(1)
+                       for x in reps])
+        below = leq[pidx]
+        # count[a, k]: principal ideals b with <a> inside <b> inside ideal k
+        count = (leq[np.ix_(pidx, pidx)].astype(np.float32)
+                 @ below.astype(np.float32))
+        return pidx, [np.flatnonzero(c) for c in (below & (count == 1)).T], pp
 
-    @property
+    @fact
     def prod(self):
         """prod[i, j] is the index of the product of ideals i and j.
 
-        Read-only, and built on first use: callers that need only a few
-        products use product_idx, which stays lazy per pair.
+        Read-only, built on first use; product_idx finds one entry alone.
+        Products distribute over sums, so entry (i, j) is the least ideal
+        above the principal products of the covers of i and j.
         """
-        return once(self._facts, "prod", self._product_table)
-
-    def _product_table(self):
-        m = len(self.ideals)
-        table = np.array([[self.product_idx(i, j) for j in range(m)]
-                          for i in range(m)], dtype=np.int64)
-        table.setflags(write=False)
-        return table
+        _, cover, pp = self._basis
+        cols = np.concatenate(cover)
+        starts = np.cumsum([0] + [len(c) for c in cover[:-1]])
+        table = np.array([np.logical_and.reduceat(
+            self.leq[pp[np.ix_(rows, cols)]].all(axis=0), starts).argmax(1)
+            for rows in cover])
+        return readonly(table)
 
     def principal(self, x):
         """The principal ideal <x>, read from the principal_of index."""
         return self.ideals[self.principal_of[int(x)]]
 
     def product_idx(self, i, j):
-        return once(self._prod, (i, j), lambda: self.idx_of(
-            ideal_product(self.ideals[i], self.ideals[j])))
+        _, cover, pp = self._basis
+        held = self.leq[pp[np.ix_(cover[i], cover[j])].ravel()]
+        return int(held.all(axis=0).argmax())
 
     def sum_idx(self, i, j):
-        i, j = min(i, j), max(i, j)
-        return once(self._sum, (i, j), lambda: self.idx_of(
-            ideal_sum(self.ideals[i], self.ideals[j])))
+        """The least ideal above both: the order sorts by size."""
+        return int((self.leq[i] & self.leq[j]).argmax())
 
     def is_maximal_idx(self, i):
         """Proper, and only itself and the top lie above it."""
         return i != self.top_idx and int(self.leq[i].sum()) == 2
 
-    def is_prime_idx(self, i):
-        return once(self._prime, i, lambda: self._compute_prime(i))
+    @fact
+    def prime_flags(self):
+        """prime_flags[i] is True when ideal i is prime; read-only.
 
-    def _compute_prime(self, i):
-        """A proper P is prime iff no two principal ideals outside it
+        A proper P is prime iff no two principal ideals outside it
         multiply into it: for ideals A, B not inside P, pick a in A and
-        b in B outside P; then <a><b> lies in AB, commutative or not."""
-        if i == self.top_idx:
-            return False
-        inside = self.leq[:, i]
-        principals = once(self._facts, "principals",
-                          lambda: np.unique(self.principal_of).tolist())
-        outside = [a for a in principals if not inside[a]]
-        for a in outside:
-            for b in outside:
-                if self.leq[self.product_idx(a, b), i]:
-                    return False
-        return True
+        b in B outside P; then <a><b> lies in AB, commutative or not.
+        """
+        pidx, _, pp = self._basis
+        outside = ~self.leq[pidx]
+        hit = np.zeros(len(self.ideals), dtype=bool)
+        for a, row in enumerate(pp):
+            hit |= (outside[a] & outside & self.leq[row]).any(axis=0)
+        flags = ~hit
+        flags[self.top_idx] = False
+        return readonly(flags)
+
+    def is_prime_idx(self, i):
+        return bool(self.prime_flags[i])
+
+    @fact
+    def nilpotent_flags(self):
+        """nilpotent_flags[i] is True when ideal i is nilpotent; read-only.
+        I, I^2, I^4, ... settles within len(self) steps, at 0 iff nilpotent.
+        """
+        power = np.array([self.product_idx(i, i) for i in range(len(self))])
+        for _ in range(len(self.ideals).bit_length()):
+            power = power[power]
+        return readonly(power == 0)
 
     def is_nilpotent_idx(self, i):
-        return once(self._nilpotent, i,
-                    lambda: is_nilpotent_ideal(self.ideals[i]))
+        return bool(self.nilpotent_flags[i])
 
     def is_superfluous_idx(self, i):
-        """I + B = R forces B = R, checked against the whole lattice."""
-        top = self.top_idx
-        for b in range(len(self.ideals)):
-            if b != top and self.sum_idx(i, b) == top:
-                return False
-        return True
+        """I + B = R forces B = R: each proper B has a proper bound with I."""
+        top, leq = self.top_idx, self.leq
+        return bool((leq[i, :top] & leq[:top, :top]).any(axis=1).all())
 
     def maximal_indices(self):
         return [i for i in range(len(self.ideals)) if self.is_maximal_idx(i)]
 
     def prime_indices(self):
-        return [i for i in range(len(self.ideals)) if self.is_prime_idx(i)]
+        return np.flatnonzero(self.prime_flags).tolist()
 
 
 def _condensation_order(labels, n_comp, edges_src, edges_dst):
@@ -404,6 +398,22 @@ def _condensation_order(labels, n_comp, edges_src, edges_dst):
     return np.concatenate(levels).tolist(), kids, ptr
 
 
+def _unit_generators(ring):
+    """Unit-group generators: each the least unit outside those before."""
+    table, units = ring.mul_table, units_mask(ring)
+    reached = np.zeros(ring.size, dtype=bool)
+    reached[ring.one] = True
+    gens = []
+    while not reached[units].all():
+        gens.append(int(np.argmax(units & ~reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            nxt = np.unique(table[frontier[:, None], gens])
+            frontier = nxt[~reached[nxt]]
+            reached[frontier] = True
+    return gens
+
+
 def _budget_error(ring, masks, budget):
     partial = sorted(masks, key=lambda m: (int(m.sum()), m.tobytes()))
     return CapacityExceeded("ideal lattice larger than budget",
@@ -420,13 +430,17 @@ def enumerate_ideals(ring, budget=DEFAULT_IDEAL_BUDGET):
     n = ring.size
     idx = ring.elements
 
-    # multiplication-reachability graph: x -> g x and x -> x g
+    # multiplication-reachability graph: x -> m x and x -> x m, for m an
+    # additive generator or, on table rings, a unit-group generator
+    mults = list(ring.addgens)
+    if ring.mul_table is not None and ring.one is not None:
+        mults += _unit_generators(ring)
     dsts = [idx[:0]]
-    for g in ring.addgens:
-        g64 = np.int64(g)
-        dsts += [ring.mul_vec(g64, idx), ring.mul_vec(idx, g64)]
+    for m in mults:
+        m64 = np.int64(m)
+        dsts += [ring.mul_vec(m64, idx), ring.mul_vec(idx, m64)]
     dst = np.concatenate(dsts)
-    src = np.tile(idx, 2 * len(ring.addgens))
+    src = np.tile(idx, 2 * len(mults))
     graph = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)),
                        shape=(n, n))
     n_comp, labels = connected_components(graph, directed=True,
@@ -470,30 +484,35 @@ def enumerate_ideals(ring, budget=DEFAULT_IDEAL_BUDGET):
         comp_pid[c] = grow(base, extra) if extra.size else base
 
     # every ideal is a sum of principals: add one principal at a time, and
-    # close only when no known ideal of size |A||P|/|A & P| holds A | P
+    # close only when no known ideal of size |A||P|/|A & P| holds A and P;
+    # meet[k][j] = |ideal k & principal j|, and ideal k holds A iff it holds
+    # every principal inside A
     pids = sorted(set(comp_pid.tolist()))
     principals = np.array([masks[i] for i in pids])
     psizes = np.array([sizes[i] for i in pids])
-    of_size = {}
-    for i, size in enumerate(sizes):
-        of_size.setdefault(size, []).append(i)
+    meet = [np.count_nonzero(principals & mask, axis=1) for mask in masks]
     head = 0
     while head < len(masks):
-        a, asize = masks[head], sizes[head]
+        a, asize, common = masks[head], sizes[head], meet[head]
+        inside = np.array(meet) == psizes
+        holds_a = ~(inside[head] & ~inside).any(axis=1)
         head += 1
-        common = np.count_nonzero(principals & a, axis=1)
-        for j in np.flatnonzero((common != psizes) & (common != asize)):
-            size = asize * int(psizes[j]) // int(common[j])
-            union = a | principals[j]
-            if any(not (union & ~masks[k]).any()
-                   for k in of_size.get(size, ())):
+        js = np.flatnonzero((common != psizes) & (common != asize))
+        want = asize * psizes[js] // common[js]
+        known = (holds_a[:, None] & inside[:, js]
+                 & (np.array(sizes)[:, None] == want)).any(axis=0)
+        fresh = []
+        for j, size in zip(js[~known].tolist(), want[~known].tolist()):
+            if any(sizes[k] == size and meet[k][j] == psizes[j]
+                   for k in fresh):
                 continue
             if len(masks) >= budget:
                 raise _budget_error(ring, masks, budget)
-            of_size.setdefault(size, []).append(len(masks))
+            fresh.append(len(masks))
             masks.append(additive_closure(
                 ring, np.flatnonzero(principals[j] & ~a), a))
             sizes.append(size)
+            meet.append(np.count_nonzero(principals & masks[-1], axis=1))
     if len(masks) > budget:
         raise _budget_error(ring, masks, budget)
 

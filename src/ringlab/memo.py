@@ -4,7 +4,8 @@ Rings, ideals, lattices and ring contexts derive facts lazily and keep
 them in plain dicts.  ``once`` is the one way such a fact is filled: the
 first lookup computes and stores it, and every later lookup reads the
 stored value, so each fact is computed once per object and the work a
-run does repeats exactly.
+run does repeats exactly.  ``fact`` makes a method such a property, and
+``readonly`` locks an array that is shared as a fact.
 """
 
 
@@ -20,3 +21,20 @@ def once(table, key, compute):
         pass
     value = table[key] = compute()
     return value
+
+
+def readonly(array):
+    array.setflags(write=False)
+    return array
+
+
+def fact(compute):
+    """A property whose value is compute(obj), filled once in obj._facts."""
+    name = compute.__name__
+
+    def get(obj):
+        if name not in obj._facts:
+            once(obj._facts, name, lambda: compute(obj))
+        return obj._facts[name]
+
+    return property(get, doc=compute.__doc__)

@@ -1,33 +1,19 @@
 """Radicals and unit groups.
 
 For a finite ring the Jacobson radical equals the largest nilpotent ideal,
-which is how the primary routine computes it (join of the nilpotent members
-of the ideal lattice).  Two independent characterizations, via quasi-regular
-elements and via units, are provided as cross-checks and are used heavily by
-the test suite.
+which is how the primary routine computes it: a sum of nilpotent ideals is
+nilpotent, so the largest nilpotent ideal of the lattice holds the rest.
+Two independent characterizations, via quasi-regular elements and via
+units, are cross-checks and are used heavily by the test suite.
 """
 
 import numpy as np
 
 from .errors import NotApplicable, InternalInconsistency
-from .ideals import (IdealSet, enumerate_ideals, ideal_sum, zero_ideal,
-                     unit_ideal, is_nilpotent_ideal)
+from .ideals import IdealSet, enumerate_ideals, zero_ideal, unit_ideal
+from .rings import units_mask
 
 _CROSSCHECK_LIMIT = 4096
-
-
-def units_mask(ring):
-    """Elements with a two-sided inverse; empty when there is no identity."""
-    if ring.one is None:
-        return np.zeros(ring.size, dtype=bool)
-    one = ring.one
-    idx = ring.elements
-    out = np.zeros(ring.size, dtype=bool)
-    for u in range(ring.size):
-        u64 = np.int64(u)
-        both = (ring.mul_vec(u64, idx) == one) & (ring.mul_vec(idx, u64) == one)
-        out[u] = bool(both.any())
-    return out
 
 
 def quasi_regular_mask(ring):
@@ -48,15 +34,13 @@ def jacobson_radical(ring, lattice=None):
     """Largest nilpotent ideal, as an IdealSet."""
     if lattice is None:
         lattice = enumerate_ideals(ring)
-    acc = zero_ideal(ring)
-    for i in range(len(lattice.ideals)):
-        if lattice.is_nilpotent_idx(i):
-            acc = ideal_sum(acc, lattice.ideals[i])
-    if not is_nilpotent_ideal(acc):
+    nilpotent = np.flatnonzero(lattice.nilpotent_flags)
+    top = int(nilpotent[-1])
+    if not lattice.leq[nilpotent, top].all():
         raise InternalInconsistency("join of nilpotent ideals not nilpotent",
                                     ring=ring.label)
-    acc.label = "J(%s)" % ring.label
-    return acc
+    return IdealSet(ring, lattice.ideals[top].mask,
+                    label="J(%s)" % ring.label)
 
 
 def jacobson_via_quasiregular(ring, lattice=None):
@@ -105,9 +89,7 @@ def prime_radical(ring, lattice=None):
     primes = lattice.prime_indices()
     if not primes:
         return unit_ideal(ring), True
-    mask = np.ones(ring.size, dtype=bool)
-    for i in primes:
-        mask &= lattice.ideals[i].mask
+    mask = np.logical_and.reduce([lattice.ideals[i].mask for i in primes])
     return IdealSet(ring, mask, label="beta(%s)" % ring.label), False
 
 
@@ -124,12 +106,8 @@ def j_star(ring, ideal, lattice=None):
     if lattice is None:
         lattice = enumerate_ideals(ring)
     i = lattice.idx_of(ideal)
-    mask = np.ones(ring.size, dtype=bool)
-    hit = False
-    for m in lattice.maximal_indices():
-        if lattice.leq[i, m]:
-            mask &= lattice.ideals[m].mask
-            hit = True
-    if not hit:
+    above = [lattice.ideals[m].mask for m in lattice.maximal_indices()
+             if lattice.leq[i, m]]
+    if not above:
         return unit_ideal(ring)
-    return IdealSet(ring, mask)
+    return IdealSet(ring, np.logical_and.reduce(above))

@@ -18,14 +18,21 @@ import numpy as np
 
 from .errors import (InvalidParameter, InvalidModule, InvalidHom,
                      InvalidIdeal, RingMismatch)
-from .memo import once
+from .memo import fact, readonly
 
 TABLE_LIMIT = 4096
 MAX_RING_SIZE = 50_000_000
+_BLOCK_CELLS = 1 << 20      # cells per row block of a large gather
 
 
 def _as_idx(a):
     return np.asarray(a, dtype=np.int64)
+
+
+def _row_blocks(rows, width):
+    """Slices covering range(rows), each at most _BLOCK_CELLS cells wide."""
+    step = max(1, _BLOCK_CELLS // width)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _subgroup_extend(mask, x, add_vec):
@@ -80,8 +87,7 @@ class Ring:
         self._add_table = None
         self._mul_table = None
         self._neg_table = None
-        self._facts = {}        # addgens, one (None: no identity), commutative
-        self._elements = None
+        self._facts = {}        # elements, addgens, one, commutative
 
     # -- formula interface ------------------------------------------------
 
@@ -109,7 +115,8 @@ class Ring:
         since (s + t) + b = s + (t + b), and add[2t] = add[t][add[t]].
         The product rows replay the same steps on the finished sum table:
         mul[y] = add[mul[s], mul[t]] since (s + t)b = sb + tb, and
-        mul[2t] = add[mul[t], mul[t]].
+        mul[2t] = add[mul[t], mul[t]].  Each step gathers in row blocks,
+        so the transient memory stays near _BLOCK_CELLS cells.
         """
         n = self.size
         idx = self.elements
@@ -128,7 +135,8 @@ class Ring:
                 dst = row[src]
                 fresh = ~filled[dst]
                 src, dst = src[fresh], dst[fresh]
-                add[dst] = add[src[:, None], row]
+                for b in _row_blocks(src.size, n):
+                    add[dst[b]] = add[src[b, None], row]
                 filled[dst] = True
                 steps.append((src, dst))
                 t, row = int(row[t]), row[row]
@@ -136,13 +144,11 @@ class Ring:
         for g, steps in walk:
             row = self._mul_vec(np.int64(g), idx).astype(np.int32)
             for src, dst in steps:
-                mul[dst] = add[mul[src], row]
+                for b in _row_blocks(src.size, n):
+                    mul[dst[b]] = add[mul[src[b]], row]
                 row = add[row, row]
-        self._add_table = add
-        self._mul_table = mul
-        self._neg_table = self._neg_vec(idx).astype(np.int32)
-        for table in (self._add_table, self._mul_table, self._neg_table):
-            table.setflags(write=False)
+        self._add_table, self._mul_table = readonly(add), readonly(mul)
+        self._neg_table = readonly(self._neg_vec(idx).astype(np.int32))
 
     @property
     def mul_table(self):
@@ -151,11 +157,9 @@ class Ring:
             self._materialize()
         return self._mul_table
 
-    @property
+    @fact
     def elements(self):
-        if self._elements is None:
-            self._elements = np.arange(self.size, dtype=np.int64)
-        return self._elements
+        return np.arange(self.size, dtype=np.int64)
 
     def add_vec(self, a, b):
         a = _as_idx(a)
@@ -196,20 +200,17 @@ class Ring:
 
     # -- structure ----------------------------------------------------------
 
-    @property
+    @fact
     def addgens(self):
         """Additive generating set; every element is a Z-combination of these.
 
         Found with the formula addition, so the table walk can start from it.
         """
-        return once(self._facts, "addgens", lambda: _group_addgens(
-            self.size, self.zero, self._add_vec))
+        return _group_addgens(self.size, self.zero, self._add_vec)
 
-    @property
+    @fact
     def one(self):
-        return once(self._facts, "one", self._find_one)
-
-    def _find_one(self):
+        """The identity element, or None when the ring has none."""
         gens = self.addgens or [self.zero]
         cand = self._one_candidate()
         if cand is not None:
@@ -226,15 +227,8 @@ class Ring:
         hits = np.flatnonzero(ok)
         return int(hits[0]) if hits.size else None
 
-    @property
-    def has_one(self):
-        return self.one is not None
-
-    @property
+    @fact
     def commutative(self):
-        return once(self._facts, "commutative", self._commutes)
-
-    def _commutes(self):
         gens = self.addgens
         return all(self.mul(g, h) == self.mul(h, g)
                    for i, g in enumerate(gens) for h in gens[i + 1:])
@@ -265,6 +259,22 @@ def additive_closure(ring, seeds, base_mask=None):
         if not seeds.size:
             return mask
         _subgroup_extend(mask, int(seeds.min()), ring.add_vec)
+
+
+def units_mask(ring):
+    """Elements with a two-sided inverse; all False without an identity.
+
+    In a finite ring uv = 1 forces vu = 1 (x -> vx is one-to-one, so some
+    w has vw = 1, and u = uvw = w): u is a unit iff its row holds 1.
+    """
+    out = np.zeros(ring.size, dtype=bool)
+    if ring.one is None:
+        return out
+    idx, table = ring.elements, ring.mul_table
+    for b in _row_blocks(ring.size, ring.size):
+        rows = ring.mul_vec(idx[b, None], idx) if table is None else table[b]
+        out[b] = (rows == ring.one).any(axis=1)
+    return out
 
 
 def is_subgroup_mask(ring, mask):
@@ -511,13 +521,9 @@ class Module:
     def madd(self, a, b):
         return int(self.madd_vec(np.int64(a), np.int64(b)))
 
-    def act(self, r, m):
-        return int(self.act_vec(np.int64(r), np.int64(m)))
-
-    @property
+    @fact
     def addgens(self):
-        return once(self._facts, "addgens", lambda: _group_addgens(
-            self.size, self.zero, self.madd_vec))
+        return _group_addgens(self.size, self.zero, self.madd_vec)
 
 
 def additive_closure_mod(module, seeds, base_mask=None):
@@ -825,19 +831,6 @@ class Hom:
         self.target = target
         self.map = np.asarray(map_array, dtype=np.int64)
         self.label = label or "hom(%s -> %s)" % (source.label, target.label)
-        self.kernel_mask = self.map == target.zero
-        self.surjective = len(np.unique(self.map)) == target.size
-
-    def apply(self, e):
-        return int(self.map[int(e)])
-
-    def image_mask(self, mask):
-        out = np.zeros(self.target.size, dtype=bool)
-        out[self.map[np.flatnonzero(mask)]] = True
-        return out
-
-    def preimage_mask(self, mask):
-        return mask[self.map]
 
     def __repr__(self):
         return "<Hom %s>" % self.label

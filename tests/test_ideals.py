@@ -8,7 +8,7 @@ import pytest
 from test_exprs import _rand_ring
 
 from ringlab import exprs as E
-from ringlab import naive, rings
+from ringlab import ideals, naive, rings
 from ringlab.errors import CapacityExceeded, RinglabError
 from ringlab.exprs import build_ring, parse_ring_expr, print_ring
 from ringlab.ideals import (
@@ -28,6 +28,7 @@ from ringlab.ideals import (
     s_finite_witness,
     zero_ideal,
 )
+from ringlab.radicals import jacobson_radical, jacobson_via_quasiregular
 from ringlab.rings import additive_closure
 from ringlab.subsets import SubsetS
 
@@ -41,6 +42,7 @@ LATTICE_EXPRS = [
     "amalg(Z8, Z4, mod, gen(2))",
     "trunc(Z4, 2)",
     "idealring(Z36, gen(6))",
+    "idealring(Z8, gen(2))",
 ]
 
 
@@ -201,6 +203,77 @@ def test_formula_path_lattices_match_table_path(monkeypatch):
         assert (lattice.principal_of == want[expr].principal_of).all(), expr
 
 
+# --- work counts -------------------------------------------------------------
+
+# Multiplying by the additive generators leaves nearly every element of
+# these rings in its own reachability component; the unit multipliers merge
+# each class of associates (trunc(Z11, 3): 1,330 closures without, 3 with).
+UNIT_ORBIT_EXPRS = ["trunc(Z11, 3)", "Z320", "idealize(Z50, 25)",
+                    "amalg(Z60, Z30, mod, gen(2))"]
+
+
+def _count_closures(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].label)
+        return additive_closure(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "additive_closure", counted)
+    monkeypatch.setattr(rings, "additive_closure", counted)
+    return calls
+
+
+@pytest.mark.parametrize("expr", UNIT_ORBIT_EXPRS)
+def test_enumeration_runs_one_closure_per_ideal(expr, monkeypatch):
+    ring = build_ring(parse_ring_expr(expr))
+    ring.mul_table
+    calls = _count_closures(monkeypatch)
+    lattice = enumerate_ideals(ring)
+    assert 0 < len(calls) <= len(lattice), expr
+
+
+@pytest.mark.parametrize("expr", UNIT_ORBIT_EXPRS + [
+    "M(2, Z4)", "idealring(Z36, gen(6))", "M(2, Z2) x idealring(Z4, gen(2))"])
+def test_lattice_facts_run_no_closure(expr, monkeypatch):
+    ring = build_ring(parse_ring_expr(expr))
+    lattice = enumerate_ideals(ring)
+    calls = _count_closures(monkeypatch)
+    lattice.prod
+    lattice.prime_indices()
+    for i in range(len(lattice)):
+        lattice.is_nilpotent_idx(i)
+        lattice.is_superfluous_idx(i)
+        lattice.sum_idx(i, lattice.top_idx - i)
+    jacobson_radical(ring, lattice)
+    assert calls == [], expr
+    for flags in (lattice.prime_flags, lattice.nilpotent_flags):
+        assert not flags.flags.writeable
+
+
+def test_products_without_identity_or_commutativity():
+    """M(2, 2Z/12) is noncommutative and has no identity, so a principal
+    product <x><y> needs the x g y terms as well as xy.  prod is checked
+    against the closure route, and the prime and nilpotent flags against
+    their definitions over all ideal pairs."""
+    ring = build_ring(parse_ring_expr("M(2, idealring(Z12, gen(2)))"))
+    lattice = enumerate_ideals(ring)
+    ideals_, prod, leq = lattice.ideals, lattice.prod, lattice.leq
+    for i, a in enumerate(ideals_):
+        for j, b in enumerate(ideals_):
+            assert ideals_[prod[i, j]] == ideal_product(a, b)
+    for i in range(len(lattice)):
+        out = ~leq[:, i]
+        assert lattice.is_prime_idx(i) == (
+            i != lattice.top_idx and not leq[prod[np.ix_(out, out)], i].any())
+        power = i
+        while prod[power, i] != power:
+            power = prod[power, i]
+        assert lattice.is_nilpotent_idx(i) == (power == lattice.zero_idx)
+    assert jacobson_radical(ring, lattice) == \
+        jacobson_via_quasiregular(ring, lattice)
+
+
 # --- generated rings against the naive oracle -------------------------------
 
 def _size_bound(node):
@@ -291,6 +364,19 @@ def test_generated_lattices_match_naive(generated_rings):
         primes = {frozenset(map(int, lattice.ideals[i].members))
                   for i in lattice.prime_indices()}
         assert primes == set(naive.prime_ideals(nr)), label
+        sets = [frozenset(map(int, i.members)) for i in lattice.ideals]
+        for i, a in enumerate(sets):
+            for j, b in enumerate(sets):
+                assert sets[lattice.prod[i, j]] == \
+                    naive.ideal_product(nr, a, b), label
+                assert sets[lattice.sum_idx(i, j)] == \
+                    naive.ideal_sum(nr, a, b), label
+            assert lattice.is_nilpotent_idx(i) == \
+                naive.is_nilpotent_ideal(nr, a), label
+            assert lattice.is_superfluous_idx(i) == \
+                naive.is_superfluous(nr, a), label
+        jac = jacobson_radical(ring, lattice)
+        assert frozenset(map(int, jac.members)) == naive.jacobson(nr), label
 
 
 def test_s_finite_witness_on_finite_ring():

@@ -1,5 +1,7 @@
 """Ring axioms, vector/scalar agreement, homs, centers, flags."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from ringlab.rings import (
     make_matrix_ring,
     make_truncated_poly,
     make_zn,
+    units_mask,
 )
 from ringlab.ideals import principal_ideal
 
@@ -195,3 +198,20 @@ def test_max_ring_size_boundary(monkeypatch):
         make_matrix_ring(2, base2)
     with pytest.raises(InvalidParameter):
         make_truncated_poly(base4, 2)
+
+
+def test_table_build_peak_memory():
+    """The walk and the unit mask read in row blocks: building the Z4096
+    tables and its unit mask peaks within 16 MB of the tables' own bytes."""
+    ring = make_zn(4096)
+    tracemalloc.start()
+    try:
+        ring.mul_table
+        units = units_mask(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = sum(t.nbytes for t in (ring._add_table, ring.mul_table,
+                                    ring._neg_table))
+    assert peak < tables + 16 * 2**20
+    assert int(units.sum()) == 2048 and units[1] and not units[2]
