@@ -11,6 +11,10 @@ graph: elements in the same strongly connected component generate the same
 principal ideal, and principal ideals are built children first along the
 condensation DAG; on table rings with identity, unit-group generators join
 the additive ones as multipliers, since x, ux and xu generate one ideal.
+The components are found in numpy by array sweeps: the cycles of the
+multiplications that permute the ring are contracted by pointer doubling,
+elements with no way in or out are peeled off as singletons, and what is
+left is split by forward and backward label propagation ("colouring").
 Every ideal is a sum of principals, so the rest of the lattice comes from
 adding one principal at a time to each ideal found.  Since |A + B| =
 |A||B| / |A & B| for subgroups, a known ideal of that size holding both A
@@ -19,8 +23,6 @@ seen before.  Lattice facts are read from containment, with no closure.
 """
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityExceeded, InvalidIdeal
 from .memo import fact, once, readonly
@@ -372,20 +374,100 @@ class IdealLattice:
         return np.flatnonzero(self.prime_flags).tolist()
 
 
-def _condensation_order(labels, n_comp, edges_src, edges_dst):
-    """Children-first order of the condensation DAG, and its child lists.
+def _changes(values):
+    """True where an entry differs from the one before it, and at 0."""
+    return np.concatenate(([True], values[1:] != values[:-1]))[:values.size]
 
-    The children of component c are ``kids[ptr[c]:ptr[c + 1]]``.  The DAG
-    is peeled a level at a time: a component joins the order once all its
-    children have.
+
+def _distinct(values):
+    """Sorted distinct values; np.unique hashes first, which costs far
+    more than a sort on the edge keys here."""
+    values = np.sort(values)
+    return values[_changes(values)]
+
+
+def _strong_components(n, maps):
+    """(n_comp, labels) of the graph on range(n) with an edge x -> f[x]
+    for each map f in ``maps``.
+
+    The cycles of a map that permutes the nodes lie inside one component,
+    so each node first takes the least node of its orbit under those maps,
+    by pointer doubling.  On the contracted graph, a node with no edge in
+    or none out is a component alone (trimming).  Of the rest, each node
+    takes the largest id that reaches it (forward colouring); a node whose
+    colour is its own id is a root, and the nodes of its colour that reach
+    it form its component (Fleischer, Hendrickson and Pinar, "On
+    identifying strongly connected components in parallel", 2000).
     """
-    cs = labels[edges_src].astype(np.int64)
-    cd = labels[edges_dst].astype(np.int64)
+    ids = np.arange(n)
+    perms, rest = [], []
+    for f in maps:
+        (perms if np.bincount(f, minlength=n).max() == 1
+         else rest).append(f)
+    rep, changed = ids, True
+    while changed:
+        changed = False
+        for g in perms:
+            while True:
+                nxt = np.minimum(rep, rep[g])
+                if (nxt == rep).all():
+                    break
+                rep, g, changed = nxt, g[g], True
+
+    src = np.tile(rep, len(rest))
+    dst = rep[np.concatenate([ids[:0]] + rest)]
+    pairs = _distinct((src * n + dst)[src != dst])
+    src, dst = pairs // n, pairs % n
+    comp = ids.copy()
+    alive = rep == ids
+    while alive.any():
+        live = alive[src] & alive[dst]
+        src, dst = src[live], dst[live]
+        has_in = np.zeros(n, dtype=bool)
+        has_out = np.zeros(n, dtype=bool)
+        has_in[dst] = True
+        has_out[src] = True
+        lone = alive & ~(has_in & has_out)
+        if lone.any():
+            alive &= ~lone
+            continue
+        colour = np.where(alive, ids, -1)
+        while True:
+            nxt = colour.copy()
+            np.maximum.at(nxt, dst, colour[src])
+            if (nxt == colour).all():
+                break
+            colour = nxt
+        reached = alive & (colour == ids)
+        same = colour[src] == colour[dst]
+        back_src, back_dst = src[same], dst[same]
+        while True:
+            new = reached[back_dst] & ~reached[back_src]
+            if not new.any():
+                break
+            reached[back_src[new]] = True
+        comp[reached] = colour[reached]
+        alive &= ~reached
+    comp = comp[rep]
+    number = np.zeros(n, dtype=np.int64)
+    number[comp] = 1
+    number = np.cumsum(number) - 1
+    return int(number[-1]) + 1, number[comp]
+
+
+def _condensation_order(labels, n_comp, maps):
+    """Children-first levels of the condensation DAG, and its edges.
+
+    The DAG is peeled a level at a time: a component joins a level once
+    all its children are in earlier ones.  Edge i runs from component
+    ``parents[i]`` to its child ``kids[i]``, sorted by parent.
+    """
+    cs = np.tile(labels, len(maps))
+    cd = labels[np.concatenate([labels[:0]] + maps)]
     keep = cs != cd
-    pairs = np.unique(cs[keep] * n_comp + cd[keep])
-    src, kids = pairs // n_comp, pairs % n_comp
-    ptr = np.searchsorted(src, np.arange(n_comp + 1))
-    pending = np.diff(ptr)
+    pairs = _distinct(cs[keep] * n_comp + cd[keep])
+    parents, kids = pairs // n_comp, pairs % n_comp
+    pending = np.bincount(parents, minlength=n_comp)
     levels = []
     level = np.flatnonzero(pending == 0)
     while level.size:
@@ -393,9 +475,9 @@ def _condensation_order(labels, n_comp, edges_src, edges_dst):
         pending[level] = -1
         done = np.zeros(n_comp, dtype=bool)
         done[level] = True
-        pending -= np.bincount(src[done[kids]], minlength=n_comp)
+        pending -= np.bincount(parents[done[kids]], minlength=n_comp)
         level = np.flatnonzero(pending == 0)
-    return np.concatenate(levels).tolist(), kids, ptr
+    return levels, parents, kids
 
 
 def _unit_generators(ring):
@@ -414,6 +496,20 @@ def _unit_generators(ring):
     return gens
 
 
+def _reachability_maps(ring):
+    """The multiplication-reachability graph as maps x -> m x and x -> x m,
+    for m an additive generator or, on table rings, a unit-group one."""
+    mults = list(ring.addgens)
+    if ring.mul_table is not None and ring.one is not None:
+        mults += _unit_generators(ring)
+    maps = []
+    for m in mults:
+        m64 = np.int64(m)
+        maps += [ring.mul_vec(m64, ring.elements),
+                 ring.mul_vec(ring.elements, m64)]
+    return maps
+
+
 def _budget_error(ring, masks, budget):
     partial = sorted(masks, key=lambda m: (int(m.sum()), m.tobytes()))
     return CapacityExceeded("ideal lattice larger than budget",
@@ -428,27 +524,9 @@ def enumerate_ideals(ring, budget=DEFAULT_IDEAL_BUDGET):
     ``partial``) if more than ``budget`` ideals show up.
     """
     n = ring.size
-    idx = ring.elements
-
-    # multiplication-reachability graph: x -> m x and x -> x m, for m an
-    # additive generator or, on table rings, a unit-group generator
-    mults = list(ring.addgens)
-    if ring.mul_table is not None and ring.one is not None:
-        mults += _unit_generators(ring)
-    dsts = [idx[:0]]
-    for m in mults:
-        m64 = np.int64(m)
-        dsts += [ring.mul_vec(m64, idx), ring.mul_vec(idx, m64)]
-    dst = np.concatenate(dsts)
-    src = np.tile(idx, 2 * len(mults))
-    graph = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)),
-                       shape=(n, n))
-    n_comp, labels = connected_components(graph, directed=True,
-                                          connection="strong")
-    order, kids, ptr = _condensation_order(labels, n_comp, src, dst)
-
-    by_comp = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[by_comp], np.arange(n_comp + 1))
+    maps = _reachability_maps(ring)
+    n_comp, labels = _strong_components(n, maps)
+    levels, parents, kids = _condensation_order(labels, n_comp, maps)
 
     # masks[i] is the i-th distinct ideal found and sizes[i] its size; each
     # is hashed once, and comp_pid[c] indexes the principal ideal of c
@@ -466,22 +544,54 @@ def enumerate_ideals(ring, budget=DEFAULT_IDEAL_BUDGET):
             sizes.append(int(mask.sum()))
         return j
 
-    # principal ideal of each component, children first: the sum of the
-    # children's ideals (pairwise sums kept), grown by the component itself
-    comp_pid = np.zeros(n_comp, dtype=np.int64)
     joined = {}
-    for c in order:
-        below = sorted(set(comp_pid[kids[ptr[c]:ptr[c + 1]]].tolist()),
-                       key=lambda k: (-sizes[k], k))
-        base = below[0] if below else 0
-        for k in below[1:]:
-            if (base, k) not in joined:
-                extra = np.flatnonzero(masks[k] & ~masks[base])
-                joined[base, k] = grow(base, extra) if extra.size else base
-            base = joined[base, k]
-        members = by_comp[bounds[c]:bounds[c + 1]]
-        extra = members[~masks[base][members]]
-        comp_pid[c] = grow(base, extra) if extra.size else base
+
+    def join(a, b):
+        """Index of the ideal masks[a] + masks[b]; each pair is summed once."""
+        if sizes[a] < sizes[b]:
+            a, b = b, a
+        if (a, b) not in joined:
+            extra = np.flatnonzero(masks[b] & ~masks[a])
+            joined[a, b] = grow(a, extra) if extra.size else a
+        return joined[a, b]
+
+    # principal ideal of each component, a level at a time: the sum of its
+    # children's principals, folded two at a time over the distinct ones,
+    # then grown by any member that sum does not hold yet
+    comp_pid = np.zeros(n_comp, dtype=np.int64)
+    for level in levels:
+        in_level = np.zeros(n_comp, dtype=bool)
+        in_level[level] = True
+        edge = in_level[parents]
+        comp, pid = parents[edge], comp_pid[kids[edge]]
+        while True:
+            order = np.lexsort((pid, comp))
+            comp, pid = comp[order], pid[order]
+            first = _changes(comp)
+            keep = first | _changes(pid)
+            comp, pid, first = comp[keep], pid[keep], first[keep]
+            second = np.flatnonzero(~first)
+            second = second[first[second - 1]]
+            if not second.size:
+                break
+            known = len(masks)
+            key = pid[second - 1] * known + pid[second]
+            pairs = _distinct(key)
+            sums = np.array([join(k // known, k % known)
+                             for k in pairs.tolist()])
+            pid[second - 1] = sums[np.searchsorted(pairs, key)]
+            comp, pid = np.delete(comp, second), np.delete(pid, second)
+        base = np.zeros(n_comp, dtype=np.int64)
+        base[comp] = pid
+        comp_pid[level] = base[level]
+        x = np.flatnonzero(in_level[labels])
+        bx = base[labels[x]]
+        held = _distinct(bx)
+        inside = np.array([masks[k] for k in held])[
+            np.searchsorted(held, bx), x]
+        for c in _distinct(labels[x[~inside]]).tolist():
+            extra = np.flatnonzero((labels == c) & ~masks[base[c]])
+            comp_pid[c] = grow(base[c], extra)
 
     # every ideal is a sum of principals: add one principal at a time, and
     # close only when no known ideal of size |A||P|/|A & P| holds A and P;

@@ -13,6 +13,17 @@ def run_cli(*args):
         capture_output=True, text=True, timeout=600)
 
 
+def test_import_loads_no_scipy():
+    """numpy is the one runtime dependency (pyproject.toml)."""
+    p = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ringlab, ringlab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=600)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "[]"
+
+
 def test_describe():
     p = run_cli("describe", "Z36")
     assert p.returncode == 0

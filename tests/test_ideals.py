@@ -390,3 +390,73 @@ def test_s_finite_witness_on_finite_ring():
     assert not gen_mask[~ideal.mask].any()       # <F> stays inside I
     smem = ring.mul_vec(np.int64(s), ideal.members)
     assert gen_mask[smem].all()                  # s I lands inside <F>
+
+
+# --- strong components against boolean closure ------------------------------
+
+def _reference_components(n, maps):
+    """same[x, y]: x and y reach each other, by squaring the reachability
+    matrix until it settles."""
+    reach = np.eye(n, dtype=bool)
+    for f in maps:
+        reach[np.arange(n), f] = True
+    while True:
+        nxt = (reach.astype(np.float32) @ reach.astype(np.float32)) > 0
+        if (nxt == reach).all():
+            return reach & reach.T
+        reach = nxt
+
+
+def _assert_components(n, maps, label=""):
+    n_comp, labels = ideals._strong_components(n, maps)
+    assert labels.shape == (n,), label
+    assert sorted(set(labels.tolist())) == list(range(n_comp)), label
+    same = labels[:, None] == labels[None, :]
+    assert (same == _reference_components(n, maps)).all(), label
+
+
+def test_generated_strong_components_match_closure(generated_rings,
+                                                   monkeypatch):
+    for label, ring, _ in generated_rings:
+        _assert_components(ring.size, ideals._reachability_maps(ring), label)
+    # without tables there are no unit multipliers, so the colouring runs
+    monkeypatch.setattr(rings, "TABLE_LIMIT", 0)
+    for label, _, _ in generated_rings:
+        ring = build_ring(parse_ring_expr(label))
+        assert ring.mul_table is None, label
+        _assert_components(ring.size, ideals._reachability_maps(ring), label)
+
+
+def test_strong_components_of_one_long_cycle():
+    n = 4093
+    shift = (np.arange(n) + 1) % n
+    n_comp, labels = ideals._strong_components(n, [shift])
+    assert n_comp == 1 and not labels.any()
+
+
+def test_strong_components_of_synthetic_maps():
+    ids = np.arange(24)
+    falling = np.maximum(ids - 1, 0)           # a chain 23 -> 22 -> ... -> 0
+    rising = np.minimum(ids + 1, 23)
+    loops = ids.copy()
+    loops[::3] = 0                             # self-loops and a sink
+    _assert_components(24, [ids], "identity")
+    _assert_components(24, [loops], "self-loops")
+    _assert_components(24, [falling], "falling chain")
+    _assert_components(24, [rising, ids], "rising chain")
+    _assert_components(24, [falling, rising], "two-way chain")
+    # swaps (2 3) then (1 2): 3 learns its orbit's least element 1 only
+    # on a second pass over the permutations
+    _assert_components(4, [np.array([0, 1, 3, 2]), np.array([0, 2, 1, 3])],
+                       "chained swaps")
+    # cycles {0, 4} -> {1, 2} -> {3, 5} of non-permutation maps: the middle
+    # one takes colour 4 from the first but belongs to neither root
+    _assert_components(7, [np.array([4, 2, 1, 5, 0, 3, 0]),
+                           np.array([0, 1, 3, 3, 1, 5, 6])], "dipping cycles")
+    rng = np.random.default_rng(9)
+    for trial in range(40):
+        n = int(rng.integers(1, 40))
+        maps = [rng.permutation(n) for _ in range(rng.integers(0, 3))]
+        maps += [rng.integers(0, n, n) for _ in range(rng.integers(0, 3))]
+        maps += [np.minimum(np.arange(n) + rng.integers(1, 4), n - 1)]
+        _assert_components(n, maps, "random %d" % trial)

@@ -33,6 +33,13 @@ def test_size_cap():
         naive.NaiveRing(build_ring(parse_ring_expr("M(2, Z7)")))  # 2401
 
 
+def test_size_cap_boundary(monkeypatch):
+    monkeypatch.setattr(naive, "NAIVE_LIMIT", 12)
+    assert naive.NaiveRing(build_ring(parse_ring_expr("Z12"))).size == 12
+    with pytest.raises(InvalidParameter):
+        naive.NaiveRing(build_ring(parse_ring_expr("Z13")))
+
+
 def test_classical_sets(z12):
     assert naive.jacobson(z12) == frozenset({0, 6})
     assert naive.nilpotent_elements(z12) == frozenset({0, 6})

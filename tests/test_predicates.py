@@ -166,6 +166,21 @@ def test_capacity_guards():
                            method="elementwise")
 
 
+def test_elementwise_cap_boundary(monkeypatch):
+    monkeypatch.setattr(predicates, "ELEMENTWISE_LIMIT", 12)
+
+    def check(expr, method):
+        ring = build_ring(parse_ring_expr(expr))
+        zero = IdealSet(ring, principal_ideal(ring, 0).mask)
+        subset = SubsetS(ring, [ring.one], kind="mulclosed")
+        return is_right_S_J_ideal(ring, zero, subset, method=method)
+
+    got, want = check("Z12", "elementwise"), check("Z12", "lattice")
+    assert (got.verdict, got.witness_s) == (want.verdict, want.witness_s)
+    with pytest.raises(CapacityExceeded):
+        check("Z13", "elementwise")
+
+
 def test_parameter_guards(z36):
     ring, lattice, jac = z36
     ideal = IdealSet(ring, principal_ideal(ring, 4).mask)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ringlab import naive
+from ringlab import naive, radicals
 from ringlab.errors import NotApplicable
 from ringlab.exprs import build_ring, parse_ring_expr
 from ringlab.ideals import IdealSet, enumerate_ideals, principal_ideal
@@ -140,3 +140,15 @@ def test_prime_radical_degenerate_case():
     beta, degenerate = prime_radical(ring, lattice)
     assert degenerate
     assert beta.size == ring.size
+
+
+def test_crosscheck_cap_boundary(monkeypatch):
+    monkeypatch.setattr(radicals, "_CROSSCHECK_LIMIT", 12)
+    at = build_ring(parse_ring_expr("Z12"))
+    assert jacobson_via_quasiregular(at) == jacobson_radical(at)
+    assert jacobson_via_units(at) == jacobson_radical(at)
+    above = build_ring(parse_ring_expr("Z13"))
+    with pytest.raises(NotApplicable):
+        quasi_regular_mask(above)
+    with pytest.raises(NotApplicable):
+        jacobson_via_units(above)
