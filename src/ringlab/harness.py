@@ -1,33 +1,37 @@
 """Law verification harness.
 
 Thirty-three numbered laws about radical-relative ideal classes are run
-over a corpus of small finite rings.  Each law is encoded as a checker
-that filters instances by the law's hypotheses (vacuous instances are
-counted separately), evaluates the conclusion, and reports violations
-as fully replayable payloads: ring expression, ideal generators, subset
-spec, quantifier mode, and a labeled counterexample.
+over a corpus of small finite rings.  Each law filters instances by its
+hypotheses (vacuous instances are counted separately), evaluates the
+conclusion, and reports violations as fully replayable payloads: ring
+expression, ideal generators, subset spec, quantifier mode, and a
+labeled counterexample.
 
 Each corpus ring is a ``RingCtx``: the ring with its ideal lattice, its
 radicals, the picked ideals, subsets and quotients, and one owner per
-fact that several laws share.  ``sj`` and ``sj_witnesses`` give the
-fixed-s subset-radical verdict and its witness vector, both read from
-one violation table per ideal mask; ``right_sj`` gives the right-sided
-verdict (lattice method); ``j_check`` the plain radical-membership
-verdict; ``two_sided`` the read-only matrix T[a, b] = (aRb inside I)
-that P13 and P31 scan through ``two_sided_violation`` (rings above
-``PAIR_SCAN_LIMIT`` stream the scan instead); ``quotient_sj`` the left
-and right verdicts on the picked quotients, shared by P14/P15 and
-P29/P30; ``idealization`` the trivial extensions.  Each is computed once
-per mask (and subset) through ``memo.once``.  P4 reads lattice columns:
-A*s lies in T exactly when A lies in the colon (T : s).  Most laws walk
-the instances with ``RingCtx.pairs``, which yields every picked ideal
-with every picked subset it misses and counts the rest as vacuous.
-Checks on other derived rings (products, truncations, idealizations,
-amalgamations) call the predicates directly.
+fact that several laws share: ``sj``/``sj_witnesses`` (the fixed-s
+subset-radical verdict and its witness vector, from one violation table
+per mask), ``right_sj``, ``j_check``, the colons, ``two_sided`` (the
+aRb-inside-I matrix P13 and P31 scan), ``quotient_image`` and
+``quotient_sj`` (shared by P14/P15 and P29/P30) and ``idealization``.
+Each is computed once through ``memo.once`` into the context's one
+``memo``.  ``RingCtx.pairs`` yields every picked ideal with every picked
+subset it misses and counts the rest as vacuous.  Checks on other
+derived rings (products, truncations, idealizations, amalgamations)
+call the predicates directly.
 
-Reports are deterministic: the corpus is generated in a fixed order, no
-randomness is involved, and the laws run one after another in registry
-order on the calling thread.
+A law is a scope plus a body that checks one context.  The scope names
+the ``RingCtx`` flag a context needs (``comm_ident``, ``ident``, or None
+for every context).  Only P17 and P22 read several contexts; their scope
+is ``"corpus"`` and their body takes the corpus.  ``verify_properties``
+runs those two first, then walks the contexts in corpus order and runs
+each selected law in scope on each, into that law's own report.  When
+the walk leaves a context it clears the context's memo, so the memos
+hold one context's facts at a time.
+
+Reports are deterministic: the corpus is built in a fixed order, nothing
+is random, everything runs on the calling thread, and each law sees the
+contexts in corpus order.
 """
 
 import json
@@ -102,10 +106,6 @@ def default_threads():
 # corpus
 # ---------------------------------------------------------------------------
 
-def _memo():
-    return field(default_factory=dict, init=False, repr=False, compare=False)
-
-
 @dataclass
 class RingCtx:
     expr: str
@@ -119,18 +119,10 @@ class RingCtx:
     subsets: tuple = ()
     quotients: tuple = ()
     skipped: str = ""
-    # memos keyed by mask bytes: the left verdicts with their witness
-    # vectors and the right verdicts (per subset key), j_check, the
-    # two-sided matrices and the colons (per s or <s>); the quotient
-    # verdicts by (quotient index, side, image mask, image subset key);
-    # the idealizations by module order
-    _sj: dict = _memo()
-    _right: dict = _memo()
-    _j: dict = _memo()
-    _ext: dict = _memo()
-    _colon: dict = _memo()
-    _pair: dict = _memo()
-    _quot: dict = _memo()
+    # every fact below, keyed by (kind, ...); cleared when the registry
+    # walk leaves this context
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def comm_ident(self):
@@ -152,8 +144,16 @@ class RingCtx:
 
     def sj(self, ideal, subset):
         """is_S_J_ideal (fixed-s) of the ideal or mask against this
-        context's radical, for one of the context's subsets missing it."""
-        return self._left(ideal)[subset.key][1]
+        context's radical, for a subset of the ring missing it: read from
+        the mask's violation table for a context subset, checked once per
+        (mask, subset) for any other."""
+        mask = getattr(ideal, "mask", ideal)
+        if any(S.key == subset.key for S in self.subsets):
+            return self._left(mask)[subset.key][1]
+        return once(self.memo, ("sj", mask.tobytes(), subset.key),
+                    lambda: is_S_J_ideal(self.ring, mask, subset,
+                                         jacobson=self.jac,
+                                         lattice=self.lattice))
 
     def sj_witnesses(self, ideal, subset):
         """wits[k]: is subset.members[k] a fixed witness of the subset-
@@ -163,7 +163,7 @@ class RingCtx:
 
     def _left(self, ideal):
         mask = getattr(ideal, "mask", ideal)
-        return once(self._sj, mask.tobytes(),
+        return once(self.memo, ("sj", mask.tobytes()),
                     lambda: self._left_verdicts(mask))
 
     def _left_verdicts(self, imask):
@@ -193,7 +193,7 @@ class RingCtx:
         """is_right_S_J_ideal (lattice method, fixed-s) against this
         context's radical, kept per (mask, subset)."""
         mask = getattr(ideal, "mask", ideal)
-        return once(self._right, (mask.tobytes(), subset.key),
+        return once(self.memo, ("right", mask.tobytes(), subset.key),
                     lambda: is_right_S_J_ideal(
                         self.ring, mask, subset, lattice=self.lattice,
                         jacobson=self.jac))
@@ -205,13 +205,13 @@ class RingCtx:
         once, whichever caller reaches it first.
         """
         mask = getattr(ideal, "mask", ideal)
-        return once(self._j, mask.tobytes(), lambda: is_J_ideal(
+        return once(self.memo, ("j", mask.tobytes()), lambda: is_J_ideal(
             self.ring, mask, jacobson=self.jac, lattice=self.lattice))
 
     def two_sided(self, mask):
         """T[a, b] = (aRb inside the ideal) of a mask on this context's
         ring, kept read-only per mask; within PAIR_SCAN_LIMIT only."""
-        return once(self._pair, mask.tobytes(),
+        return once(self.memo, ("two_sided", mask.tobytes()),
                     lambda: readonly(two_sided_matrix(self.ring, mask)))
 
     def quotient_sj(self, q, qmask, simg, right=False):
@@ -220,27 +220,35 @@ class RingCtx:
         picked quotient, kept per (q, side, mask, subset)."""
         _, qring, _, qlat, qjac = self.quotients[q]
         check = is_right_S_J_ideal if right else is_S_J_ideal
-        return once(self._quot, (q, right, qmask.tobytes(), simg.key),
+        return once(self.memo, ("quot", q, right, qmask.tobytes(),
+                                simg.key),
                     lambda: check(qring, qmask, simg, lattice=qlat,
                                   jacobson=qjac))
+
+    def quotient_image(self, q, subset):
+        """The image of a context subset on the q-th picked quotient,
+        labeled by its members; built and validated once per (q, subset)."""
+        hom = self.quotients[q][2]
+        return once(self.memo, ("image", q, subset.key), lambda: _mulclosed(
+            subset_quotient_image(subset, hom)))
 
     def colon(self, mask, s):
         """(I : s) = {x : xs in I} of a mask on this context's ring, kept
         read-only per (mask, s)."""
-        return once(self._colon, (mask.tobytes(), "s", int(s)),
+        return once(self.memo, ("colon", mask.tobytes(), int(s)),
                     lambda: readonly(colon_elem_mask(self.ring, mask, s)))
 
     def colon_principal(self, mask, s):
         """(I : <s>) of a mask on this context's ring, kept read-only per
         (mask, <s>)."""
         sgen = self.lattice.principal(s)
-        return once(self._colon, (mask.tobytes(), "<s>", sgen.key),
+        return once(self.memo, ("colon<>", mask.tobytes(), sgen.key),
                     lambda: readonly(colon_ideal_mask(self.ring, mask, sgen)))
 
     def idealization(self, k):
         """(ext, lattice, radical) of the trivial extension of the ring by
         the cyclic module of order k, built once per k."""
-        return once(self._ext, k, lambda: self._idealize(k))
+        return once(self.memo, ("ext", k), lambda: self._idealize(k))
 
     def _idealize(self, k):
         ext = make_idealization(self.ring, make_cyclic_module(self.ring, k),
@@ -304,23 +312,12 @@ def default_ring_exprs():
 
 
 def _squarefree_radical(m):
-    out = 1
-    p = 2
-    mm = m
-    while p * p <= mm:
-        if mm % p == 0:
-            out *= p
-            while mm % p == 0:
-                mm //= p
-        p += 1
-    if mm > 1:
-        out *= mm
-    return out
+    """The product of the primes dividing m."""
+    return int(np.prod([p for p in _divisors(m) if len(_divisors(p)) == 2]))
 
 
 def _pick_ideals(ctx, limit=6):
-    lattice = ctx.lattice
-    ring = ctx.ring
+    lattice, ring = ctx.lattice, ctx.ring
     proper = [i for i in lattice.ideals if i.is_proper]
     chosen = []
     keys = set()
@@ -341,15 +338,12 @@ def _pick_ideals(ctx, limit=6):
         if len(chosen) >= limit:
             break
         take(i)
-    out = []
-    for idl in chosen:
-        out.append(IdealSet(ring, idl.mask, label=gens_label(ring, idl)))
-    return tuple(out)
+    return tuple(IdealSet(ring, idl.mask, label=gens_label(ring, idl))
+                 for idl in chosen)
 
 
 def _pick_subsets(ctx, limit=5):
-    ring = ctx.ring
-    jmask = ctx.jac.mask
+    ring, jmask = ctx.ring, ctx.jac.mask
     out = []
     keys = set()
 
@@ -397,8 +391,7 @@ def _pick_subsets(ctx, limit=5):
 
 
 def _pick_quotients(ctx, limit=2):
-    lattice = ctx.lattice
-    ring = ctx.ring
+    lattice, ring = ctx.lattice, ctx.ring
     picks = []
     keys = set()
     inside_jac = next((i for i in lattice.ideals
@@ -411,13 +404,10 @@ def _pick_quotients(ctx, limit=2):
             continue
         keys.add(k.key)
         qring, hom = canonical_surjection(ring, k.mask)
-        gens = minimal_generating_set(k)
-        qring.label = "quot(%s, gen(%s))" % (
-            ring.label, ", ".join(ring.element_label(g) for g in gens))
+        kernel = IdealSet(ring, k.mask, label=gens_label(ring, k))
+        qring.label = "quot(%s, %s)" % (ring.label, kernel.label)
         qlat = enumerate_ideals(qring)
         qjac = jacobson_radical(qring, qlat)
-        kernel = IdealSet(ring, k.mask, label="gen(%s)" % ", ".join(
-            ring.element_label(g) for g in gens))
         picks.append((kernel, qring, hom, qlat, qjac))
     return tuple(picks)
 
@@ -449,6 +439,11 @@ def build_corpus(config=None):
     (drop rings larger than this; setting any cap also drops the
     matrix-ring family wholesale, since those entries exist to exercise
     the lattice-mode path that a size cap is asking to avoid).
+
+    Entries of ``rings`` get the family ``custom``, and P17, P18 and
+    P20-P22 read only the ``zn`` and ``amalgamation`` families: on Z4,
+    Z6, Z8 and ``amalg(Z8, Z4, mod, gen(2))`` given as ``rings``, each
+    reports 0 tested and 0 vacuous.
     """
     if config is None:
         entries = default_ring_exprs()
@@ -487,12 +482,12 @@ def build_corpus(config=None):
 # ---------------------------------------------------------------------------
 
 class _Rep:
-    def __init__(self):
+    def __init__(self, notes=()):
         self.tested = 0
         self.vacuous = 0
         self.violated = 0
         self.violations = []
-        self.notes = {}
+        self.notes = dict(notes)
 
     def violation(self, ring, ideal, subset, counterexample, mode="fixed-s"):
         self.violated += 1
@@ -536,6 +531,13 @@ def _disjoint(ideal, subset):
     return not (ideal.mask & subset.mask).any()
 
 
+def _mulclosed(subset):
+    """Label a subset carried to a derived ring by its members."""
+    subset.label = "mulclosed(%s)" % ", ".join(
+        subset.ring.element_label(int(x)) for x in subset.members)
+    return subset
+
+
 def _right_witness(lattice, hyp, pidx, jidx, s):
     col = lattice.prod[:, lattice.principal_of[int(s)]]
     a_ok = lattice.leq[col, jidx]
@@ -544,595 +546,499 @@ def _right_witness(lattice, hyp, pidx, jidx, s):
 
 
 # ---------------------------------------------------------------------------
-# law checkers
+# law checkers: each body checks one context (P17 and P22 the corpus)
 # ---------------------------------------------------------------------------
 
-def _p1(corpus, rep):
+def _p1(ctx, rep):
     # a fixed witness s forces the whole ideal into (J(R) : s)
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
+    ring, jm = ctx.ring, ctx.jac.mask
+    for I, S in ctx.pairs(rep):
+        wits = ctx.sj_witnesses(I, S)
+        if not wits.any():
+            rep.vacuous += 1
             continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        for I, S in ctx.pairs(rep):
-            wits = ctx.sj_witnesses(I, S)
-            if not wits.any():
-                rep.vacuous += 1
+        rep.tested += 1
+        for s, ok in zip(S.members, wits):
+            if not ok:
                 continue
-            rep.tested += 1
-            for s, ok in zip(S.members, wits):
-                if not ok:
-                    continue
-                colon = ctx.colon(jm, s)
-                if (I.mask & ~colon).any():
-                    bad = int(np.flatnonzero(I.mask & ~colon)[0])
-                    rep.violation(ring, I, S, {
-                        "witness_s": ring.element_label(int(s)),
-                        "ideal_element_outside_colon":
-                            ring.element_label(bad)})
-                    break
+            colon = ctx.colon(jm, s)
+            if (I.mask & ~colon).any():
+                bad = int(np.flatnonzero(I.mask & ~colon)[0])
+                rep.violation(ring, I, S, {
+                    "witness_s": ring.element_label(int(s)),
+                    "ideal_element_outside_colon": ring.element_label(bad)})
+                break
 
 
-def _p2(corpus, rep):
+def _p2(ctx, rep):
     # radical-membership ideals sit inside the radical
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
+    ring = ctx.ring
+    for I in ctx.ideals:
+        if not ctx.j_check(I).verdict:
+            rep.vacuous += 1
             continue
-        ring = ctx.ring
-        for I in ctx.ideals:
-            if not ctx.j_check(I).verdict:
-                rep.vacuous += 1
-                continue
-            rep.tested += 1
-            if (I.mask & ~ctx.jac.mask).any():
-                bad = int(np.flatnonzero(I.mask & ~ctx.jac.mask)[0])
-                rep.violation(ring, I, None,
-                              {"element_outside_radical":
-                               ring.element_label(bad)})
+        rep.tested += 1
+        if (I.mask & ~ctx.jac.mask).any():
+            bad = int(np.flatnonzero(I.mask & ~ctx.jac.mask)[0])
+            rep.violation(ring, I, None,
+                          {"element_outside_radical": ring.element_label(bad)})
 
 
-def _p3(corpus, rep):
+def _p3(ctx, rep):
     # nilradical-relative implies radical-relative; radical ideal is
     # subset-radical iff subset-prime
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring = ctx.ring
-        beta = ctx.beta[0]
-        sub_free_done = set()
-        for I, S in ctx.pairs(rep):
-            rn = is_S_n_ideal(ring, I, S, beta=beta, lattice=ctx.lattice)
-            if rn.verdict:
+    ring, beta = ctx.ring, ctx.beta[0]
+    sub_free_done = set()
+    for I, S in ctx.pairs(rep):
+        rn = is_S_n_ideal(ring, I, S, beta=beta, lattice=ctx.lattice)
+        if rn.verdict:
+            rep.tested += 1
+            rj = ctx.sj(I, S)
+            if not rj.verdict:
+                rep.violation(ring, I, S, {
+                    "part": "subset-nilradical-but-not-subset-radical",
+                    "nilradical_check": _labeled_result(ring, rn),
+                    "radical_check": _labeled_result(ring, rj)})
+        else:
+            rep.vacuous += 1
+        if I.key not in sub_free_done:
+            sub_free_done.add(I.key)
+            n_res = is_n_ideal(ring, I, beta=beta, lattice=ctx.lattice)
+            if n_res.verdict:
                 rep.tested += 1
-                rj = ctx.sj(I, S)
-                if not rj.verdict:
-                    rep.violation(ring, I, S, {
-                        "part": "subset-nilradical-but-not-subset-radical",
-                        "nilradical_check": _labeled_result(ring, rn),
-                        "radical_check": _labeled_result(ring, rj)})
+                j_res = ctx.j_check(I)
+                if not j_res.verdict:
+                    rep.violation(ring, I, None, {
+                        "part": "nilradical-but-not-radical",
+                        "counterexample":
+                            label_indices(ring, j_res.counterexample)})
             else:
                 rep.vacuous += 1
-            if I.key not in sub_free_done:
-                sub_free_done.add(I.key)
-                n_res = is_n_ideal(ring, I, beta=beta, lattice=ctx.lattice)
-                if n_res.verdict:
-                    rep.tested += 1
-                    j_res = ctx.j_check(I)
-                    if not j_res.verdict:
-                        rep.violation(ring, I, None, {
-                            "part": "nilradical-but-not-radical",
-                            "counterexample":
-                                label_indices(ring, j_res.counterexample)})
-                else:
-                    rep.vacuous += 1
-        if ctx.jac.is_proper:
-            for S in ctx.subsets:
-                if not _disjoint(ctx.jac, S):
+    if ctx.jac.is_proper:
+        for S in ctx.subsets:
+            if not _disjoint(ctx.jac, S):
+                rep.vacuous += 1
+                continue
+            rep.tested += 1
+            rj = ctx.sj(ctx.jac, S)
+            rp = is_S_prime(ring, ctx.jac, S)
+            if rj.verdict != rp.verdict:
+                rep.violation(ring, ctx.jac, S, {
+                    "part": "radical-subset-radical-vs-subset-prime",
+                    "subset_radical": _labeled_result(ring, rj),
+                    "subset_prime": _labeled_result(ring, rp)})
+
+
+def _p4(ctx, rep):
+    # elementwise form agrees with the ideal-pair form, witness by witness
+    ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
+    for I, S in ctx.pairs(rep):
+        hyp_lat = lattice.leq[lattice.prod, lattice.idx_of(I)]
+        wits = ctx.sj_witnesses(I, S)
+        rep.tested += 1
+        for s, ok in zip(S.members, wits):
+            # A*s lies in T iff A lies in the ideal (T : s)
+            a_ok, b_ok = (lattice.leq[:, lattice.idx_of(IdealSet(
+                ring, ctx.colon(t, s)))] for t in (jm, I.mask))
+            pair_ok = first_violation(hyp_lat, a_ok, b_ok) is None
+            if pair_ok != bool(ok):
+                rep.violation(ring, I, S, {
+                    "s": ring.element_label(int(s)),
+                    "elementwise_witness": bool(ok),
+                    "ideal_pair_witness": pair_ok})
+                break
+
+
+def _p5(ctx, rep):
+    # (I : s) being a radical-membership ideal certifies the witness s;
+    # conversely when J(R) is itself such an ideal and misses S
+    ring, jm = ctx.ring, ctx.jac.mask
+    jac_is_j = ctx.j_check(ctx.jac).verdict
+    for I, S in ctx.pairs(rep):
+        wits = ctx.sj_witnesses(I, S)
+        conv = jac_is_j and not (jm & S.mask).any()
+        colon_j = []
+        for s in S.members:
+            cmask = ctx.colon(I.mask, s)
+            colon_j.append(not cmask.all() and ctx.j_check(cmask).verdict)
+        if not any(colon_j) and not (conv and wits.any()):
+            rep.vacuous += 1
+            continue
+        rep.tested += 1
+        for s, cj, w in zip(S.members, colon_j, wits):
+            if cj and not w:
+                rep.violation(ring, I, S, {
+                    "direction": "colon-certificate-but-no-witness",
+                    "s": ring.element_label(int(s))})
+                break
+            if conv and w and not cj:
+                rep.violation(ring, I, S, {
+                    "direction": "witness-but-colon-not-certificate",
+                    "s": ring.element_label(int(s))})
+                break
+
+
+def _colon_form(ctx, rep, form_b):
+    # form a (P6): witness s <=> (I : a) inside (J(R) : s) for every a
+    # outside (I : s); form b (P7): witness s <=> (I : b) inside (I : s)
+    # for every b outside (J(R) : s)
+    ring, jm = ctx.ring, ctx.jac.mask
+    els = ring.elements
+    for I, S in ctx.pairs(rep):
+        wits = ctx.sj_witnesses(I, S)
+        rep.tested += 1
+        for s, w in zip(S.members, wits):
+            skip, inner = ctx.colon(jm, s), ctx.colon(I.mask, s)
+            if form_b:
+                skip, inner = inner, skip
+            bad = np.flatnonzero(~skip)
+            rhs = True
+            if bad.size:
+                viol = I.mask[ring.mul_vec(bad[:, None],
+                                           els[None, :])].any(axis=0)
+                rhs = not (viol & ~inner).any()
+            if rhs != bool(w):
+                rep.violation(ring, I, S, {
+                    "s": ring.element_label(int(s)),
+                    "witness": bool(w), "colon_form": rhs})
+                break
+
+
+def _p6(ctx, rep):
+    _colon_form(ctx, rep, form_b=False)
+
+
+def _p7(ctx, rep):
+    _colon_form(ctx, rep, form_b=True)
+
+
+def _p8(ctx, rep):
+    # inside an ideal viewed as a ring, colon-stable ideals inherit the
+    # subset-radical law (radical of the small ring, same witness pool)
+    ring = ctx.ring
+    for I in ctx.ideals:
+        if I.size < 2:
+            continue
+        sub_ring = None
+        for S in ctx.subsets:
+            if not _disjoint(I, S):
+                rep.vacuous += 1
+                continue
+            if not ctx.sj_witnesses(I, S).any():
+                rep.vacuous += 1
+                continue
+            if sub_ring is None:
+                sub_ring = make_ideal_as_ring(ring, I.mask)
+                sub_lat = enumerate_ideals(sub_ring)
+                sub_jac = jacobson_radical(sub_ring, sub_lat)
+                nonzero = [int(sub_ring.pos[x]) for x in I.members
+                           if int(x) != ring.zero]
+            for P in sub_lat.ideals:
+                if not all(np.array_equal(colon_elem_mask(sub_ring, P.mask, m),
+                                          P.mask) for m in nonzero):
                     rep.vacuous += 1
                     continue
                 rep.tested += 1
-                rj = ctx.sj(ctx.jac, S)
-                rp = is_S_prime(ring, ctx.jac, S)
-                if rj.verdict != rp.verdict:
-                    rep.violation(ring, ctx.jac, S, {
-                        "part": "radical-subset-radical-vs-subset-prime",
-                        "subset_radical": _labeled_result(ring, rj),
-                        "subset_prime": _labeled_result(ring, rp)})
-
-
-def _p4(corpus, rep):
-    # elementwise form agrees with the ideal-pair form, witness by witness
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
-        for I, S in ctx.pairs(rep):
-            hyp_lat = lattice.leq[lattice.prod, lattice.idx_of(I)]
-            wits = ctx.sj_witnesses(I, S)
-            rep.tested += 1
-            for s, ok in zip(S.members, wits):
-                # A*s lies in T iff A lies in the ideal (T : s)
-                a_ok, b_ok = (lattice.leq[:, lattice.idx_of(IdealSet(
-                    ring, ctx.colon(t, s)))] for t in (jm, I.mask))
-                pair_ok = first_violation(hyp_lat, a_ok, b_ok) is None
-                if pair_ok != bool(ok):
+                sub_hyp = product_hyp_matrix(sub_ring, P.mask)
+                rows = (sub_ring.pos[ring.mul_vec(np.int64(s), I.members)]
+                        for s in S.members)
+                if not any(first_violation(sub_hyp, sub_jac.mask[row],
+                                           P.mask[row]) is None
+                           for row in rows):
                     rep.violation(ring, I, S, {
-                        "s": ring.element_label(int(s)),
-                        "elementwise_witness": bool(ok),
-                        "ideal_pair_witness": pair_ok})
-                    break
+                        "inner_ideal": [sub_ring.element_label(int(g))
+                                        for g in P.members],
+                        "note": "no member of S witnesses the law "
+                                "inside the ideal-as-ring"})
 
 
-def _p5(corpus, rep):
-    # (I : s) being a radical-membership ideal certifies the witness s;
-    # conversely when J(R) is itself such an ideal and misses S
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        jac_is_j = ctx.j_check(ctx.jac).verdict
-        for I, S in ctx.pairs(rep):
-            wits = ctx.sj_witnesses(I, S)
-            conv = jac_is_j and not (jm & S.mask).any()
-            colon_j = []
-            for s in S.members:
-                cmask = ctx.colon(I.mask, s)
-                colon_j.append(not cmask.all()
-                               and ctx.j_check(cmask).verdict)
-            if not any(colon_j) and not (conv and wits.any()):
-                rep.vacuous += 1
-                continue
-            rep.tested += 1
-            for s, cj, w in zip(S.members, colon_j, wits):
-                if cj and not w:
-                    rep.violation(ring, I, S, {
-                        "direction": "colon-certificate-but-no-witness",
-                        "s": ring.element_label(int(s))})
-                    break
-                if conv and w and not cj:
-                    rep.violation(ring, I, S, {
-                        "direction": "witness-but-colon-not-certificate",
-                        "s": ring.element_label(int(s))})
-                    break
-
-
-def _p6(corpus, rep):
-    # witness s  <=>  (I : a) inside (J(R) : s) for every a outside (I : s)
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        els = ring.elements
-        for I, S in ctx.pairs(rep):
-            wits = ctx.sj_witnesses(I, S)
-            rep.tested += 1
-            for s, w in zip(S.members, wits):
-                colon_s = ctx.colon(I.mask, s)
-                jcolon_s = ctx.colon(jm, s)
-                bad = np.flatnonzero(~jcolon_s)
-                if bad.size:
-                    viol_a = I.mask[ring.mul_vec(bad[:, None],
-                                                 els[None, :])].any(axis=0)
-                    rhs = not (viol_a & ~colon_s).any()
-                else:
-                    rhs = True
-                if rhs != bool(w):
-                    rep.violation(ring, I, S, {
-                        "s": ring.element_label(int(s)),
-                        "witness": bool(w), "colon_form": rhs})
-                    break
-
-
-def _p7(corpus, rep):
-    # witness s  <=>  (I : b) inside (I : s) for every b outside (J(R) : s)
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        els = ring.elements
-        for I, S in ctx.pairs(rep):
-            wits = ctx.sj_witnesses(I, S)
-            rep.tested += 1
-            for s, w in zip(S.members, wits):
-                colon_s = ctx.colon(I.mask, s)
-                jcolon_s = ctx.colon(jm, s)
-                bad = np.flatnonzero(~colon_s)
-                if bad.size:
-                    viol_b = I.mask[ring.mul_vec(bad[:, None],
-                                                 els[None, :])].any(axis=0)
-                    rhs = not (viol_b & ~jcolon_s).any()
-                else:
-                    rhs = True
-                if rhs != bool(w):
-                    rep.violation(ring, I, S, {
-                        "s": ring.element_label(int(s)),
-                        "witness": bool(w), "colon_form": rhs})
-                    break
-
-
-def _p8(corpus, rep):
-    # inside an ideal viewed as a ring, colon-stable ideals inherit the
-    # subset-radical law (radical of the small ring, same witness pool)
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring = ctx.ring
-        for I in ctx.ideals:
-            if I.size < 2:
-                continue
-            sub_ring = None
-            for S in ctx.subsets:
-                if not _disjoint(I, S):
-                    rep.vacuous += 1
-                    continue
-                if not ctx.sj_witnesses(I, S).any():
-                    rep.vacuous += 1
-                    continue
-                if sub_ring is None:
-                    sub_ring = make_ideal_as_ring(ring, I.mask)
-                    sub_lat = enumerate_ideals(sub_ring)
-                    sub_jac = jacobson_radical(sub_ring, sub_lat)
-                    base_members = I.members
-                    nonzero = [int(sub_ring.pos[x]) for x in base_members
-                               if int(x) != ring.zero]
-                for P in sub_lat.ideals:
-                    stable = all(
-                        np.array_equal(
-                            colon_elem_mask(sub_ring, P.mask, m), P.mask)
-                        for m in nonzero)
-                    if not stable:
-                        rep.vacuous += 1
-                        continue
-                    rep.tested += 1
-                    sub_hyp = product_hyp_matrix(sub_ring, P.mask)
-                    witnessed = False
-                    for s in S.members:
-                        row_base = ring.mul_vec(np.int64(s), base_members)
-                        row = sub_ring.pos[row_base]
-                        if first_violation(sub_hyp, sub_jac.mask[row],
-                                           P.mask[row]) is None:
-                            witnessed = True
-                            break
-                    if not witnessed:
-                        rep.violation(ring, I, S, {
-                            "inner_ideal": [sub_ring.element_label(int(g))
-                                            for g in P.members],
-                            "note": "no member of S witnesses the law "
-                                    "inside the ideal-as-ring"})
-
-
-def _p9(corpus, rep):
+def _p9(ctx, rep):
     # intersections of maximal ideals that satisfy the law force the
     # radical to be subset-finite (trivially true in finite rings)
-    rep.notes["degenerate"] = ("every ideal of a finite ring is finitely "
-                               "generated, so subset-finiteness always holds;"
-                               " the hypothesis chain is still exercised")
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
+    ring, jm = ctx.ring, ctx.jac.mask
+    for I in ctx.ideals:
+        jstar = j_star(ring, I, ctx.lattice)
+        if jstar.key != I.key:
+            rep.vacuous += 1
             continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        for I in ctx.ideals:
-            jstar = j_star(ring, I, ctx.lattice)
-            if jstar.key != I.key:
+        for S in ctx.subsets:
+            if not _disjoint(I, S):
                 rep.vacuous += 1
                 continue
-            for S in ctx.subsets:
-                if not _disjoint(I, S):
+            if not ctx.sj_witnesses(I, S).any():
+                rep.vacuous += 1
+                continue
+            rep.tested += 1
+            s = int(S.members.min())
+            fmask = ideal_generate(ring, minimal_generating_set(ctx.jac))
+            js = ring.mul_vec(ctx.jac.members, np.int64(s))
+            if not (fmask[js].all() and not (fmask & ~jm).any()):
+                rep.violation(ring, I, S, {
+                    "note": "no finite sandwich for the radical",
+                    "s": ring.element_label(s)})
+
+
+def _p10(ctx, rep):
+    # cancellation against an ideal never inside (J(R) : s): equal
+    # products force subset-finiteness (degenerate-true here)
+    ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
+    a_pool = list(ctx.ideals) + [unit_ideal(ring)]
+    for S in ctx.subsets:
+        sj = {I.key: ctx.sj_witnesses(I, S).any()
+              for I in ctx.ideals if _disjoint(I, S)}
+        for A in a_pool:
+            if A.key not in lattice.key_to_idx:
+                continue
+            big = all((A.mask & ~ctx.colon(jm, s)).any()
+                      for s in S.members)
+            if not big:
+                rep.vacuous += 1
+                continue
+            aidx = lattice.idx_of(A)
+            for I in ctx.ideals:
+                iidx = lattice.idx_of(I)
+                if I.key in sj:
+                    for J in ctx.ideals:
+                        if J.key not in sj:
+                            continue
+                        if not (sj[I.key] and sj[J.key]):
+                            rep.vacuous += 1
+                            continue
+                        ai = lattice.product_idx(aidx, iidx)
+                        aj = lattice.product_idx(aidx, lattice.idx_of(J))
+                        if ai != aj:
+                            rep.vacuous += 1
+                            continue
+                        rep.tested += 1
+                        s = int(S.members.min())
+                        js = ring.mul_vec(J.members, np.int64(s))
+                        if not J.mask[js].all():
+                            rep.violation(ring, J, S, {
+                                "note": "J*s escaped J",
+                                "s": ring.element_label(s)})
+                # part two: a subset-radical product AI bounds I
+                ai_ideal = lattice.ideals[lattice.product_idx(aidx, iidx)]
+                if not _disjoint(ai_ideal, S):
                     rep.vacuous += 1
                     continue
-                if not ctx.sj_witnesses(I, S).any():
+                if not ctx.sj_witnesses(ai_ideal, S).any():
                     rep.vacuous += 1
                     continue
                 rep.tested += 1
                 s = int(S.members.min())
-                fin = minimal_generating_set(ctx.jac)
-                fmask = ideal_generate(ring, fin)
-                js = ring.mul_vec(ctx.jac.members, np.int64(s))
-                if not (fmask[js].all() and not (fmask & ~jm).any()):
+                is_ = ring.mul_vec(I.members, np.int64(s))
+                if not I.mask[is_].all():
                     rep.violation(ring, I, S, {
-                        "note": "no finite sandwich for the radical",
+                        "note": "I*s escaped I",
                         "s": ring.element_label(s)})
 
 
-def _p10(corpus, rep):
-    # cancellation against an ideal never inside (J(R) : s): equal
-    # products force subset-finiteness (degenerate-true here)
-    rep.notes["degenerate"] = ("subset-finiteness is automatic in finite "
-                               "rings; hypotheses are still exercised")
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
-        a_pool = list(ctx.ideals) + [unit_ideal(ring)]
-        for S in ctx.subsets:
-            sj = {I.key: ctx.sj_witnesses(I, S).any()
-                  for I in ctx.ideals if _disjoint(I, S)}
-            for A in a_pool:
-                if A.key not in lattice.key_to_idx:
-                    continue
-                big = all((A.mask & ~ctx.colon(jm, s)).any()
-                          for s in S.members)
-                if not big:
-                    rep.vacuous += 1
-                    continue
-                aidx = lattice.idx_of(A)
-                for I in ctx.ideals:
-                    iidx = lattice.idx_of(I)
-                    if I.key in sj:
-                        for J in ctx.ideals:
-                            if J.key not in sj:
-                                continue
-                            if not (sj[I.key] and sj[J.key]):
-                                rep.vacuous += 1
-                                continue
-                            ai = lattice.product_idx(aidx, iidx)
-                            aj = lattice.product_idx(aidx,
-                                                     lattice.idx_of(J))
-                            if ai != aj:
-                                rep.vacuous += 1
-                                continue
-                            rep.tested += 1
-                            s = int(S.members.min())
-                            js = ring.mul_vec(J.members, np.int64(s))
-                            if not J.mask[js].all():
-                                rep.violation(ring, J, S, {
-                                    "note": "J*s escaped J",
-                                    "s": ring.element_label(s)})
-                    # part two: a subset-radical product AI bounds I
-                    ai_ideal = lattice.ideals[lattice.product_idx(aidx,
-                                                                  iidx)]
-                    if not _disjoint(ai_ideal, S):
-                        rep.vacuous += 1
-                        continue
-                    if not ctx.sj_witnesses(ai_ideal, S).any():
-                        rep.vacuous += 1
-                        continue
-                    rep.tested += 1
-                    s = int(S.members.min())
-                    is_ = ring.mul_vec(I.members, np.int64(s))
-                    if not I.mask[is_].all():
-                        rep.violation(ring, I, S, {
-                            "note": "I*s escaped I",
-                            "s": ring.element_label(s)})
-
-
-def _p11(corpus, rep):
+def _p11(ctx, rep):
     # the colon of a subset-radical ideal by any set X outside it keeps
     # the quantifier form of the law (disjointness tracked separately)
-    meets = 0
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
+    ring, jm = ctx.ring, ctx.jac.mask
+    els = ring.elements
+    for I, S in ctx.pairs(rep):
+        if not ctx.sj_witnesses(I, S).any():
+            rep.vacuous += 1
             continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        els = ring.elements
-        for I, S in ctx.pairs(rep):
-            if not ctx.sj_witnesses(I, S).any():
-                rep.vacuous += 1
-                continue
-            xsets = []
-            outside = [int(x) for x in range(ring.size)
-                       if not I.mask[x]][:2]
-            xsets.extend([x] for x in outside)
-            xsets.append([int(x) for x in S.members])
-            for xs in xsets:
-                cmask = np.logical_and.reduce(
-                    [ctx.colon(I.mask, x) for x in xs])
-                rep.tested += 1
-                if (cmask & S.mask).any():
-                    meets += 1
-                chyp = product_hyp_matrix(ring, cmask)
+        outside = [int(x) for x in range(ring.size) if not I.mask[x]][:2]
+        xsets = [[x] for x in outside] + [[int(x) for x in S.members]]
+        for xs in xsets:
+            cmask = np.logical_and.reduce(
+                [ctx.colon(I.mask, x) for x in xs])
+            rep.tested += 1
+            if (cmask & S.mask).any():
+                rep.notes["colon_meets_subset"] = \
+                    rep.notes.get("colon_meets_subset", 0) + 1
+            chyp = product_hyp_matrix(ring, cmask)
 
-                def disjuncts(s):
-                    row = ring.mul_vec(np.int64(s), els)
-                    return jm[row], cmask[row]
+            def disjuncts(s):
+                row = ring.mul_vec(np.int64(s), els)
+                return jm[row], cmask[row]
 
-                res = pair_scan(chyp, S.members, disjuncts, "fixed-s")
-                if not res.verdict:
-                    rep.violation(ring, I, S, {
-                        "x_set": [ring.element_label(x) for x in xs],
-                        "colon_check": _labeled_result(ring, res)})
-    if meets:
-        rep.notes["colon_meets_subset"] = meets
+            res = pair_scan(chyp, S.members, disjuncts, "fixed-s")
+            if not res.verdict:
+                rep.violation(ring, I, S, {
+                    "x_set": [ring.element_label(x) for x in xs],
+                    "colon_check": _labeled_result(ring, res)})
 
 
-def _p12(corpus, rep):
+def _p12(ctx, rep):
     # ideals maximal for the law are prime; primes equal to (J(R) : s)
     # are maximal for the law
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
-        for S in ctx.subsets:
-            flags = [idl.is_proper and _disjoint(idl, S)
-                     and ctx.sj_witnesses(idl, S).any()
-                     for idl in lattice.ideals]
-            sj_idx = [i for i, f in enumerate(flags) if f]
-            if sj_idx:
-                rep.tested += 1
-                maximal = [i for i in sj_idx
-                           if not any(j != i and lattice.leq[i, j]
-                                      for j in sj_idx)]
-                for i in maximal:
-                    if not lattice.is_prime_idx(i):
-                        rep.violation(ring, lattice.ideals[i], S, {
-                            "part": "maximal-for-the-law-but-not-prime"})
-            else:
-                rep.vacuous += 1
-            for i in range(len(lattice)):
-                idl = lattice.ideals[i]
-                if not lattice.is_prime_idx(i) or (idl.mask & S.mask).any():
-                    continue
-                hit = any(np.array_equal(ctx.colon(jm, s), idl.mask)
-                          for s in S.members)
-                if not hit:
-                    continue
-                rep.tested += 1
-                others = [j for j in sj_idx
-                          if j != i and lattice.leq[i, j]]
-                if i not in sj_idx or others:
-                    rep.violation(ring, idl, S, {
-                        "part": "prime-colon-form-not-maximal",
-                        "strictly_above": [
-                            [ring.element_label(g) for g in
-                             minimal_generating_set(lattice.ideals[j])]
-                            for j in others]})
+    ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
+    for S in ctx.subsets:
+        sj_idx = [i for i, idl in enumerate(lattice.ideals)
+                  if idl.is_proper and _disjoint(idl, S)
+                  and ctx.sj_witnesses(idl, S).any()]
+        if sj_idx:
+            rep.tested += 1
+            maximal = [i for i in sj_idx
+                       if not any(j != i and lattice.leq[i, j]
+                                  for j in sj_idx)]
+            for i in maximal:
+                if not lattice.is_prime_idx(i):
+                    rep.violation(ring, lattice.ideals[i], S, {
+                        "part": "maximal-for-the-law-but-not-prime"})
+        else:
+            rep.vacuous += 1
+        for i in range(len(lattice)):
+            idl = lattice.ideals[i]
+            if not lattice.is_prime_idx(i) or (idl.mask & S.mask).any():
+                continue
+            hit = any(np.array_equal(ctx.colon(jm, s), idl.mask)
+                      for s in S.members)
+            if not hit:
+                continue
+            rep.tested += 1
+            others = [j for j in sj_idx if j != i and lattice.leq[i, j]]
+            if i not in sj_idx or others:
+                rep.violation(ring, idl, S, {
+                    "part": "prime-colon-form-not-maximal",
+                    "strictly_above": [
+                        [ring.element_label(g) for g in
+                         minimal_generating_set(lattice.ideals[j])]
+                        for j in others]})
 
 
-def _p13(corpus, rep):
+def _p13(ctx, rep):
     # when (J(R) : s) = J(R), the witness law rewrites through the
     # maximal-intersection radical of I
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
+    ring, jm = ctx.ring, ctx.jac.mask
+    for I, S in ctx.pairs(rep):
+        good = [(int(s), bool(w))
+                for s, w in zip(S.members, ctx.sj_witnesses(I, S))
+                if np.array_equal(ctx.colon(jm, s), jm)]
+        if not good:
+            rep.vacuous += 1
             continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        for I, S in ctx.pairs(rep):
-            good = [(int(s), bool(w))
-                    for s, w in zip(S.members, ctx.sj_witnesses(I, S))
-                    if np.array_equal(ctx.colon(jm, s), jm)]
-            if not good:
-                rep.vacuous += 1
-                continue
-            jstar = j_star(ring, I, ctx.lattice)
-            rep.tested += 1
-            for s, lhs in good:
-                # ab in I forces a*s in J*(I) or b*s in I (aRb = abR here)
-                pair_ok = two_sided_violation(
-                    ring, I.mask, ctx.colon(jstar.mask, s),
-                    ctx.colon(I.mask, s), ctx.two_sided) is None
-                contain = not (I.mask & ~ctx.colon(jm, s)).any()
-                rhs = pair_ok and contain
-                if lhs != rhs:
-                    rep.violation(ring, I, S, {
-                        "s": ring.element_label(s),
-                        "witness": lhs, "rewritten_form": rhs})
-                    break
+        jstar = j_star(ring, I, ctx.lattice)
+        rep.tested += 1
+        for s, lhs in good:
+            # ab in I forces a*s in J*(I) or b*s in I (aRb = abR here)
+            pair_ok = two_sided_violation(
+                ring, I.mask, ctx.colon(jstar.mask, s),
+                ctx.colon(I.mask, s), ctx.two_sided) is None
+            contain = not (I.mask & ~ctx.colon(jm, s)).any()
+            rhs = pair_ok and contain
+            if lhs != rhs:
+                rep.violation(ring, I, S, {
+                    "s": ring.element_label(s),
+                    "witness": lhs, "rewritten_form": rhs})
+                break
 
 
-def _p14(corpus, rep):
+def _p14(ctx, rep):
     # the law transfers along surjections: forward when the kernel sits
     # inside the ideal, backward when it sits inside the radical
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        for q, (kernel, qring, hom, qlat, _) in enumerate(ctx.quotients):
-            for S in ctx.subsets:
-                simg = subset_quotient_image(
-                    S, hom, label="mulclosed(%s)" % ", ".join(
-                        qring.element_label(int(m))
-                        for m in np.unique(hom.map[S.members])))
-                for I in ctx.ideals:
-                    if not _disjoint(I, S):
-                        rep.vacuous += 1
-                        continue
-                    if not (kernel.mask & ~I.mask).any():
-                        if ctx.sj(I, S).verdict:
-                            rep.tested += 1
-                            qmask = np.zeros(qring.size, dtype=bool)
-                            qmask[hom.map[I.members]] = True
-                            if (qmask & simg.mask).any():
-                                rep.violation(ring, I, S, {
-                                    "part": "image-meets-image-subset"})
-                                continue
-                            qres = ctx.quotient_sj(q, qmask, simg)
-                            if not qres.verdict:
-                                rep.violation(ring, I, S, {
-                                    "part": "image-loses-the-law",
-                                    "quotient": qring.label,
-                                    "image_check":
-                                        _labeled_result(qring, qres)})
-                        else:
-                            rep.vacuous += 1
-                if (kernel.mask & ~jm).any():
+    ring, jm = ctx.ring, ctx.jac.mask
+    for q, (kernel, qring, hom, qlat, _) in enumerate(ctx.quotients):
+        for S in ctx.subsets:
+            simg = ctx.quotient_image(q, S)
+            for I in ctx.ideals:
+                if not _disjoint(I, S):
+                    rep.vacuous += 1
                     continue
-                for L in qlat.ideals:
-                    if not L.is_proper:
-                        continue
-                    if (L.mask & simg.mask).any():
-                        rep.vacuous += 1
-                        continue
-                    qres = ctx.quotient_sj(q, L.mask, simg)
-                    if not qres.verdict:
-                        rep.vacuous += 1
-                        continue
-                    rep.tested += 1
-                    pre = L.mask[hom.map]
-                    res = ctx.sj(pre, S)
-                    if not res.verdict:
-                        rep.violation(ring, IdealSet(ring, pre), S, {
-                            "part": "preimage-loses-the-law",
-                            "quotient": qring.label,
-                            "base_check": _labeled_result(ring, res)})
-
-
-def _p15(corpus, rep):
-    # quotient correspondence: the law passes to P2/P1 and, when P1 is
-    # small enough (inside the radical, or radical-membership), back up
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
-            k_in_jac = not (kernel.mask & ~jm).any()
-            k_is_j = ctx.j_check(kernel).verdict
-            uppers = [i for i in ctx.lattice.ideals
-                      if i.is_proper and not (kernel.mask & ~i.mask).any()]
-            for S in ctx.subsets:
-                simg = subset_quotient_image(
-                    S, hom, label="mulclosed(%s)" % ", ".join(
-                        qring.element_label(int(m))
-                        for m in np.unique(hom.map[S.members])))
-                for P2 in uppers:
-                    if (P2.mask & S.mask).any():
-                        rep.vacuous += 1
-                        continue
-                    qmask = np.zeros(qring.size, dtype=bool)
-                    qmask[hom.map[P2.members]] = True
-                    down = ctx.sj(P2, S)
-                    up = ctx.quotient_sj(q, qmask, simg) \
-                        if not (qmask & simg.mask).any() else None
-                    hit = False
-                    if down.verdict:
-                        hit = True
-                        if up is None or not up.verdict:
-                            rep.violation(ring, P2, S, {
-                                "part": "law-lost-in-quotient",
-                                "quotient": qring.label})
-                    if up is not None and up.verdict and (k_in_jac or k_is_j):
-                        hit = True
-                        if not down.verdict:
-                            rep.violation(ring, P2, S, {
-                                "part": "law-not-lifted-from-quotient",
-                                "quotient": qring.label,
-                                "kernel_inside_radical": k_in_jac,
-                                "kernel_is_radical_membership": k_is_j})
-                    if hit:
+                if not (kernel.mask & ~I.mask).any():
+                    if ctx.sj(I, S).verdict:
                         rep.tested += 1
+                        qmask = np.zeros(qring.size, dtype=bool)
+                        qmask[hom.map[I.members]] = True
+                        if (qmask & simg.mask).any():
+                            rep.violation(ring, I, S, {
+                                "part": "image-meets-image-subset"})
+                            continue
+                        qres = ctx.quotient_sj(q, qmask, simg)
+                        if not qres.verdict:
+                            rep.violation(ring, I, S, {
+                                "part": "image-loses-the-law",
+                                "quotient": qring.label,
+                                "image_check": _labeled_result(qring, qres)})
                     else:
                         rep.vacuous += 1
-
-
-def _p16(corpus, rep):
-    # the intersection of two ideals satisfying the law satisfies it
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring = ctx.ring
-        for S in ctx.subsets:
-            holders = [I for I in ctx.ideals
-                       if _disjoint(I, S) and ctx.sj(I, S).verdict]
-            if len(holders) < 2:
-                rep.vacuous += 1
+            if (kernel.mask & ~jm).any():
                 continue
-            for i in range(len(holders)):
-                for j in range(i + 1, len(holders)):
+            for L in qlat.ideals:
+                if not L.is_proper:
+                    continue
+                if (L.mask & simg.mask).any():
+                    rep.vacuous += 1
+                    continue
+                qres = ctx.quotient_sj(q, L.mask, simg)
+                if not qres.verdict:
+                    rep.vacuous += 1
+                    continue
+                rep.tested += 1
+                pre = L.mask[hom.map]
+                res = ctx.sj(pre, S)
+                if not res.verdict:
+                    rep.violation(ring, IdealSet(ring, pre), S, {
+                        "part": "preimage-loses-the-law",
+                        "quotient": qring.label,
+                        "base_check": _labeled_result(ring, res)})
+
+
+def _p15(ctx, rep):
+    # quotient correspondence: the law passes to P2/P1 and, when P1 is
+    # small enough (inside the radical, or radical-membership), back up
+    ring, jm = ctx.ring, ctx.jac.mask
+    for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
+        k_in_jac = not (kernel.mask & ~jm).any()
+        k_is_j = ctx.j_check(kernel).verdict
+        uppers = [i for i in ctx.lattice.ideals
+                  if i.is_proper and not (kernel.mask & ~i.mask).any()]
+        for S in ctx.subsets:
+            simg = ctx.quotient_image(q, S)
+            for P2 in uppers:
+                if (P2.mask & S.mask).any():
+                    rep.vacuous += 1
+                    continue
+                qmask = np.zeros(qring.size, dtype=bool)
+                qmask[hom.map[P2.members]] = True
+                down = ctx.sj(P2, S)
+                up = ctx.quotient_sj(q, qmask, simg) \
+                    if not (qmask & simg.mask).any() else None
+                hit = False
+                if down.verdict:
+                    hit = True
+                    if up is None or not up.verdict:
+                        rep.violation(ring, P2, S, {
+                            "part": "law-lost-in-quotient",
+                            "quotient": qring.label})
+                if up is not None and up.verdict and (k_in_jac or k_is_j):
+                    hit = True
+                    if not down.verdict:
+                        rep.violation(ring, P2, S, {
+                            "part": "law-not-lifted-from-quotient",
+                            "quotient": qring.label,
+                            "kernel_inside_radical": k_in_jac,
+                            "kernel_is_radical_membership": k_is_j})
+                if hit:
                     rep.tested += 1
-                    mask = holders[i].mask & holders[j].mask
-                    res = ctx.sj(mask, S)
-                    if not res.verdict:
-                        rep.violation(ring, IdealSet(ring, mask), S, {
-                            "intersection_of": [holders[i].label,
-                                                holders[j].label],
-                            "check": _labeled_result(ring, res)})
+                else:
+                    rep.vacuous += 1
+
+
+def _p16(ctx, rep):
+    # the intersection of two ideals satisfying the law satisfies it
+    ring = ctx.ring
+    for S in ctx.subsets:
+        holders = [I for I in ctx.ideals
+                   if _disjoint(I, S) and ctx.sj(I, S).verdict]
+        if len(holders) < 2:
+            rep.vacuous += 1
+            continue
+        for i in range(len(holders)):
+            for j in range(i + 1, len(holders)):
+                rep.tested += 1
+                mask = holders[i].mask & holders[j].mask
+                res = ctx.sj(mask, S)
+                if not res.verdict:
+                    rep.violation(ring, IdealSet(ring, mask), S, {
+                        "intersection_of": [holders[i].label,
+                                            holders[j].label],
+                        "check": _labeled_result(ring, res)})
 
 
 def _p17(corpus, rep):
@@ -1161,19 +1067,17 @@ def _p17(corpus, rep):
                     for Sb in cb.subsets[:2]:
                         rep.tested += 1
                         meets = bool((cb.jac.mask & Sb.mask).any())
+                        mask = np.zeros(prod.size, dtype=bool)
                         if first:
                             s12 = subset_product(Sa, Sb, prod)
-                            mask = np.zeros(prod.size, dtype=bool)
                             block = (I.members[:, None] * cb.ring.size
                                      + np.arange(cb.ring.size)[None, :])
                         else:
                             s12 = subset_product(Sb, Sa, prod)
-                            mask = np.zeros(prod.size, dtype=bool)
                             block = (np.arange(cb.ring.size)[:, None]
                                      * ca.ring.size + I.members[None, :])
                         mask[block.ravel()] = True
-                        s12.label = "mulclosed(%s)" % ", ".join(
-                            prod.element_label(int(x)) for x in s12.members)
+                        _mulclosed(s12)
                         whole = is_S_J_ideal(prod, mask, s12, jacobson=pjac,
                                              lattice=plat)
                         expect = comp.verdict and meets
@@ -1185,129 +1089,109 @@ def _p17(corpus, rep):
                                 "product_verdict": whole.verdict})
 
 
-def _p18(corpus, rep):
+def _p18(ctx, rep):
     # truncated-polynomial analog of the power-series transfer; reported
     # but non-gating
-    rep.notes["non_gating"] = ("finite analog on R[x]/(x^d); the source "
-                               "statement concerns full power series")
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident or ctx.family != "zn" or ctx.ring.size > 8:
+    if ctx.family != "zn" or ctx.ring.size > 8:
+        return
+    ring, jm = ctx.ring, ctx.jac.mask
+    if not ctx.j_check(ctx.jac).verdict:
+        rep.vacuous += 1
+        return
+    n = ring.size
+    for d in (2, 3):
+        trunc = make_truncated_poly(ring, d,
+                                    label="trunc(%s, %d)" % (ctx.expr, d))
+        tlat = enumerate_ideals(trunc)
+        tjac = jacobson_radical(trunc, tlat)
+        lift_expected = jm[np.arange(trunc.size) % n]
+        if not np.array_equal(tjac.mask, lift_expected):
+            rep.tested += 1
+            rep.violation(trunc, tjac, None, {
+                "part": "radical-shape",
+                "note": "radical of the truncated ring is not "
+                        "constant-term-in-radical"})
             continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        if not ctx.j_check(ctx.jac).verdict:
-            rep.vacuous += 1
-            continue
-        n = ring.size
-        for d in (2, 3):
-            trunc = make_truncated_poly(ring, d,
-                                        label="trunc(%s, %d)" % (ctx.expr, d))
-            tlat = enumerate_ideals(trunc)
-            tjac = jacobson_radical(trunc, tlat)
-            lift_expected = jm[np.arange(trunc.size) % n]
-            if not np.array_equal(tjac.mask, lift_expected):
-                rep.tested += 1
-                rep.violation(trunc, tjac, None, {
-                    "part": "radical-shape",
-                    "note": "radical of the truncated ring is not "
-                            "constant-term-in-radical"})
-                continue
-            for I, S in ctx.pairs(rep):
-                lift = np.ones(trunc.size, dtype=bool)
-                c = np.arange(trunc.size)
-                for _ in range(d):
-                    lift &= I.mask[c % n]
-                    c //= n
-                rep.tested += 1
-                sc = subset_const_embed(
-                    S, trunc, label="mulclosed(%s)" % ", ".join(
-                        trunc.element_label(int(x)) for x in S.members))
-                base = ctx.sj(I, S)
-                up = is_S_J_ideal(trunc, lift, sc, jacobson=tjac,
-                                  lattice=tlat)
-                if base.verdict != up.verdict:
-                    rep.violation(trunc, IdealSet(trunc, lift), sc, {
-                        "base_ring": ctx.expr,
-                        "base_verdict": base.verdict,
-                        "lifted_verdict": up.verdict})
+        for I, S in ctx.pairs(rep):
+            lift = np.ones(trunc.size, dtype=bool)
+            c = np.arange(trunc.size)
+            for _ in range(d):
+                lift &= I.mask[c % n]
+                c //= n
+            rep.tested += 1
+            sc = _mulclosed(subset_const_embed(S, trunc))
+            base = ctx.sj(I, S)
+            up = is_S_J_ideal(trunc, lift, sc, jacobson=tjac, lattice=tlat)
+            if base.verdict != up.verdict:
+                rep.violation(trunc, IdealSet(trunc, lift), sc, {
+                    "base_ring": ctx.expr,
+                    "base_verdict": base.verdict,
+                    "lifted_verdict": up.verdict})
 
 
-def _p19(corpus, rep):
-    rep.notes["out_of_scope"] = ("the statement quantifies over a full "
-                                 "polynomial ring, which is infinite; no "
-                                 "finite instance represents it faithfully")
+def _nothing(ctx, rep):
+    """The body of a law that no finite instance represents."""
 
 
-def _p20(corpus, rep):
+def _p20(ctx, rep):
     # trivial-extension equivalence: I+M works iff I works
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident or ctx.family != "zn":
-            continue
-        n = ctx.ring.size
-        ks = [k for k in _divisors(n) if k >= 2 and n * k <= IDEALIZE_CAP]
-        picks = []
-        if ks:
-            picks.append(ks[0])
-            if len(ks) > 1:
-                picks.append(ks[-1])
-        for k in dict.fromkeys(picks):
-            ext, elat, ejac = ctx.idealization(k)
-            for I, S in ctx.pairs(rep):
+    if ctx.family != "zn":
+        return
+    n = ctx.ring.size
+    ks = [k for k in _divisors(n) if k >= 2 and n * k <= IDEALIZE_CAP]
+    for k in dict.fromkeys(ks[:1] + ks[-1:]):
+        ext, elat, ejac = ctx.idealization(k)
+        for I, S in ctx.pairs(rep):
+            emask = np.zeros(ext.size, dtype=bool)
+            emask[(I.members[:, None] * k
+                   + np.arange(k)[None, :]).ravel()] = True
+            rep.tested += 1
+            se = _mulclosed(subset_idealization(S, ext))
+            base = ctx.sj(I, S)
+            up = is_S_J_ideal(ext, emask, se, jacobson=ejac, lattice=elat)
+            if base.verdict != up.verdict:
+                rep.violation(ext, IdealSet(ext, emask), se, {
+                    "base_ring": ctx.expr,
+                    "base_verdict": base.verdict,
+                    "extension_verdict": up.verdict})
+
+
+def _p21(ctx, rep):
+    # trivial extension, proper submodule: the law for I+N forces it for I
+    if ctx.family != "zn":
+        return
+    ring, n = ctx.ring, ctx.ring.size
+    ks = [k for k in _divisors(n) if k >= 2 and n * k <= IDEALIZE_CAP]
+    for k in ks[-1:]:
+        ext, elat, ejac = ctx.idealization(k)
+        for I in ctx.ideals:
+            prods = (I.members[:, None] * np.arange(k)[None, :]) % k
+            for t in _divisors(k):
+                nmem = np.arange(0, k, t, dtype=np.int64)
+                nmask = np.zeros(k, dtype=bool)
+                nmask[nmem] = True
+                if not nmask[prods].all():
+                    continue
                 emask = np.zeros(ext.size, dtype=bool)
                 emask[(I.members[:, None] * k
-                       + np.arange(k)[None, :]).ravel()] = True
-                rep.tested += 1
-                se = subset_idealization(S, ext)
-                se.label = "mulclosed(%s)" % ", ".join(
-                    ext.element_label(int(x)) for x in se.members)
-                base = ctx.sj(I, S)
-                up = is_S_J_ideal(ext, emask, se, jacobson=ejac,
-                                  lattice=elat)
-                if base.verdict != up.verdict:
-                    rep.violation(ext, IdealSet(ext, emask), se, {
-                        "base_ring": ctx.expr,
-                        "base_verdict": base.verdict,
-                        "extension_verdict": up.verdict})
-
-
-def _p21(corpus, rep):
-    # trivial extension, proper submodule: the law for I+N forces it for I
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident or ctx.family != "zn":
-            continue
-        ring, n = ctx.ring, ctx.ring.size
-        ks = [k for k in _divisors(n) if k >= 2 and n * k <= IDEALIZE_CAP]
-        for k in ks[-1:]:
-            ext, elat, ejac = ctx.idealization(k)
-            for I in ctx.ideals:
-                prods = (I.members[:, None] * np.arange(k)[None, :]) % k
-                for t in _divisors(k):
-                    nmem = np.arange(0, k, t, dtype=np.int64)
-                    nmask = np.zeros(k, dtype=bool)
-                    nmask[nmem] = True
-                    if not nmask[prods].all():
+                       + nmem[None, :]).ravel()] = True
+                for S in ctx.subsets:
+                    if not _disjoint(I, S):
+                        rep.vacuous += 1
                         continue
-                    emask = np.zeros(ext.size, dtype=bool)
-                    emask[(I.members[:, None] * k
-                           + nmem[None, :]).ravel()] = True
-                    for S in ctx.subsets:
-                        if not _disjoint(I, S):
-                            rep.vacuous += 1
-                            continue
-                        se = subset_idealization(S, ext)
-                        se.label = "mulclosed(%s)" % ", ".join(
-                            ext.element_label(int(x)) for x in se.members)
-                        up = is_S_J_ideal(ext, emask, se, jacobson=ejac,
-                                          lattice=elat)
-                        if not up.verdict:
-                            rep.vacuous += 1
-                            continue
-                        rep.tested += 1
-                        base = ctx.sj(I, S)
-                        if not base.verdict:
-                            rep.violation(ext, IdealSet(ext, emask), se, {
-                                "base_ring": ctx.expr,
-                                "submodule_index": t,
-                                "base_check": _labeled_result(ring, base)})
+                    se = _mulclosed(subset_idealization(S, ext))
+                    up = is_S_J_ideal(ext, emask, se, jacobson=ejac,
+                                      lattice=elat)
+                    if not up.verdict:
+                        rep.vacuous += 1
+                        continue
+                    rep.tested += 1
+                    base = ctx.sj(I, S)
+                    if not base.verdict:
+                        rep.violation(ext, IdealSet(ext, emask), se, {
+                            "base_ring": ctx.expr,
+                            "submodule_index": t,
+                            "base_check": _labeled_result(ring, base)})
 
 
 def _p22(corpus, rep):
@@ -1330,12 +1214,8 @@ def _p22(corpus, rep):
             rep.tested += 1
             sb = SubsetS(amalg.base, S.members, kind=S.kind, check=False,
                          label=S.label)
-            sa = subset_amalgamation(sb, amalg)
-            sa.label = "mulclosed(%s)" % ", ".join(
-                amalg.element_label(int(x)) for x in sa.members)
-            base = base_ctx.sj(I, S)
-            up = is_S_J_ideal(amalg, amask, sa, jacobson=ctx.jac,
-                              lattice=ctx.lattice)
+            sa = _mulclosed(subset_amalgamation(sb, amalg))
+            base, up = base_ctx.sj(I, S), ctx.sj(amask, sa)
             if base.verdict != up.verdict:
                 rep.violation(amalg, IdealSet(amalg, amask), sa, {
                     "base_ring": base_expr,
@@ -1343,312 +1223,136 @@ def _p22(corpus, rep):
                     "amalgamation_verdict": up.verdict})
 
 
-def _p23(corpus, rep):
+def _p23(ctx, rep):
     # three faces of the right-sided law: full ideal pairs, principal
     # pairs, and the elementwise two-sided form
-    for ctx in corpus.contexts:
-        if not ctx.ident:
-            continue
-        ring, lattice = ctx.ring, ctx.lattice
-        prod = lattice.prod
-        jidx = lattice.idx_of(ctx.jac)
-        prin = np.unique(lattice.principal_of)
-        for P, S in ctx.pairs(rep):
-            pidx = lattice.idx_of(P)
-            hyp_pr = lattice.leq[prod, pidx][np.ix_(prin, prin)]
-            rep.tested += 1
-            pair = False
-            for s in S.members:
-                col = prod[:, lattice.principal_of[int(s)]]
-                a_ok = lattice.leq[col, jidx][prin]
-                b_ok = lattice.leq[col, pidx][prin]
-                if first_violation(hyp_pr, a_ok, b_ok) is None:
-                    pair = True
-                    break
-            verdicts = {"ideal_pairs": ctx.right_sj(P, S).verdict,
-                        "principal_pairs": pair}
-            if ring.size <= ELEMENTWISE_LIMIT:
-                el = is_right_S_J_ideal(ring, P, S, lattice=lattice,
-                                        jacobson=ctx.jac,
-                                        method="elementwise")
-                verdicts["elementwise"] = el.verdict
-            if len(set(verdicts.values())) > 1:
-                rep.violation(ring, P, S, verdicts)
+    ring, lattice = ctx.ring, ctx.lattice
+    prod = lattice.prod
+    jidx = lattice.idx_of(ctx.jac)
+    prin = np.unique(lattice.principal_of)
+    for P, S in ctx.pairs(rep):
+        pidx = lattice.idx_of(P)
+        hyp_pr = lattice.leq[prod, pidx][np.ix_(prin, prin)]
+        rep.tested += 1
+        cols = (prod[:, lattice.principal_of[int(s)]] for s in S.members)
+        pair = any(first_violation(hyp_pr, lattice.leq[col, jidx][prin],
+                                   lattice.leq[col, pidx][prin]) is None
+                   for col in cols)
+        verdicts = {"ideal_pairs": ctx.right_sj(P, S).verdict,
+                    "principal_pairs": pair}
+        if ring.size <= ELEMENTWISE_LIMIT:
+            el = is_right_S_J_ideal(ring, P, S, lattice=lattice,
+                                    jacobson=ctx.jac, method="elementwise")
+            verdicts["elementwise"] = el.verdict
+        if len(set(verdicts.values())) > 1:
+            rep.violation(ring, P, S, verdicts)
 
 
-def _p24(corpus, rep):
+def _p24(ctx, rep):
     # on commutative identity rings the elementwise and right-sided
     # definitions agree
-    for ctx in corpus.contexts:
-        if not ctx.comm_ident:
-            continue
-        ring = ctx.ring
-        for P, S in ctx.pairs(rep):
-            rep.tested += 1
-            left, right = ctx.sj(P, S), ctx.right_sj(P, S)
-            if left.verdict != right.verdict:
-                rep.violation(ring, P, S, {
-                    "elementwise": _labeled_result(ring, left),
-                    "ideal_pairs": _labeled_result(ring, right)})
+    ring = ctx.ring
+    for P, S in ctx.pairs(rep):
+        rep.tested += 1
+        left, right = ctx.sj(P, S), ctx.right_sj(P, S)
+        if left.verdict != right.verdict:
+            rep.violation(ring, P, S, {
+                "elementwise": _labeled_result(ring, left),
+                "ideal_pairs": _labeled_result(ring, right)})
 
 
-def _p25(corpus, rep):
+def _p25(ctx, rep):
     # right subset-prime ideals inside the radical satisfy the right law
-    for ctx in corpus.contexts:
-        ring = ctx.ring
-        for P, S in ctx.pairs(rep):
-            if ((P.mask & ~ctx.jac.mask).any()
-                    or not is_right_S_prime(ring, P, S,
-                                            lattice=ctx.lattice).verdict):
-                rep.vacuous += 1
-                continue
-            rep.tested += 1
-            res = ctx.right_sj(P, S)
-            if not res.verdict:
-                rep.violation(ring, P, S, {
-                    "check": _labeled_result(ring, res)})
+    ring = ctx.ring
+    for P, S in ctx.pairs(rep):
+        if ((P.mask & ~ctx.jac.mask).any()
+                or not is_right_S_prime(ring, P, S,
+                                        lattice=ctx.lattice).verdict):
+            rep.vacuous += 1
+            continue
+        rep.tested += 1
+        res = ctx.right_sj(P, S)
+        if not res.verdict:
+            rep.violation(ring, P, S, {"check": _labeled_result(ring, res)})
 
 
-def _p26(corpus, rep):
+def _j_colon(ctx, mask, s):
+    """Is (I : <s>) a proper radical-membership ideal?"""
+    q = ctx.colon_principal(mask, s)
+    return not q.all() and ctx.j_check(q).verdict
+
+
+def _p26(ctx, rep):
     # (P : <s>) satisfies the right law for some s iff P does
-    for ctx in corpus.contexts:
-        if not ctx.ident:
-            continue
-        ring = ctx.ring
-        for P, S in ctx.pairs(rep):
-            rep.tested += 1
-            rhs = ctx.right_sj(P, S).verdict
-            lhs = False
-            for s in S.members:
-                q = ctx.colon_principal(P.mask, s)
-                if (q & S.mask).any() or q.all():
-                    continue
-                if ctx.right_sj(q, S).verdict:
-                    lhs = True
-                    break
-            if lhs != rhs:
-                rep.violation(ring, P, S, {
-                    "colon_side": lhs, "direct_side": rhs})
+    ring = ctx.ring
+    for P, S in ctx.pairs(rep):
+        rep.tested += 1
+        rhs = ctx.right_sj(P, S).verdict
+        colons = (ctx.colon_principal(P.mask, s) for s in S.members)
+        lhs = any(not ((q & S.mask).any() or q.all())
+                  and ctx.right_sj(q, S).verdict for q in colons)
+        if lhs != rhs:
+            rep.violation(ring, P, S, {"colon_side": lhs, "direct_side": rhs})
 
 
-def _p27(corpus, rep):
+def _p27(ctx, rep):
     # (P : <s>) being a radical-membership ideal certifies the right law
-    for ctx in corpus.contexts:
-        if not ctx.ident:
+    ring = ctx.ring
+    for P, S in ctx.pairs(rep):
+        cert = next((int(s) for s in S.members
+                     if _j_colon(ctx, P.mask, s)), None)
+        if cert is None:
+            rep.vacuous += 1
             continue
-        ring = ctx.ring
-        for P, S in ctx.pairs(rep):
-            cert = None
-            for s in S.members:
-                q = ctx.colon_principal(P.mask, s)
-                if q.all():
-                    continue
-                if ctx.j_check(q).verdict:
-                    cert = int(s)
-                    break
-            if cert is None:
-                rep.vacuous += 1
-                continue
-            rep.tested += 1
-            res = ctx.right_sj(P, S)
-            if not res.verdict:
-                rep.violation(ring, P, S, {
-                    "certifying_s": ring.element_label(cert),
-                    "check": _labeled_result(ring, res)})
+        rep.tested += 1
+        res = ctx.right_sj(P, S)
+        if not res.verdict:
+            rep.violation(ring, P, S, {
+                "certifying_s": ring.element_label(cert),
+                "check": _labeled_result(ring, res)})
 
 
-def _p28(corpus, rep):
+def _p28(ctx, rep):
     # converse of the colon certificate under central S and a stable
     # radical colon
-    for ctx in corpus.contexts:
-        if not ctx.ident:
+    ring, jm = ctx.ring, ctx.jac.mask
+    cmask = center_mask(ring)
+    for S in ctx.subsets:
+        if not cmask[S.members].all():
+            rep.vacuous += 1
             continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        cmask = center_mask(ring)
-        for S in ctx.subsets:
-            if not cmask[S.members].all():
+        good = [int(s) for s in S.members
+                if not (ctx.colon_principal(jm, s) & S.mask).any()
+                and _j_colon(ctx, jm, s)]
+        if not good:
+            rep.vacuous += 1
+            continue
+        for P in ctx.ideals:
+            if not _disjoint(P, S):
                 rep.vacuous += 1
                 continue
-            good = []
-            for s in S.members:
-                qj = ctx.colon_principal(jm, s)
-                if qj.all() or (qj & S.mask).any():
-                    continue
-                if ctx.j_check(qj).verdict:
-                    good.append(int(s))
-            if not good:
-                rep.vacuous += 1
-                continue
-            for P in ctx.ideals:
-                if not _disjoint(P, S):
-                    rep.vacuous += 1
-                    continue
-                if not ctx.right_sj(P, S).verdict:
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                for s in good:
-                    q = ctx.colon_principal(P.mask, s)
-                    if q.all() or not ctx.j_check(q).verdict:
-                        rep.violation(ring, P, S, {
-                            "s": ring.element_label(s),
-                            "colon_is_whole_ring": bool(q.all())})
-                        break
-
-
-def _p29(corpus, rep):
-    # right law pushes forward along surjections with kernel inside P
-    for ctx in corpus.contexts:
-        ring = ctx.ring
-        for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
-            for P in ctx.ideals:
-                if (kernel.mask & ~P.mask).any():
-                    rep.vacuous += 1
-                    continue
-                for S in ctx.subsets:
-                    if not _disjoint(P, S):
-                        rep.vacuous += 1
-                        continue
-                    if not ctx.right_sj(P, S).verdict:
-                        rep.vacuous += 1
-                        continue
-                    rep.tested += 1
-                    qmask = np.zeros(qring.size, dtype=bool)
-                    qmask[hom.map[P.members]] = True
-                    simg = subset_quotient_image(S, hom)
-                    simg.label = "mulclosed(%s)" % ", ".join(
-                        qring.element_label(int(m)) for m in simg.members)
-                    if (qmask & simg.mask).any():
-                        rep.violation(ring, P, S, {
-                            "part": "image-meets-image-subset",
-                            "quotient": qring.label})
-                        continue
-                    qres = ctx.quotient_sj(q, qmask, simg, right=True)
-                    if not qres.verdict:
-                        rep.violation(ring, P, S, {
-                            "quotient": qring.label,
-                            "image_check": _labeled_result(qring, qres)})
-
-
-def _p30(corpus, rep):
-    # right law pulls back when the kernel sits in both P and the radical
-    for ctx in corpus.contexts:
-        ring, jm = ctx.ring, ctx.jac.mask
-        for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
-            if (kernel.mask & ~jm).any():
-                continue
-            for P in ctx.ideals:
-                if (kernel.mask & ~P.mask).any():
-                    rep.vacuous += 1
-                    continue
-                for S in ctx.subsets:
-                    if not _disjoint(P, S):
-                        rep.vacuous += 1
-                        continue
-                    qmask = np.zeros(qring.size, dtype=bool)
-                    qmask[hom.map[P.members]] = True
-                    simg = subset_quotient_image(S, hom)
-                    simg.label = "mulclosed(%s)" % ", ".join(
-                        qring.element_label(int(m)) for m in simg.members)
-                    if (qmask & simg.mask).any():
-                        rep.vacuous += 1
-                        continue
-                    qres = ctx.quotient_sj(q, qmask, simg, right=True)
-                    if not qres.verdict:
-                        rep.vacuous += 1
-                        continue
-                    rep.tested += 1
-                    res = ctx.right_sj(P, S)
-                    if not res.verdict:
-                        rep.violation(ring, P, S, {
-                            "quotient": qring.label,
-                            "base_check": _labeled_result(ring, res)})
-
-
-def _p31(corpus, rep):
-    # with (J(R) : <s>) = J(R): witness s for the right law iff P sits
-    # in the colon and the elementwise two-sided form holds through the
-    # maximal-intersection radical
-    for ctx in corpus.contexts:
-        if not ctx.ident:
-            continue
-        ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
-        jidx = lattice.idx_of(ctx.jac)
-        for P, S in ctx.pairs(rep):
-            good = [int(s) for s in S.members
-                    if np.array_equal(ctx.colon_principal(jm, s), jm)]
-            if not good:
-                rep.vacuous += 1
-                continue
-            pidx = lattice.idx_of(P)
-            hyp = lattice.leq[lattice.prod, pidx]
-            jstar = j_star(ring, P, lattice)
-            rep.tested += 1
-            for s in good:
-                lhs = _right_witness(lattice, hyp, pidx, jidx, s)
-                contain = not (P.mask & ~ctx.colon_principal(jm, s)).any()
-                a_skip = ctx.colon_principal(jstar.mask, s)
-                b_skip = ctx.colon_principal(P.mask, s)
-                pair_ok = two_sided_violation(ring, P.mask, a_skip, b_skip,
-                                              ctx.two_sided) is None
-                rhs = contain and pair_ok
-                if lhs != rhs:
-                    rep.violation(ring, P, S, {
-                        "s": ring.element_label(s),
-                        "witness": lhs, "rewritten_form": rhs})
-                    break
-
-
-def _p32(corpus, rep):
-    # right law puts P inside (J(R) : <s>); on the radical itself the
-    # right law and right subset-primeness coincide
-    for ctx in corpus.contexts:
-        if not ctx.ident:
-            continue
-        ring, jm = ctx.ring, ctx.jac.mask
-        for P, S in ctx.pairs(rep):
             if not ctx.right_sj(P, S).verdict:
                 rep.vacuous += 1
                 continue
             rep.tested += 1
-            if not any(not (P.mask & ~ctx.colon_principal(jm, s)).any()
-                       for s in S.members):
-                rep.violation(ring, P, S, {"part": "no-colon-container"})
-        if ctx.jac.is_proper:
-            for S in ctx.subsets:
-                if not _disjoint(ctx.jac, S):
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                rj = ctx.right_sj(ctx.jac, S)
-                rp = is_right_S_prime(ring, ctx.jac, S, lattice=ctx.lattice)
-                if rj.verdict != rp.verdict:
-                    rep.violation(ring, ctx.jac, S, {
-                        "part": "radical-right-law-vs-right-prime",
-                        "right_law": _labeled_result(ring, rj),
-                        "right_prime": _labeled_result(ring, rp)})
-
-
-def _p33(corpus, rep):
-    # in a local identity ring with a radical-membership colon, every
-    # ideal satisfying the right law is superfluous
-    for ctx in corpus.contexts:
-        if not ctx.ident:
-            continue
-        ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
-        if len(lattice.maximal_indices()) != 1:
-            continue
-        for S in ctx.subsets:
-            good = False
-            for s in S.members:
-                q = ctx.colon_principal(jm, s)
-                if not q.all() and ctx.j_check(q).verdict:
-                    good = True
+            for s in good:
+                q = ctx.colon_principal(P.mask, s)
+                if q.all() or not ctx.j_check(q).verdict:
+                    rep.violation(ring, P, S, {
+                        "s": ring.element_label(s),
+                        "colon_is_whole_ring": bool(q.all())})
                     break
-            if not good:
+
+
+def _p29(ctx, rep):
+    # right law pushes forward along surjections with kernel inside P
+    ring = ctx.ring
+    for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
+        for P in ctx.ideals:
+            if (kernel.mask & ~P.mask).any():
                 rep.vacuous += 1
                 continue
-            for P in ctx.ideals:
+            for S in ctx.subsets:
                 if not _disjoint(P, S):
                     rep.vacuous += 1
                     continue
@@ -1656,8 +1360,131 @@ def _p33(corpus, rep):
                     rep.vacuous += 1
                     continue
                 rep.tested += 1
-                if not lattice.is_superfluous_idx(lattice.idx_of(P)):
-                    rep.violation(ring, P, S, {"part": "not-superfluous"})
+                qmask = np.zeros(qring.size, dtype=bool)
+                qmask[hom.map[P.members]] = True
+                simg = ctx.quotient_image(q, S)
+                if (qmask & simg.mask).any():
+                    rep.violation(ring, P, S, {
+                        "part": "image-meets-image-subset",
+                        "quotient": qring.label})
+                    continue
+                qres = ctx.quotient_sj(q, qmask, simg, right=True)
+                if not qres.verdict:
+                    rep.violation(ring, P, S, {
+                        "quotient": qring.label,
+                        "image_check": _labeled_result(qring, qres)})
+
+
+def _p30(ctx, rep):
+    # right law pulls back when the kernel sits in both P and the radical
+    ring, jm = ctx.ring, ctx.jac.mask
+    for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
+        if (kernel.mask & ~jm).any():
+            continue
+        for P in ctx.ideals:
+            if (kernel.mask & ~P.mask).any():
+                rep.vacuous += 1
+                continue
+            for S in ctx.subsets:
+                if not _disjoint(P, S):
+                    rep.vacuous += 1
+                    continue
+                qmask = np.zeros(qring.size, dtype=bool)
+                qmask[hom.map[P.members]] = True
+                simg = ctx.quotient_image(q, S)
+                if (qmask & simg.mask).any():
+                    rep.vacuous += 1
+                    continue
+                qres = ctx.quotient_sj(q, qmask, simg, right=True)
+                if not qres.verdict:
+                    rep.vacuous += 1
+                    continue
+                rep.tested += 1
+                res = ctx.right_sj(P, S)
+                if not res.verdict:
+                    rep.violation(ring, P, S, {
+                        "quotient": qring.label,
+                        "base_check": _labeled_result(ring, res)})
+
+
+def _p31(ctx, rep):
+    # with (J(R) : <s>) = J(R): witness s for the right law iff P sits
+    # in the colon and the elementwise two-sided form holds through the
+    # maximal-intersection radical
+    ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
+    jidx = lattice.idx_of(ctx.jac)
+    for P, S in ctx.pairs(rep):
+        good = [int(s) for s in S.members
+                if np.array_equal(ctx.colon_principal(jm, s), jm)]
+        if not good:
+            rep.vacuous += 1
+            continue
+        pidx = lattice.idx_of(P)
+        hyp = lattice.leq[lattice.prod, pidx]
+        jstar = j_star(ring, P, lattice)
+        rep.tested += 1
+        for s in good:
+            lhs = _right_witness(lattice, hyp, pidx, jidx, s)
+            contain = not (P.mask & ~ctx.colon_principal(jm, s)).any()
+            a_skip = ctx.colon_principal(jstar.mask, s)
+            b_skip = ctx.colon_principal(P.mask, s)
+            pair_ok = two_sided_violation(ring, P.mask, a_skip, b_skip,
+                                          ctx.two_sided) is None
+            rhs = contain and pair_ok
+            if lhs != rhs:
+                rep.violation(ring, P, S, {
+                    "s": ring.element_label(s),
+                    "witness": lhs, "rewritten_form": rhs})
+                break
+
+
+def _p32(ctx, rep):
+    # right law puts P inside (J(R) : <s>); on the radical itself the
+    # right law and right subset-primeness coincide
+    ring, jm = ctx.ring, ctx.jac.mask
+    for P, S in ctx.pairs(rep):
+        if not ctx.right_sj(P, S).verdict:
+            rep.vacuous += 1
+            continue
+        rep.tested += 1
+        if not any(not (P.mask & ~ctx.colon_principal(jm, s)).any()
+                   for s in S.members):
+            rep.violation(ring, P, S, {"part": "no-colon-container"})
+    if ctx.jac.is_proper:
+        for S in ctx.subsets:
+            if not _disjoint(ctx.jac, S):
+                rep.vacuous += 1
+                continue
+            rep.tested += 1
+            rj = ctx.right_sj(ctx.jac, S)
+            rp = is_right_S_prime(ring, ctx.jac, S, lattice=ctx.lattice)
+            if rj.verdict != rp.verdict:
+                rep.violation(ring, ctx.jac, S, {
+                    "part": "radical-right-law-vs-right-prime",
+                    "right_law": _labeled_result(ring, rj),
+                    "right_prime": _labeled_result(ring, rp)})
+
+
+def _p33(ctx, rep):
+    # in a local identity ring with a radical-membership colon, every
+    # ideal satisfying the right law is superfluous
+    ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
+    if len(lattice.maximal_indices()) != 1:
+        return
+    for S in ctx.subsets:
+        if not any(_j_colon(ctx, jm, s) for s in S.members):
+            rep.vacuous += 1
+            continue
+        for P in ctx.ideals:
+            if not _disjoint(P, S):
+                rep.vacuous += 1
+                continue
+            if not ctx.right_sj(P, S).verdict:
+                rep.vacuous += 1
+                continue
+            rep.tested += 1
+            if not lattice.is_superfluous_idx(lattice.idx_of(P)):
+                rep.violation(ring, P, S, {"part": "not-superfluous"})
 
 
 # ---------------------------------------------------------------------------
@@ -1666,11 +1493,17 @@ def _p33(corpus, rep):
 
 @dataclass(frozen=True)
 class Law:
+    """A numbered law: ``check(ctx, rep)`` runs on each context whose
+    ``scope`` flag holds (``comm_ident``, the default, or ``ident``; None
+    for every context), or once as ``check(corpus, rep)`` for the scope
+    ``"corpus"``.  ``notes`` are constant notes of its report."""
     id: str
     citation: str
     statement: str
-    check: object
+    check: object = _nothing
+    scope: str = "comm_ident"
     gating: bool = True
+    notes: dict = field(default_factory=dict)
 
 
 REGISTRY = [
@@ -1697,9 +1530,14 @@ REGISTRY = [
         "colon-stable ideals of an ideal-as-ring inherit the law", _p8),
     Law("P9", "s-finite-degenerate-true",
         "maximal-intersection ideals with the law make J(R) "
-        "subset-finite", _p9),
+        "subset-finite", _p9,
+        notes={"degenerate": "every ideal of a finite ring is finitely "
+               "generated, so subset-finiteness always holds; the "
+               "hypothesis chain is still exercised"}),
     Law("P10", "s-finite-cancellation",
-        "cancellation through an ideal outside every (J(R) : s)", _p10),
+        "cancellation through an ideal outside every (J(R) : s)", _p10,
+        notes={"degenerate": "subset-finiteness is automatic in finite "
+               "rings; hypotheses are still exercised"}),
     Law("P11", "colon-by-subset-witness-carry",
         "colons of law-satisfying ideals keep the quantifier form", _p11),
     Law("P12", "maximal-s-j-prime",
@@ -1715,13 +1553,18 @@ REGISTRY = [
     Law("P16", "s-j-intersection-of-two",
         "intersections of law-satisfying ideals satisfy the law", _p16),
     Law("P17", "s-j-product-componentwise",
-        "componentwise law on direct products", _p17),
+        "componentwise law on direct products", _p17, scope="corpus"),
     Law("P18", "trunc-poly-analog",
         "truncated-polynomial analog of the power-series transfer", _p18,
-        gating=False),
+        gating=False,
+        notes={"non_gating": "finite analog on R[x]/(x^d); the source "
+               "statement concerns full power series"}),
     Law("P19", "polynomial-ring-out-of-scope",
-        "polynomial-ring transfer: out of scope for finite rings", _p19,
-        gating=False),
+        "polynomial-ring transfer: out of scope for finite rings",
+        gating=False,
+        notes={"out_of_scope": "the statement quantifies over a full "
+               "polynomial ring, which is infinite; no finite instance "
+               "represents it faithfully"}),
     Law("P20", "idealization-equivalence",
         "trivial-extension equivalence of the law", _p20),
     Law("P21", "idealization-forward",
@@ -1729,34 +1572,38 @@ REGISTRY = [
         _p21),
     Law("P22", "amalgamation-transfer",
         "amalgamation transfer when J sits inside the target radical",
-        _p22),
+        _p22, scope="corpus"),
     Law("P23", "right-s-j-pairwise-equivalences",
         "ideal-pair, principal-pair, and elementwise right forms agree",
-        _p23),
+        _p23, scope="ident"),
     Law("P24", "commutative-right-left-agreement",
         "elementwise and right-sided definitions agree on commutative "
         "identity rings", _p24),
     Law("P25", "right-s-prime-inside-radical",
         "right subset-prime ideals inside the radical satisfy the right "
-        "law", _p25),
+        "law", _p25, scope=None),
     Law("P26", "right-s-j-principal-colon",
-        "(P : <s>) satisfies the right law for some s iff P does", _p26),
+        "(P : <s>) satisfies the right law for some s iff P does", _p26,
+        scope="ident"),
     Law("P27", "principal-colon-j-ideal-forward",
-        "a radical-membership (P : <s>) certifies the right law", _p27),
+        "a radical-membership (P : <s>) certifies the right law", _p27,
+        scope="ident"),
     Law("P28", "principal-colon-j-ideal-converse",
-        "the colon certificate converse under central S", _p28),
+        "the colon certificate converse under central S", _p28,
+        scope="ident"),
     Law("P29", "right-s-j-epi-image",
-        "right law pushes forward along surjections", _p29),
+        "right law pushes forward along surjections", _p29, scope=None),
     Law("P30", "right-s-j-epi-preimage",
-        "right law pulls back along surjections with small kernel", _p30),
+        "right law pulls back along surjections with small kernel", _p30,
+        scope=None),
     Law("P31", "right-s-j-stable-radical-form",
-        "stable-colon rewriting of the right law", _p31),
+        "stable-colon rewriting of the right law", _p31, scope="ident"),
     Law("P32", "right-s-j-radical-prime-agreement",
         "right law bounds P by (J(R) : <s>); on J(R) it matches right "
-        "subset-primeness", _p32),
+        "subset-primeness", _p32, scope="ident"),
     Law("P33", "local-superfluous-right-s-j",
         "in local rings with a radical-membership colon, right-law "
-        "ideals are superfluous", _p33),
+        "ideals are superfluous", _p33, scope="ident"),
 ]
 
 GATED_IDS = tuple(l.id for l in REGISTRY if l.gating)
@@ -1764,19 +1611,31 @@ GATED_IDS = tuple(l.id for l in REGISTRY if l.gating)
 
 def verify_properties(corpus=None, ids=None):
     """Run the registry (or a subset) on the calling thread; the reports
-    come in registry order as plain dicts ready for JSON serialization."""
+    come in registry order as plain dicts ready for JSON serialization.
+
+    The corpus-scoped laws run first.  Then each context in corpus order
+    runs every selected law in its scope, each law into its own report,
+    and the context's memo is cleared before the next context.
+    """
     if corpus is None:
         corpus = build_corpus()
-    laws = [l for l in REGISTRY if ids is None or l.id in set(ids)]
     if ids is not None:
-        known = {l.id for l in REGISTRY}
-        bad = sorted(set(ids) - known)
+        bad = sorted(set(ids) - {l.id for l in REGISTRY})
         if bad:
             raise InvalidParameter("unknown property ids", ids=bad)
+    runs = [(law, _Rep(law.notes)) for law in REGISTRY
+            if ids is None or law.id in ids]
+    for law, rep in runs:
+        if law.scope == "corpus":
+            law.check(corpus, rep)
+    per_ctx = [(law, rep) for law, rep in runs if law.scope != "corpus"]
+    for ctx in corpus.contexts:
+        for law, rep in per_ctx:
+            if law.scope is None or getattr(ctx, law.scope):
+                law.check(ctx, rep)
+        ctx.memo.clear()
 
-    def run(law):
-        rep = _Rep()
-        law.check(corpus, rep)
+    def report(law, rep):
         out = {
             "property_id": law.id,
             "citation": law.citation,
@@ -1792,7 +1651,7 @@ def verify_properties(corpus=None, ids=None):
             out["note"] = rep.notes
         return out
 
-    return [run(law) for law in laws]
+    return [report(law, rep) for law, rep in runs]
 
 
 def gate_passed(reports):

@@ -333,16 +333,22 @@ class IdealLattice:
     def prime_flags(self):
         """prime_flags[i] is True when ideal i is prime; read-only.
 
-        A proper P is prime iff no two principal ideals outside it
-        multiply into it: for ideals A, B not inside P, pick a in A and
-        b in B outside P; then <a><b> lies in AB, commutative or not.
+        A proper P is prime iff no principal <a> outside it has
+        <a><b0> inside it, where <b0> is the first principal ideal
+        outside P in lattice order, so one of least size.  If P is prime
+        no such a exists.  If not, take nonzero ideals A', B' of R/P with
+        A'B' = 0 and let A, L be their preimages.  If L<b0> is not inside
+        P, some c in L<b0> lies outside P; <c> lies in <b0>, so by
+        minimality <c> = <b0>, which lies in L, and any a in A outside P
+        has <a><b0> inside AL, inside P.  Otherwise any a in L outside P
+        has <a><b0> inside L<b0>, inside P.  The argument needs neither an
+        identity nor commutativity.
         """
         pidx, _, pp = self._basis
         outside = ~self.leq[pidx]
-        hit = np.zeros(len(self.ideals), dtype=bool)
-        for a, row in enumerate(pp):
-            hit |= (outside[a] & outside & self.leq[row]).any(axis=0)
-        flags = ~hit
+        b0 = outside.argmax(axis=0)
+        below = self.leq[pp[:, b0], np.arange(len(self.ideals))]
+        flags = ~(outside & below).any(axis=0)
         flags[self.top_idx] = False
         return readonly(flags)
 

@@ -14,7 +14,7 @@ Conventions shared by every check here:
 * Disjointness failures raise, they never become false verdicts.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -353,11 +353,8 @@ def _lattice_context(ring, imask, lattice):
 def _lattice_scan(lattice, pidx, target_a_idx, members, mode):
     """Quantifier over ideal pairs: product below pidx forces the first
     ideal times <s> below target_a_idx, or the second times <s> below
-    pidx."""
-    leq = lattice.leq
-    prod = lattice.prod
-    hyp = leq[prod, pidx]
-    gidx = lattice.principal_of
+    pidx.  Counterexample pairs are given by minimal generators."""
+    leq, prod, gidx = lattice.leq, lattice.prod, lattice.principal_of
 
     def disjuncts(s):
         col = prod[:, gidx[s]]
@@ -368,28 +365,12 @@ def _lattice_scan(lattice, pidx, target_a_idx, members, mode):
         b = tuple(int(x) for x in minimal_generating_set(lattice.ideals[j]))
         return (a, b)
 
-    if mode == "fixed-s":
-        table = []
-        for s in members:
-            a_ok, b_ok = disjuncts(int(s))
-            v = first_violation(hyp, a_ok, b_ok)
-            if v is None:
-                return CheckResult(True, witness_s=int(s), method="lattice")
-            table.append((int(s), gens_pair(*v)))
-        return CheckResult(False, counterexample=tuple(table),
-                           method="lattice")
-    any_a = np.zeros(len(lattice), dtype=bool)
-    any_b = np.zeros(len(lattice), dtype=bool)
-    for s in members:
-        a_ok, b_ok = disjuncts(int(s))
-        any_a |= a_ok
-        any_b |= b_ok
-    v = first_violation(hyp, any_a, any_b)
-    if v is None:
-        return CheckResult(True, quantifier_mode="per-pair-s",
-                           method="lattice")
-    return CheckResult(False, counterexample=gens_pair(*v),
-                       quantifier_mode="per-pair-s", method="lattice")
+    res = pair_scan(leq[prod, pidx], members, disjuncts, mode)
+    cex = res.counterexample
+    if cex is not None:
+        cex = (gens_pair(*cex) if res.quantifier_mode == "per-pair-s"
+               else tuple((s, gens_pair(*v)) for s, v in cex))
+    return replace(res, counterexample=cex, method="lattice")
 
 
 def is_right_S_prime(ring, ideal, subset, lattice=None, mode="fixed-s"):

@@ -1,6 +1,7 @@
 """Corpus construction, law registry, determinism, report format."""
 
 import dataclasses
+import hashlib
 import json
 import threading
 from pathlib import Path
@@ -11,8 +12,9 @@ import pytest
 from ringlab import harness, predicates
 from ringlab.errors import InvalidParameter
 
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" \
-    / "report.schema.json"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_PATH = ROOT / "schemas" / "report.schema.json"
+PINS_PATH = ROOT / "perfbench" / "pins.json"
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,9 @@ def test_registry_ids_and_citations():
         assert law.citation and law.statement
     non_gating = {law.id for law in harness.REGISTRY if not law.gating}
     assert non_gating == {"P18", "P19"}
+    corpus_wide = {law.id for law in harness.REGISTRY
+                   if law.scope == "corpus"}
+    assert corpus_wide == {"P17", "P22"}
     assert set(harness.GATED_IDS) == set(ids) - non_gating
 
 
@@ -95,6 +100,15 @@ def test_default_reports_validate_against_schema(suite):
     jsonschema.validate(payload, schema)
 
 
+def test_default_report_bytes_match_the_pin(suite):
+    """The full-corpus report is byte-identical to the pinned sha256."""
+    reports, _ = suite
+    with open(PINS_PATH) as fh:
+        pin = json.load(fh)["verify"]["full_corpus_report_sha256"]
+    text = harness.report_json(reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
+
+
 def test_default_suite_has_no_skipped_rings(corpus):
     assert not corpus.skipped
     assert all(not ctx.skipped for ctx in corpus.contexts)
@@ -140,15 +154,18 @@ CACHE_CORPUS = {"rings": ["Z36", "Z4 x Z6", "M(2, Z2)"]}
 
 def test_law_caches_do_not_change_the_report():
     """Each law run alone on a fresh corpus reports what it reports inside
-    a full registry run, and a second run on the warmed corpus writes the
-    same bytes: the per-context caches never change an answer."""
+    a full registry run; every context's memo is empty once a run is done,
+    and a second run on the same corpus writes the same bytes: the
+    per-context caches never change an answer."""
     warm = harness.build_corpus(CACHE_CORPUS)
     full = harness.verify_properties(warm)
+    assert not any(ctx.memo for ctx in warm.contexts)
     for law, entry in zip(harness.REGISTRY, full):
         alone = harness.verify_properties(harness.build_corpus(CACHE_CORPUS),
                                           ids=[law.id])
         assert alone == [entry]
     again = harness.verify_properties(warm)
+    assert not any(ctx.memo for ctx in warm.contexts)
     assert harness.report_json(again) == harness.report_json(full)
 
 
@@ -206,16 +223,23 @@ def test_verdict_owners_answer_as_the_predicates():
     assert checked and unpicked
 
 
+def _cross_context_corpus():
+    """Z_n contexts and an amalgamation over Z8, so that P17 and P22 read
+    other contexts' verdicts."""
+    return harness.Corpus(contexts=[
+        harness.build_context(expr, family) for expr, family in (
+            ("Z4", "zn"), ("Z6", "zn"), ("Z8", "zn"),
+            ("amalg(Z8, Z4, mod, gen(2))", "amalgamation"))])
+
+
 def test_registry_evaluates_each_context_verdict_once(monkeypatch):
     """Over a full registry run, each (context ring, mask, subset) left
     and right verdict is evaluated at most once, whichever laws ask, and
     so is each colon (I : s) and (I : <s>) of a context ring and each
-    left and right verdict on a picked quotient ring."""
-    corpus = harness.build_corpus(CACHE_CORPUS)
-    ctx_rings = {id(ctx.ring) for ctx in corpus.contexts}
-    quotient_rings = {id(q[1]) for ctx in corpus.contexts
-                      for q in ctx.quotients}
-    seen = {}
+    left and right verdict on a picked quotient ring.  On the second,
+    cross-context corpus P17 and P22 test instances, so a context whose
+    memo were released before they ran would be evaluated twice."""
+    ctx_rings, quotient_rings, seen = set(), set(), {}
 
     def count(kind, ring, ideal, subset_key):
         if id(ring) in quotient_rings:
@@ -259,11 +283,21 @@ def test_registry_evaluates_each_context_verdict_once(monkeypatch):
     monkeypatch.setattr(harness.RingCtx, "_left_verdicts", counted_table)
     monkeypatch.setattr(harness, "colon_elem_mask", counted_elem_colon)
     monkeypatch.setattr(harness, "colon_ideal_mask", counted_ideal_colon)
-    harness.verify_properties(corpus)
-    assert {key[0] for key in seen} \
-        == {"left", "right", "colon", "colon_ideal", "quotient_left",
-            "quotient_right"}
-    assert max(seen.values()) == 1
+    for corpus in (harness.build_corpus(CACHE_CORPUS),
+                   _cross_context_corpus()):
+        ctx_rings.clear()
+        ctx_rings.update(id(ctx.ring) for ctx in corpus.contexts)
+        quotient_rings.clear()
+        quotient_rings.update(id(q[1]) for ctx in corpus.contexts
+                              for q in ctx.quotients)
+        seen.clear()
+        reports = {r["property_id"]: r
+                   for r in harness.verify_properties(corpus)}
+        assert {key[0] for key in seen} \
+            == {"left", "right", "colon", "colon_ideal", "quotient_left",
+                "quotient_right"}
+        assert max(seen.values()) == 1
+    assert reports["P17"]["tested"] and reports["P22"]["tested"]
 
 
 def test_registry_builds_each_two_sided_matrix_once(monkeypatch):
