@@ -11,14 +11,19 @@ Each corpus ring is a ``RingCtx``: the ring with its ideal lattice, its
 radicals, the picked ideals, subsets and quotients, and one owner per
 fact that several laws share: ``sj``/``sj_witnesses`` (the fixed-s
 subset-radical verdict and its witness vector, from one violation table
-per mask), ``right_sj``, ``j_check``, the colons, ``two_sided`` (the
-aRb-inside-I matrix P13 and P31 scan), ``quotient_image`` and
-``quotient_sj`` (shared by P14/P15 and P29/P30) and ``idealization``.
-Each is computed once through ``memo.once`` into the context's one
-``memo``.  ``RingCtx.pairs`` yields every picked ideal with every picked
-subset it misses and counts the rest as vacuous.  Checks on other
-derived rings (products, truncations, idealizations, amalgamations)
-call the predicates directly.
+per mask), ``right_sj``, ``j_check``, the colons and ``two_sided`` (the
+aRb-inside-I matrix P13 and P31 scan).  Each is computed once through
+``memo.once`` into the context's one ``memo``.  ``RingCtx.pairs`` yields
+every picked ideal with every picked subset it misses and counts the
+rest as vacuous.
+
+Every derived ring a law checks is a ``RingCtx`` too, made by
+``_context`` with its lattice and radical and no picks, and every
+verdict on it is asked of its ``sj``, ``right_sj`` or ``j_check``.  The
+picked quotients (P14, P15, P29, P30) are built with their context and
+the idealizations (P20, P21) into its memo; the products (P17),
+truncations (P18) and ideal-as-rings (P8) live only inside the law that
+reads them.
 
 A law is a scope plus a body that checks one context.  The scope names
 the ``RingCtx`` flag a context needs (``comm_ident``, ``ident``, or None
@@ -26,8 +31,9 @@ for every context).  Only P17 and P22 read several contexts; their scope
 is ``"corpus"`` and their body takes the corpus.  ``verify_properties``
 runs those two first, then walks the contexts in corpus order and runs
 each selected law in scope on each, into that law's own report.  When
-the walk leaves a context it clears the context's memo, so the memos
-hold one context's facts at a time.
+the walk leaves a context it clears the memos of the context and of its
+quotients, so the memos hold one context's facts at a time, those of
+its derived rings included.
 
 Reports are deterministic: the corpus is built in a fixed order, nothing
 is random, everything runs on the calling thread, and each law sees the
@@ -36,6 +42,7 @@ contexts in corpus order.
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,24 +221,6 @@ class RingCtx:
         return once(self.memo, ("two_sided", mask.tobytes()),
                     lambda: readonly(two_sided_matrix(self.ring, mask)))
 
-    def quotient_sj(self, q, qmask, simg, right=False):
-        """is_S_J_ideal (fixed-s), or with right=True is_right_S_J_ideal
-        (lattice method), of an image mask and image subset on the q-th
-        picked quotient, kept per (q, side, mask, subset)."""
-        _, qring, _, qlat, qjac = self.quotients[q]
-        check = is_right_S_J_ideal if right else is_S_J_ideal
-        return once(self.memo, ("quot", q, right, qmask.tobytes(),
-                                simg.key),
-                    lambda: check(qring, qmask, simg, lattice=qlat,
-                                  jacobson=qjac))
-
-    def quotient_image(self, q, subset):
-        """The image of a context subset on the q-th picked quotient,
-        labeled by its members; built and validated once per (q, subset)."""
-        hom = self.quotients[q][2]
-        return once(self.memo, ("image", q, subset.key), lambda: _mulclosed(
-            subset_quotient_image(subset, hom)))
-
     def colon(self, mask, s):
         """(I : s) = {x : xs in I} of a mask on this context's ring, kept
         read-only per (mask, s)."""
@@ -245,16 +234,30 @@ class RingCtx:
         return once(self.memo, ("colon<>", mask.tobytes(), sgen.key),
                     lambda: readonly(colon_ideal_mask(self.ring, mask, sgen)))
 
-    def idealization(self, k):
-        """(ext, lattice, radical) of the trivial extension of the ring by
-        the cyclic module of order k, built once per k."""
-        return once(self.memo, ("ext", k), lambda: self._idealize(k))
 
-    def _idealize(self, k):
-        ext = make_idealization(self.ring, make_cyclic_module(self.ring, k),
-                                label="idealize(%s, %d)" % (self.expr, k))
-        elat = enumerate_ideals(ext)
-        return ext, elat, jacobson_radical(ext, elat)
+class _Quotient(NamedTuple):
+    """A picked quotient: the kernel (an ideal of the context ring, labeled
+    by its generators), the surjection onto the quotient ring, and that
+    ring as a context."""
+    kernel: IdealSet
+    hom: object
+    ctx: RingCtx
+
+    def image(self, subset):
+        """The image of a context subset, labeled by its members; built
+        and validated once per subset."""
+        return once(self.ctx.memo, ("image", subset.key), lambda: _mulclosed(
+            subset_quotient_image(subset, self.hom)))
+
+    def image_verdict(self, ideal, subset, right=False):
+        """ctx.sj, or with right=True ctx.right_sj, of the images of a
+        context ideal and subset on the quotient; None if they meet."""
+        qmask = np.zeros(self.ctx.ring.size, dtype=bool)
+        qmask[self.hom.map[ideal.members]] = True
+        simg = self.image(subset)
+        if (qmask & simg.mask).any():
+            return None
+        return (self.ctx.right_sj if right else self.ctx.sj)(qmask, simg)
 
 
 @dataclass
@@ -406,22 +409,28 @@ def _pick_quotients(ctx, limit=2):
         qring, hom = canonical_surjection(ring, k.mask)
         kernel = IdealSet(ring, k.mask, label=gens_label(ring, k))
         qring.label = "quot(%s, %s)" % (ring.label, kernel.label)
-        qlat = enumerate_ideals(qring)
-        qjac = jacobson_radical(qring, qlat)
-        picks.append((kernel, qring, hom, qlat, qjac))
+        picks.append(_Quotient(kernel, hom, _context(qring)))
     return tuple(picks)
+
+
+def _context(ring, expr=None, family="derived", node=None):
+    """The ring as a RingCtx with its ideal lattice and Jacobson radical
+    and no picks; a derived ring's expr is its label."""
+    ctx = RingCtx(expr=ring.label if expr is None else expr, node=node,
+                  ring=ring, family=family)
+    ctx.lattice = enumerate_ideals(ring)
+    ctx.jac = jacobson_radical(ring, ctx.lattice)
+    return ctx
 
 
 def build_context(expr, family):
     node = parse_ring_expr(expr)
     ring = build_ring(node)
-    ctx = RingCtx(expr=expr, node=node, ring=ring, family=family)
     try:
-        ctx.lattice = enumerate_ideals(ring)
+        ctx = _context(ring, expr, family, node)
     except CapacityExceeded as err:
-        ctx.skipped = "ideal lattice over budget: %s" % err.message
-        return ctx
-    ctx.jac = jacobson_radical(ring, ctx.lattice)
+        return RingCtx(expr=expr, node=node, ring=ring, family=family,
+                       skipped="ideal lattice over budget: %s" % err.message)
     if ring.commutative and ring.one is not None:
         ctx.beta = prime_radical(ring, ctx.lattice)
     ctx.ideals = _pick_ideals(ctx)
@@ -536,6 +545,14 @@ def _mulclosed(subset):
     subset.label = "mulclosed(%s)" % ", ".join(
         subset.ring.element_label(int(x)) for x in subset.members)
     return subset
+
+
+def _block_mask(ring, rows, cols, width):
+    """The mask of the elements rows[i] * width + cols[j]: a block of
+    coordinates in a ring laid out as pairs."""
+    mask = np.zeros(ring.size, dtype=bool)
+    mask[(rows[:, None] * width + cols[None, :]).ravel()] = True
+    return mask
 
 
 def _right_witness(lattice, hyp, pidx, jidx, s):
@@ -719,34 +736,29 @@ def _p8(ctx, rep):
     for I in ctx.ideals:
         if I.size < 2:
             continue
-        sub_ring = None
+        sub = None
         for S in ctx.subsets:
-            if not _disjoint(I, S):
+            if not _disjoint(I, S) or not ctx.sj_witnesses(I, S).any():
                 rep.vacuous += 1
                 continue
-            if not ctx.sj_witnesses(I, S).any():
-                rep.vacuous += 1
-                continue
-            if sub_ring is None:
-                sub_ring = make_ideal_as_ring(ring, I.mask)
-                sub_lat = enumerate_ideals(sub_ring)
-                sub_jac = jacobson_radical(sub_ring, sub_lat)
-                nonzero = [int(sub_ring.pos[x]) for x in I.members
+            if sub is None:
+                sub = _context(make_ideal_as_ring(ring, I.mask))
+                nonzero = [int(sub.ring.pos[x]) for x in I.members
                            if int(x) != ring.zero]
-            for P in sub_lat.ideals:
-                if not all(np.array_equal(colon_elem_mask(sub_ring, P.mask, m),
-                                          P.mask) for m in nonzero):
-                    rep.vacuous += 1
-                    continue
+                stable = [P for P in sub.lattice.ideals if all(
+                    np.array_equal(colon_elem_mask(sub.ring, P.mask, m),
+                                   P.mask) for m in nonzero)]
+            rep.vacuous += len(sub.lattice) - len(stable)
+            for P in stable:
                 rep.tested += 1
-                sub_hyp = product_hyp_matrix(sub_ring, P.mask)
-                rows = (sub_ring.pos[ring.mul_vec(np.int64(s), I.members)]
+                sub_hyp = product_hyp_matrix(sub.ring, P.mask)
+                rows = (sub.ring.pos[ring.mul_vec(np.int64(s), I.members)]
                         for s in S.members)
-                if not any(first_violation(sub_hyp, sub_jac.mask[row],
+                if not any(first_violation(sub_hyp, sub.jac.mask[row],
                                            P.mask[row]) is None
                            for row in rows):
                     rep.violation(ring, I, S, {
-                        "inner_ideal": [sub_ring.element_label(int(g))
+                        "inner_ideal": [sub.ring.element_label(int(g))
                                         for g in P.members],
                         "note": "no member of S witnesses the law "
                                 "inside the ideal-as-ring"})
@@ -756,6 +768,7 @@ def _p9(ctx, rep):
     # intersections of maximal ideals that satisfy the law force the
     # radical to be subset-finite (trivially true in finite rings)
     ring, jm = ctx.ring, ctx.jac.mask
+    fmask = None
     for I in ctx.ideals:
         jstar = j_star(ring, I, ctx.lattice)
         if jstar.key != I.key:
@@ -770,7 +783,8 @@ def _p9(ctx, rep):
                 continue
             rep.tested += 1
             s = int(S.members.min())
-            fmask = ideal_generate(ring, minimal_generating_set(ctx.jac))
+            if fmask is None:
+                fmask = ideal_generate(ring, minimal_generating_set(ctx.jac))
             js = ring.mul_vec(ctx.jac.members, np.int64(s))
             if not (fmask[js].all() and not (fmask & ~jm).any()):
                 rep.violation(ring, I, S, {
@@ -933,9 +947,10 @@ def _p14(ctx, rep):
     # the law transfers along surjections: forward when the kernel sits
     # inside the ideal, backward when it sits inside the radical
     ring, jm = ctx.ring, ctx.jac.mask
-    for q, (kernel, qring, hom, qlat, _) in enumerate(ctx.quotients):
+    for Q in ctx.quotients:
+        kernel, qctx = Q.kernel, Q.ctx
         for S in ctx.subsets:
-            simg = ctx.quotient_image(q, S)
+            simg = Q.image(S)
             for I in ctx.ideals:
                 if not _disjoint(I, S):
                     rep.vacuous += 1
@@ -943,39 +958,38 @@ def _p14(ctx, rep):
                 if not (kernel.mask & ~I.mask).any():
                     if ctx.sj(I, S).verdict:
                         rep.tested += 1
-                        qmask = np.zeros(qring.size, dtype=bool)
-                        qmask[hom.map[I.members]] = True
-                        if (qmask & simg.mask).any():
+                        qres = Q.image_verdict(I, S)
+                        if qres is None:
                             rep.violation(ring, I, S, {
                                 "part": "image-meets-image-subset"})
                             continue
-                        qres = ctx.quotient_sj(q, qmask, simg)
                         if not qres.verdict:
                             rep.violation(ring, I, S, {
                                 "part": "image-loses-the-law",
-                                "quotient": qring.label,
-                                "image_check": _labeled_result(qring, qres)})
+                                "quotient": qctx.expr,
+                                "image_check": _labeled_result(qctx.ring,
+                                                               qres)})
                     else:
                         rep.vacuous += 1
             if (kernel.mask & ~jm).any():
                 continue
-            for L in qlat.ideals:
+            for L in qctx.lattice.ideals:
                 if not L.is_proper:
                     continue
                 if (L.mask & simg.mask).any():
                     rep.vacuous += 1
                     continue
-                qres = ctx.quotient_sj(q, L.mask, simg)
+                qres = qctx.sj(L, simg)
                 if not qres.verdict:
                     rep.vacuous += 1
                     continue
                 rep.tested += 1
-                pre = L.mask[hom.map]
+                pre = L.mask[Q.hom.map]
                 res = ctx.sj(pre, S)
                 if not res.verdict:
                     rep.violation(ring, IdealSet(ring, pre), S, {
                         "part": "preimage-loses-the-law",
-                        "quotient": qring.label,
+                        "quotient": qctx.expr,
                         "base_check": _labeled_result(ring, res)})
 
 
@@ -983,35 +997,30 @@ def _p15(ctx, rep):
     # quotient correspondence: the law passes to P2/P1 and, when P1 is
     # small enough (inside the radical, or radical-membership), back up
     ring, jm = ctx.ring, ctx.jac.mask
-    for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
-        k_in_jac = not (kernel.mask & ~jm).any()
-        k_is_j = ctx.j_check(kernel).verdict
+    for Q in ctx.quotients:
+        k_in_jac = not (Q.kernel.mask & ~jm).any()
+        k_is_j = ctx.j_check(Q.kernel).verdict
         uppers = [i for i in ctx.lattice.ideals
-                  if i.is_proper and not (kernel.mask & ~i.mask).any()]
+                  if i.is_proper and not (Q.kernel.mask & ~i.mask).any()]
         for S in ctx.subsets:
-            simg = ctx.quotient_image(q, S)
             for P2 in uppers:
                 if (P2.mask & S.mask).any():
                     rep.vacuous += 1
                     continue
-                qmask = np.zeros(qring.size, dtype=bool)
-                qmask[hom.map[P2.members]] = True
-                down = ctx.sj(P2, S)
-                up = ctx.quotient_sj(q, qmask, simg) \
-                    if not (qmask & simg.mask).any() else None
+                down, up = ctx.sj(P2, S), Q.image_verdict(P2, S)
                 hit = False
                 if down.verdict:
                     hit = True
                     if up is None or not up.verdict:
                         rep.violation(ring, P2, S, {
                             "part": "law-lost-in-quotient",
-                            "quotient": qring.label})
+                            "quotient": Q.ctx.expr})
                 if up is not None and up.verdict and (k_in_jac or k_is_j):
                     hit = True
                     if not down.verdict:
                         rep.violation(ring, P2, S, {
                             "part": "law-not-lifted-from-quotient",
-                            "quotient": qring.label,
+                            "quotient": Q.ctx.expr,
                             "kernel_inside_radical": k_in_jac,
                             "kernel_is_radical_membership": k_is_j})
                 if hit:
@@ -1052,10 +1061,9 @@ def _p17(corpus, rep):
         c2 = zns.get("Z%d" % m)
         if c1 is None or c2 is None:
             continue
-        prod = make_product(c1.ring, c2.ring,
-                            label="%s x %s" % (c1.expr, c2.expr))
-        plat = enumerate_ideals(prod)
-        pjac = jacobson_radical(prod, plat)
+        prod = _context(make_product(c1.ring, c2.ring,
+                                     label="%s x %s" % (c1.expr, c2.expr)))
+        pring, n1, n2 = prod.ring, c1.ring.size, c2.ring.size
         for first in (True, False):
             ca, cb = (c1, c2) if first else (c2, c1)
             for I in ca.ideals[:3]:
@@ -1067,22 +1075,19 @@ def _p17(corpus, rep):
                     for Sb in cb.subsets[:2]:
                         rep.tested += 1
                         meets = bool((cb.jac.mask & Sb.mask).any())
-                        mask = np.zeros(prod.size, dtype=bool)
                         if first:
-                            s12 = subset_product(Sa, Sb, prod)
-                            block = (I.members[:, None] * cb.ring.size
-                                     + np.arange(cb.ring.size)[None, :])
+                            s12 = subset_product(Sa, Sb, pring)
+                            mask = _block_mask(pring, I.members,
+                                               np.arange(n2), n2)
                         else:
-                            s12 = subset_product(Sb, Sa, prod)
-                            block = (np.arange(cb.ring.size)[:, None]
-                                     * ca.ring.size + I.members[None, :])
-                        mask[block.ravel()] = True
+                            s12 = subset_product(Sb, Sa, pring)
+                            mask = _block_mask(pring, np.arange(n1),
+                                               I.members, n2)
                         _mulclosed(s12)
-                        whole = is_S_J_ideal(prod, mask, s12, jacobson=pjac,
-                                             lattice=plat)
+                        whole = prod.sj(mask, s12)
                         expect = comp.verdict and meets
                         if whole.verdict != expect:
-                            rep.violation(prod, IdealSet(prod, mask), s12, {
+                            rep.violation(pring, IdealSet(pring, mask), s12, {
                                 "component_ring": ca.expr,
                                 "component_verdict": comp.verdict,
                                 "radical_meets_other_subset": meets,
@@ -1100,30 +1105,28 @@ def _p18(ctx, rep):
         return
     n = ring.size
     for d in (2, 3):
-        trunc = make_truncated_poly(ring, d,
-                                    label="trunc(%s, %d)" % (ctx.expr, d))
-        tlat = enumerate_ideals(trunc)
-        tjac = jacobson_radical(trunc, tlat)
-        lift_expected = jm[np.arange(trunc.size) % n]
-        if not np.array_equal(tjac.mask, lift_expected):
+        trunc = _context(make_truncated_poly(
+            ring, d, label="trunc(%s, %d)" % (ctx.expr, d)))
+        coeffs = np.arange(trunc.ring.size)
+        if not np.array_equal(trunc.jac.mask, jm[coeffs % n]):
             rep.tested += 1
-            rep.violation(trunc, tjac, None, {
+            rep.violation(trunc.ring, trunc.jac, None, {
                 "part": "radical-shape",
                 "note": "radical of the truncated ring is not "
                         "constant-term-in-radical"})
             continue
         for I, S in ctx.pairs(rep):
-            lift = np.ones(trunc.size, dtype=bool)
-            c = np.arange(trunc.size)
+            lift = np.ones(trunc.ring.size, dtype=bool)
+            c = coeffs
             for _ in range(d):
                 lift &= I.mask[c % n]
-                c //= n
+                c = c // n
             rep.tested += 1
-            sc = _mulclosed(subset_const_embed(S, trunc))
+            sc = _mulclosed(subset_const_embed(S, trunc.ring))
             base = ctx.sj(I, S)
-            up = is_S_J_ideal(trunc, lift, sc, jacobson=tjac, lattice=tlat)
+            up = trunc.sj(lift, sc)
             if base.verdict != up.verdict:
-                rep.violation(trunc, IdealSet(trunc, lift), sc, {
+                rep.violation(trunc.ring, IdealSet(trunc.ring, lift), sc, {
                     "base_ring": ctx.expr,
                     "base_verdict": base.verdict,
                     "lifted_verdict": up.verdict})
@@ -1133,6 +1136,15 @@ def _nothing(ctx, rep):
     """The body of a law that no finite instance represents."""
 
 
+def _extension(ctx, k):
+    """The trivial extension of the context ring by Z_k as a context that
+    P20 and P21 share, kept in the context's memo until the walk leaves
+    the context."""
+    return once(ctx.memo, ("idealize", k), lambda: _context(make_idealization(
+        ctx.ring, make_cyclic_module(ctx.ring, k),
+        label="idealize(%s, %d)" % (ctx.expr, k))))
+
+
 def _p20(ctx, rep):
     # trivial-extension equivalence: I+M works iff I works
     if ctx.family != "zn":
@@ -1140,17 +1152,15 @@ def _p20(ctx, rep):
     n = ctx.ring.size
     ks = [k for k in _divisors(n) if k >= 2 and n * k <= IDEALIZE_CAP]
     for k in dict.fromkeys(ks[:1] + ks[-1:]):
-        ext, elat, ejac = ctx.idealization(k)
+        ext = _extension(ctx, k)
         for I, S in ctx.pairs(rep):
-            emask = np.zeros(ext.size, dtype=bool)
-            emask[(I.members[:, None] * k
-                   + np.arange(k)[None, :]).ravel()] = True
+            emask = _block_mask(ext.ring, I.members, np.arange(k), k)
             rep.tested += 1
-            se = _mulclosed(subset_idealization(S, ext))
+            se = _mulclosed(subset_idealization(S, ext.ring))
             base = ctx.sj(I, S)
-            up = is_S_J_ideal(ext, emask, se, jacobson=ejac, lattice=elat)
+            up = ext.sj(emask, se)
             if base.verdict != up.verdict:
-                rep.violation(ext, IdealSet(ext, emask), se, {
+                rep.violation(ext.ring, IdealSet(ext.ring, emask), se, {
                     "base_ring": ctx.expr,
                     "base_verdict": base.verdict,
                     "extension_verdict": up.verdict})
@@ -1160,10 +1170,10 @@ def _p21(ctx, rep):
     # trivial extension, proper submodule: the law for I+N forces it for I
     if ctx.family != "zn":
         return
-    ring, n = ctx.ring, ctx.ring.size
+    n = ctx.ring.size
     ks = [k for k in _divisors(n) if k >= 2 and n * k <= IDEALIZE_CAP]
     for k in ks[-1:]:
-        ext, elat, ejac = ctx.idealization(k)
+        ext = _extension(ctx, k)
         for I in ctx.ideals:
             prods = (I.members[:, None] * np.arange(k)[None, :]) % k
             for t in _divisors(k):
@@ -1172,26 +1182,24 @@ def _p21(ctx, rep):
                 nmask[nmem] = True
                 if not nmask[prods].all():
                     continue
-                emask = np.zeros(ext.size, dtype=bool)
-                emask[(I.members[:, None] * k
-                       + nmem[None, :]).ravel()] = True
+                emask = _block_mask(ext.ring, I.members, nmem, k)
                 for S in ctx.subsets:
                     if not _disjoint(I, S):
                         rep.vacuous += 1
                         continue
-                    se = _mulclosed(subset_idealization(S, ext))
-                    up = is_S_J_ideal(ext, emask, se, jacobson=ejac,
-                                      lattice=elat)
+                    se = _mulclosed(subset_idealization(S, ext.ring))
+                    up = ext.sj(emask, se)
                     if not up.verdict:
                         rep.vacuous += 1
                         continue
                     rep.tested += 1
                     base = ctx.sj(I, S)
                     if not base.verdict:
-                        rep.violation(ext, IdealSet(ext, emask), se, {
+                        lifted = IdealSet(ext.ring, emask)
+                        rep.violation(ext.ring, lifted, se, {
                             "base_ring": ctx.expr,
                             "submodule_index": t,
-                            "base_check": _labeled_result(ring, base)})
+                            "base_check": _labeled_result(ctx.ring, base)})
 
 
 def _p22(corpus, rep):
@@ -1208,9 +1216,7 @@ def _p22(corpus, rep):
             continue
         nj = len(amalg.jmembers)
         for I, S in base_ctx.pairs(rep):
-            amask = np.zeros(amalg.size, dtype=bool)
-            amask[(I.members[:, None] * nj
-                   + np.arange(nj)[None, :]).ravel()] = True
+            amask = _block_mask(amalg, I.members, np.arange(nj), nj)
             rep.tested += 1
             sb = SubsetS(amalg.base, S.members, kind=S.kind, check=False,
                          label=S.label)
@@ -1347,9 +1353,9 @@ def _p28(ctx, rep):
 def _p29(ctx, rep):
     # right law pushes forward along surjections with kernel inside P
     ring = ctx.ring
-    for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
+    for Q in ctx.quotients:
         for P in ctx.ideals:
-            if (kernel.mask & ~P.mask).any():
+            if (Q.kernel.mask & ~P.mask).any():
                 rep.vacuous += 1
                 continue
             for S in ctx.subsets:
@@ -1360,50 +1366,41 @@ def _p29(ctx, rep):
                     rep.vacuous += 1
                     continue
                 rep.tested += 1
-                qmask = np.zeros(qring.size, dtype=bool)
-                qmask[hom.map[P.members]] = True
-                simg = ctx.quotient_image(q, S)
-                if (qmask & simg.mask).any():
+                qres = Q.image_verdict(P, S, right=True)
+                if qres is None:
                     rep.violation(ring, P, S, {
                         "part": "image-meets-image-subset",
-                        "quotient": qring.label})
+                        "quotient": Q.ctx.expr})
                     continue
-                qres = ctx.quotient_sj(q, qmask, simg, right=True)
                 if not qres.verdict:
                     rep.violation(ring, P, S, {
-                        "quotient": qring.label,
-                        "image_check": _labeled_result(qring, qres)})
+                        "quotient": Q.ctx.expr,
+                        "image_check": _labeled_result(Q.ctx.ring, qres)})
 
 
 def _p30(ctx, rep):
     # right law pulls back when the kernel sits in both P and the radical
     ring, jm = ctx.ring, ctx.jac.mask
-    for q, (kernel, qring, hom, _, _) in enumerate(ctx.quotients):
-        if (kernel.mask & ~jm).any():
+    for Q in ctx.quotients:
+        if (Q.kernel.mask & ~jm).any():
             continue
         for P in ctx.ideals:
-            if (kernel.mask & ~P.mask).any():
+            if (Q.kernel.mask & ~P.mask).any():
                 rep.vacuous += 1
                 continue
             for S in ctx.subsets:
                 if not _disjoint(P, S):
                     rep.vacuous += 1
                     continue
-                qmask = np.zeros(qring.size, dtype=bool)
-                qmask[hom.map[P.members]] = True
-                simg = ctx.quotient_image(q, S)
-                if (qmask & simg.mask).any():
-                    rep.vacuous += 1
-                    continue
-                qres = ctx.quotient_sj(q, qmask, simg, right=True)
-                if not qres.verdict:
+                qres = Q.image_verdict(P, S, right=True)
+                if qres is None or not qres.verdict:
                     rep.vacuous += 1
                     continue
                 rep.tested += 1
                 res = ctx.right_sj(P, S)
                 if not res.verdict:
                     rep.violation(ring, P, S, {
-                        "quotient": qring.label,
+                        "quotient": Q.ctx.expr,
                         "base_check": _labeled_result(ring, res)})
 
 
@@ -1615,7 +1612,8 @@ def verify_properties(corpus=None, ids=None):
 
     The corpus-scoped laws run first.  Then each context in corpus order
     runs every selected law in its scope, each law into its own report,
-    and the context's memo is cleared before the next context.
+    and the memos of the context and its quotients are cleared before
+    the next context.
     """
     if corpus is None:
         corpus = build_corpus()
@@ -1633,7 +1631,8 @@ def verify_properties(corpus=None, ids=None):
         for law, rep in per_ctx:
             if law.scope is None or getattr(ctx, law.scope):
                 law.check(ctx, rep)
-        ctx.memo.clear()
+        for c in (ctx, *(Q.ctx for Q in ctx.quotients)):
+            c.memo.clear()
 
     def report(law, rep):
         out = {
@@ -1680,19 +1679,19 @@ def run_worked_examples():
     out = []
 
     # E1: Z36, I = <4>, S = {1, 3, 9, 27}
-    r36 = build_ring(parse_ring_expr("Z36"))
-    lat36 = enumerate_ideals(r36)
-    jac36 = jacobson_radical(r36, lat36)
+    z36 = _context(build_ring(parse_ring_expr("Z36")))
+    r36 = z36.ring
     i4 = IdealSet(r36, ideal_generate(r36, [4]), label="gen(4)")
     s_named = SubsetS(r36, [1, 3, 9, 27], label="mulclosed(1, 3, 9, 27)")
-    plain = is_J_ideal(r36, i4, jacobson=jac36, lattice=lat36)
-    rel = is_S_J_ideal(r36, i4, s_named, jacobson=jac36, lattice=lat36)
+    plain = z36.j_check(i4)
+    rel = z36.sj(i4, s_named)
     ok = (not plain.verdict and plain.counterexample == (2, 2)
           and rel.verdict and rel.witness_s == 3)
     # the chosen witness must replay: no violating pair for s = 3
     hyp = product_hyp_matrix(r36, i4.mask)
     row = r36.mul_vec(np.int64(3), r36.elements)
-    ok = ok and first_violation(hyp, jac36.mask[row], i4.mask[row]) is None
+    ok = ok and first_violation(hyp, z36.jac.mask[row],
+                                i4.mask[row]) is None
     out.append({"id": "E1", "passed": bool(ok),
                 "description": "Z36: gen(4) fails the plain radical-"
                                "membership law at (2, 2) but holds the "
@@ -1701,96 +1700,85 @@ def run_worked_examples():
                             "subset_form": _labeled_result(r36, rel)}})
 
     # E2: product counterexample; fails for every s, with ((2,1),(2,1))
-    prod = build_ring(parse_ring_expr("Z36 x Z36"))
-    plat = enumerate_ideals(prod)
-    pjac = jacobson_radical(prod, plat)
+    prod = _context(build_ring(parse_ring_expr("Z36 x Z36")))
     n2 = 36
-    imask = np.zeros(prod.size, dtype=bool)
-    imask[(i4.members[:, None] * n2 + np.arange(n2)[None, :]).ravel()] = True
+    imask = _block_mask(prod.ring, i4.members, np.arange(n2), n2)
     smem = [int(a) * n2 + int(b)
             for a in s_named.members for b in s_named.members]
-    s_prod = SubsetS(prod, smem, label="mulclosed-product")
-    res = is_S_J_ideal(prod, imask, s_prod, jacobson=pjac, lattice=plat)
+    s_prod = SubsetS(prod.ring, smem, label="mulclosed-product")
+    res = prod.sj(imask, s_prod)
     pair = 2 * n2 + 1    # the element (2, 1)
     ok = not res.verdict and res.counterexample is not None
     covered = {entry[0] for entry in (res.counterexample or ())}
     ok = ok and covered == {int(x) for x in s_prod.members}
-    hyp = product_hyp_matrix(prod, imask)
+    hyp = product_hyp_matrix(prod.ring, imask)
     for s in s_prod.members:
-        row = prod.mul_vec(np.int64(int(s)), prod.elements)
+        row = prod.ring.mul_vec(np.int64(int(s)), prod.ring.elements)
         ok = ok and bool(hyp[pair, pair]) \
-            and not pjac.mask[row[pair]] and not imask[row[pair]]
+            and not prod.jac.mask[row[pair]] and not imask[row[pair]]
     out.append({"id": "E2", "passed": bool(ok),
                 "description": "gen(4) x Z36 fails the product law for "
                                "every s; ((2, 1), (2, 1)) violates each",
-                "details": {"check": _labeled_result(prod, res)}})
+                "details": {"check": _labeled_result(prod.ring, res)}})
 
     # E3: Z36 x Z8 with S1 x {0, 2, 4} is a true instance
-    prod38 = build_ring(parse_ring_expr("Z36 x Z8"))
-    plat38 = enumerate_ideals(prod38)
-    pjac38 = jacobson_radical(prod38, plat38)
-    imask38 = np.zeros(prod38.size, dtype=bool)
-    imask38[(i4.members[:, None] * 8 + np.arange(8)[None, :]).ravel()] = True
+    p38 = _context(build_ring(parse_ring_expr("Z36 x Z8")))
+    imask38 = _block_mask(p38.ring, i4.members, np.arange(8), 8)
     smem38 = [int(a) * 8 + b for a in s_named.members for b in (0, 2, 4)]
-    s38 = SubsetS(prod38, smem38, label="mulclosed-product")
-    res38 = is_S_J_ideal(prod38, imask38, s38, jacobson=pjac38,
-                         lattice=plat38)
+    s38 = SubsetS(p38.ring, smem38, label="mulclosed-product")
+    res38 = p38.sj(imask38, s38)
     ok = bool(res38.verdict)
     if ok:
-        hyp = product_hyp_matrix(prod38, imask38)
-        row = prod38.mul_vec(np.int64(int(res38.witness_s)),
-                             prod38.elements)
-        ok = first_violation(hyp, pjac38.mask[row],
-                              imask38[row]) is None
+        hyp = product_hyp_matrix(p38.ring, imask38)
+        row = p38.ring.mul_vec(np.int64(int(res38.witness_s)),
+                               p38.ring.elements)
+        ok = first_violation(hyp, p38.jac.mask[row], imask38[row]) is None
     out.append({"id": "E3", "passed": bool(ok),
                 "description": "gen(4) x Z8 with the paired subset "
                                "satisfies the product law",
-                "details": {"check": _labeled_result(prod38, res38)}})
+                "details": {"check": _labeled_result(p38.ring, res38)}})
 
     # E4: M2(Z12), P = M2(<4>), S = scalar {1, 3, 9}
-    m12 = build_ring(parse_ring_expr("M(2, Z12)"))
-    lat12 = enumerate_ideals(m12)
-    jac12 = jacobson_radical(m12, lat12)
-    digits = np.arange(m12.size)
+    m12 = _context(build_ring(parse_ring_expr("M(2, Z12)")))
+    lat12 = m12.lattice
+    digits = np.arange(m12.ring.size)
     coords = []
     for _ in range(4):
         coords.append(digits % 12)
         digits = digits // 12
     four = np.zeros(12, dtype=bool)
     four[[0, 4, 8]] = True
-    pmask = _mask_from_base(m12.size, four, coords)
+    pmask = _mask_from_base(m12.ring.size, four, coords)
     smem = [s * 12 ** 3 + s for s in (1, 3, 9)]
-    s_r = SubsetS(m12, smem, kind="msystem", label="scalar(1, 3, 9)")
-    plain = is_J_ideal(m12, pmask, jacobson=jac12, lattice=lat12)
-    rel = is_right_S_J_ideal(m12, pmask, s_r, lattice=lat12, jacobson=jac12)
+    s_r = SubsetS(m12.ring, smem, kind="msystem", label="scalar(1, 3, 9)")
+    plain = m12.j_check(pmask)
+    rel = m12.right_sj(pmask, s_r)
     three_i = 3 * 12 ** 3 + 3
     ok = (not plain.verdict and rel.verdict
           and int(rel.witness_s) in (three_i, 9 * 12 ** 3 + 9))
     # 3I replays as a witness through the lattice scan
-    pidx = lat12.idx_of(IdealSet(m12, pmask))
-    jidx = lat12.idx_of(jac12)
+    pidx = lat12.idx_of(IdealSet(m12.ring, pmask))
+    jidx = lat12.idx_of(m12.jac)
     hyp_m = lat12.leq[lat12.prod, pidx]
     ok = ok and _right_witness(lat12, hyp_m, pidx, jidx, three_i)
     out.append({"id": "E4", "passed": bool(ok),
                 "description": "M2(Z12): the scalar-subset right law "
                                "holds for M2(gen(4)) with witness 3I, "
                                "though the plain law fails",
-                "details": {"plain": _labeled_result(m12, plain),
-                            "right_form": _labeled_result(m12, rel)}})
+                "details": {"plain": _labeled_result(m12.ring, plain),
+                            "right_form": _labeled_result(m12.ring, rel)}})
 
     # E5: radical values on the three rings above
     jac_z36 = np.zeros(36, dtype=bool)
     jac_z36[::6] = True
     six = np.zeros(12, dtype=bool)
     six[[0, 6]] = True
-    expect_m12 = _mask_from_base(m12.size, six, coords)
-    expect_prod = np.zeros(prod38.size, dtype=bool)
-    for a in range(0, 36, 6):
-        for b in range(0, 8, 2):
-            expect_prod[a * 8 + b] = True
-    ok = (np.array_equal(jac36.mask, jac_z36)
-          and np.array_equal(jac12.mask, expect_m12)
-          and np.array_equal(pjac38.mask, expect_prod))
+    expect_m12 = _mask_from_base(m12.ring.size, six, coords)
+    expect_prod = _block_mask(p38.ring, np.arange(0, 36, 6),
+                              np.arange(0, 8, 2), 8)
+    ok = (np.array_equal(z36.jac.mask, jac_z36)
+          and np.array_equal(m12.jac.mask, expect_m12)
+          and np.array_equal(p38.jac.mask, expect_prod))
     out.append({"id": "E5", "passed": bool(ok),
                 "description": "radicals: J(Z36) = gen(6), J(M2(Z12)) = "
                                "M2(gen(6)), J(Z36 x Z8) = gen(6) x gen(2)",

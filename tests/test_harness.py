@@ -152,21 +152,37 @@ def test_violation_payloads_are_replayable():
 CACHE_CORPUS = {"rings": ["Z36", "Z4 x Z6", "M(2, Z2)"]}
 
 
-def test_law_caches_do_not_change_the_report():
+def _memos(corpus):
+    """The memo of every context and of every quotient it picked."""
+    return [c.memo for ctx in corpus.contexts
+            for c in (ctx, *(Q.ctx for Q in ctx.quotients))]
+
+
+def _check_caches_do_not_change_the_report(build):
     """Each law run alone on a fresh corpus reports what it reports inside
-    a full registry run; every context's memo is empty once a run is done,
-    and a second run on the same corpus writes the same bytes: the
-    per-context caches never change an answer."""
-    warm = harness.build_corpus(CACHE_CORPUS)
+    a full registry run; the memos of every context and quotient are empty
+    once a run is done (a child kept in a context's memo goes with it),
+    and a second run on the same corpus writes the same bytes."""
+    warm = build()
     full = harness.verify_properties(warm)
-    assert not any(ctx.memo for ctx in warm.contexts)
+    assert not any(_memos(warm))
     for law, entry in zip(harness.REGISTRY, full):
-        alone = harness.verify_properties(harness.build_corpus(CACHE_CORPUS),
-                                          ids=[law.id])
-        assert alone == [entry]
+        assert harness.verify_properties(build(), ids=[law.id]) == [entry]
     again = harness.verify_properties(warm)
-    assert not any(ctx.memo for ctx in warm.contexts)
+    assert not any(_memos(warm))
     assert harness.report_json(again) == harness.report_json(full)
+
+
+def test_law_caches_do_not_change_the_report():
+    """The per-context caches never change an answer."""
+    _check_caches_do_not_change_the_report(
+        lambda: harness.build_corpus(CACHE_CORPUS))
+
+
+def test_law_caches_do_not_change_the_report_on_derived_rings():
+    """As above on a corpus with families, where P17, P18 and P20-P22 check
+    products, truncations, idealizations and an amalgamation."""
+    _check_caches_do_not_change_the_report(_cross_context_corpus)
 
 
 def test_j_check_work_does_not_depend_on_the_argument_form(monkeypatch):
@@ -233,20 +249,26 @@ def _cross_context_corpus():
 
 
 def test_registry_evaluates_each_context_verdict_once(monkeypatch):
-    """Over a full registry run, each (context ring, mask, subset) left
-    and right verdict is evaluated at most once, whichever laws ask, and
-    so is each colon (I : s) and (I : <s>) of a context ring and each
-    left and right verdict on a picked quotient ring.  On the second,
-    cross-context corpus P17 and P22 test instances, so a context whose
-    memo were released before they ran would be evaluated twice."""
+    """Over a full registry run, each (ring, mask, subset) left and
+    lattice-method right verdict is evaluated at most once, whichever laws
+    ask, on every ring the registry touches: the context rings, their
+    picked quotients and the rings P17, P18, P20 and P21 derive, however
+    often such a ring is built.  So is each colon (I : s) and (I : <s>)
+    of a context ring.  On the second, cross-context corpus P17, P18,
+    P20, P21 and P22 test instances: a context whose memo were released
+    before P17 and P22 ran, or an idealization P21 rebuilt after P20,
+    would be evaluated twice."""
     ctx_rings, quotient_rings, seen = set(), set(), {}
 
     def count(kind, ring, ideal, subset_key):
         if id(ring) in quotient_rings:
             kind = "quotient_" + kind
         elif id(ring) not in ctx_rings:
-            return
-        key = (kind, id(ring), getattr(ideal, "mask", ideal).tobytes(),
+            if kind.startswith("colon"):
+                return
+            kind = "child_" + kind
+        # a label is a ring expression: rings built twice share it
+        key = (kind, ring.label, getattr(ideal, "mask", ideal).tobytes(),
                subset_key)
         seen[key] = seen.get(key, 0) + 1
 
@@ -283,21 +305,23 @@ def test_registry_evaluates_each_context_verdict_once(monkeypatch):
     monkeypatch.setattr(harness.RingCtx, "_left_verdicts", counted_table)
     monkeypatch.setattr(harness, "colon_elem_mask", counted_elem_colon)
     monkeypatch.setattr(harness, "colon_ideal_mask", counted_ideal_colon)
-    for corpus in (harness.build_corpus(CACHE_CORPUS),
-                   _cross_context_corpus()):
+    kinds = {"left", "right", "colon", "colon_ideal", "quotient_left",
+             "quotient_right"}
+    for corpus, derived in ((harness.build_corpus(CACHE_CORPUS), set()),
+                            (_cross_context_corpus(), {"child_left"})):
         ctx_rings.clear()
         ctx_rings.update(id(ctx.ring) for ctx in corpus.contexts)
         quotient_rings.clear()
-        quotient_rings.update(id(q[1]) for ctx in corpus.contexts
-                              for q in ctx.quotients)
+        quotient_rings.update(id(Q.ctx.ring) for ctx in corpus.contexts
+                              for Q in ctx.quotients)
         seen.clear()
         reports = {r["property_id"]: r
                    for r in harness.verify_properties(corpus)}
-        assert {key[0] for key in seen} \
-            == {"left", "right", "colon", "colon_ideal", "quotient_left",
-                "quotient_right"}
+        assert {key[0] for key in seen} == kinds | derived
         assert max(seen.values()) == 1
-    assert reports["P17"]["tested"] and reports["P22"]["tested"]
+    assert {i: reports[i]["tested"] for i in ("P17", "P18", "P20", "P21",
+                                              "P22")} \
+        == {"P17": 40, "P18": 32, "P20": 50, "P21": 64, "P22": 12}
 
 
 def test_registry_builds_each_two_sided_matrix_once(monkeypatch):
