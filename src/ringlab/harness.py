@@ -9,13 +9,13 @@ labeled counterexample.
 
 Each corpus ring is a ``RingCtx``: the ring with its ideal lattice, its
 radicals, the picked ideals, subsets and quotients, and one owner per
-fact that several laws share: ``sj``/``sj_witnesses`` (the fixed-s
-subset-radical verdict and its witness vector, from one violation table
-per mask), ``right_sj``, ``j_check``, the colons and ``two_sided`` (the
-aRb-inside-I matrix P13 and P31 scan).  Each is computed once through
-``memo.once`` into the context's one ``memo``.  ``RingCtx.pairs`` yields
-every picked ideal with every picked subset it misses and counts the
-rest as vacuous.
+fact that several laws share: ``violations`` (one table per ideal mask,
+keyed by subset, of the fixed-s subset-radical verdict and its witness
+vector, which ``sj``, ``sj_witnesses`` and P11 read), ``right_sj``,
+``j_check``, the colons and ``two_sided`` (the aRb-inside-I matrix P13
+and P31 scan).  Each is computed once through ``memo.once`` into the
+context's one ``memo``.  ``RingCtx.pairs`` yields every picked ideal
+with every picked subset it misses and counts the rest as vacuous.
 
 Every derived ring a law checks is a ``RingCtx`` too, made by
 ``_context`` with its lattice and radical and no picks, and every
@@ -46,7 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityExceeded, InvalidParameter, InvalidSubset
+from .errors import (CapacityExceeded, InvalidParameter, InvalidSubset,
+                     RingMismatch)
 from .exprs import build_ring, parse_ring_expr
 from .ideals import (
     IdealSet,
@@ -63,14 +64,15 @@ from .predicates import (
     CheckResult,
     first_violation,
     is_J_ideal,
-    is_S_J_ideal,
+    is_S_J_ideal,  # unused here; perfbench/tests reads harness.is_S_J_ideal
     is_S_n_ideal,
     is_S_prime,
     is_n_ideal,
     is_right_S_J_ideal,
     is_right_S_prime,
-    pair_scan,
     product_hyp_matrix,
+    require_comm_identity,
+    require_disjoint,
     two_sided_matrix,
     two_sided_violation,
 )
@@ -150,51 +152,43 @@ class RingCtx:
                     rep.vacuous += 1
 
     def sj(self, ideal, subset):
-        """is_S_J_ideal (fixed-s) of the ideal or mask against this
-        context's radical, for a subset of the ring missing it: read from
-        the mask's violation table for a context subset, checked once per
-        (mask, subset) for any other."""
-        mask = getattr(ideal, "mask", ideal)
-        if any(S.key == subset.key for S in self.subsets):
-            return self._left(mask)[subset.key][1]
-        return once(self.memo, ("sj", mask.tobytes(), subset.key),
-                    lambda: is_S_J_ideal(self.ring, mask, subset,
-                                         jacobson=self.jac,
-                                         lattice=self.lattice))
+        """The fixed-s subset-radical verdict of an ideal or mask, from its
+        violation table; raises NotApplicable, RingMismatch, InvalidIdeal
+        and NotDisjoint as the predicate does."""
+        return self.violations(self._missed_mask(ideal, subset), subset)[1]
 
     def sj_witnesses(self, ideal, subset):
         """wits[k]: is subset.members[k] a fixed witness of the subset-
         radical law for the ideal?  sj(ideal, subset) is read from the
-        same violation table, so the two always agree."""
-        return self._left(ideal)[subset.key][0]
+        same table entry, so the two always agree."""
+        return self.violations(self._missed_mask(ideal, subset), subset)[0]
 
-    def _left(self, ideal):
+    def _missed_mask(self, ideal, subset):
+        """The mask of an ideal of this commutative unital ring that the
+        subset misses; a bare mask is looked up in the complete lattice."""
+        require_comm_identity(self.ring)
+        for arg in (ideal, subset):
+            if getattr(arg, "ring", self.ring) is not self.ring:
+                raise RingMismatch("argument belongs to a different ring",
+                                   ring=self.ring.label, other=arg.ring.label)
         mask = getattr(ideal, "mask", ideal)
-        return once(self.memo, ("sj", mask.tobytes()),
-                    lambda: self._left_verdicts(mask))
+        self.lattice.idx_of(IdealSet(self.ring, mask))   # else InvalidIdeal
+        require_disjoint(self.ring, mask, subset)
+        return mask
 
-    def _left_verdicts(self, imask):
-        """One hypothesis matrix per mask gives the whole violation table
-        of every context subset that misses it."""
-        ring, jm = self.ring, self.jac.mask
-        self.lattice.idx_of(IdealSet(ring, imask))   # raises unless an ideal
-        hyp = product_hyp_matrix(ring, imask)
-        per_subset = {}
-        for S in self.subsets:
-            if (imask & S.mask).any():
-                continue
-            table = []
-            for s in S.members:
-                row = ring.mul_vec(np.int64(s), ring.elements)
-                table.append((int(s), first_violation(hyp, jm[row],
-                                                      imask[row])))
-            wits = readonly(np.array([v is None for _, v in table],
-                                     dtype=bool))
-            witness = next((s for s, v in table if v is None), None)
-            res = (CheckResult(False, counterexample=tuple(table))
-                   if witness is None else CheckResult(True, witness_s=witness))
-            per_subset[S.key] = (wits, res)
-        return per_subset
+    def violations(self, mask, subset):
+        """The unchecked (wits, verdict) entry of a subset in an ideal
+        mask's violation table.  A missing one is filled with those of the
+        context subsets that miss the mask and are not in the table yet,
+        from one hypothesis matrix that is not kept."""
+        table = once(self.memo, ("sj", mask.tobytes()), dict)
+        if subset.key not in table:
+            todo = {subset.key: subset}
+            todo.update((S.key, S) for S in self.subsets
+                        if S.key not in table and not (S.mask & mask).any())
+            table.update(_violation_table(self.ring, self.jac.mask, mask,
+                                          todo.values()))
+        return table[subset.key]
 
     def right_sj(self, ideal, subset):
         """is_right_S_J_ideal (lattice method, fixed-s) against this
@@ -233,6 +227,23 @@ class RingCtx:
         sgen = self.lattice.principal(s)
         return once(self.memo, ("colon<>", mask.tobytes(), sgen.key),
                     lambda: readonly(colon_ideal_mask(self.ring, mask, sgen)))
+
+
+def _violation_table(ring, jm, imask, subsets):
+    """{S.key: (wits, verdict)} of the fixed-s law for an ideal mask and a
+    radical mask jm, from one hypothesis matrix: wits[k] says whether
+    members[k] is a witness; the verdict carries the least witness, or
+    else one violating pair per s, as the fixed-s predicate does."""
+    hyp = product_hyp_matrix(ring, imask)
+    out = {}
+    for S in subsets:
+        table = tuple((int(s), first_violation(hyp, jm[row], imask[row]))
+                      for s, row in zip(S.members, ring.mul_table[S.members]))
+        wits = readonly(np.array([v is None for _, v in table]))
+        res = (CheckResult(True, witness_s=table[wits.argmax()][0])
+               if wits.any() else CheckResult(False, counterexample=table))
+        out[S.key] = (wits, res)
+    return out
 
 
 class _Quotient(NamedTuple):
@@ -698,9 +709,9 @@ def _p5(ctx, rep):
 def _colon_form(ctx, rep, form_b):
     # form a (P6): witness s <=> (I : a) inside (J(R) : s) for every a
     # outside (I : s); form b (P7): witness s <=> (I : b) inside (I : s)
-    # for every b outside (J(R) : s)
+    # for every b outside (J(R) : s).  Row a of the product table read
+    # through I is (I : a), so viol is their union over the a outside skip
     ring, jm = ctx.ring, ctx.jac.mask
-    els = ring.elements
     for I, S in ctx.pairs(rep):
         wits = ctx.sj_witnesses(I, S)
         rep.tested += 1
@@ -708,12 +719,8 @@ def _colon_form(ctx, rep, form_b):
             skip, inner = ctx.colon(jm, s), ctx.colon(I.mask, s)
             if form_b:
                 skip, inner = inner, skip
-            bad = np.flatnonzero(~skip)
-            rhs = True
-            if bad.size:
-                viol = I.mask[ring.mul_vec(bad[:, None],
-                                           els[None, :])].any(axis=0)
-                rhs = not (viol & ~inner).any()
+            viol = I.mask[ring.mul_table[~skip]].any(axis=0)
+            rhs = not (viol & ~inner).any()
             if rhs != bool(w):
                 rep.violation(ring, I, S, {
                     "s": ring.element_label(int(s)),
@@ -745,15 +752,14 @@ def _p8(ctx, rep):
                 sub = _context(make_ideal_as_ring(ring, I.mask))
                 nonzero = [int(sub.ring.pos[x]) for x in I.members
                            if int(x) != ring.zero]
-                stable = [P for P in sub.lattice.ideals if all(
-                    np.array_equal(colon_elem_mask(sub.ring, P.mask, m),
-                                   P.mask) for m in nonzero)]
+                stable = [(P, product_hyp_matrix(sub.ring, P.mask))
+                          for P in sub.lattice.ideals if all(np.array_equal(
+                              colon_elem_mask(sub.ring, P.mask, m), P.mask)
+                              for m in nonzero)]
             rep.vacuous += len(sub.lattice) - len(stable)
-            for P in stable:
+            rows = sub.ring.pos[ring.mul_table[np.ix_(S.members, I.members)]]
+            for P, sub_hyp in stable:
                 rep.tested += 1
-                sub_hyp = product_hyp_matrix(sub.ring, P.mask)
-                rows = (sub.ring.pos[ring.mul_vec(np.int64(s), I.members)]
-                        for s in S.members)
                 if not any(first_violation(sub_hyp, sub.jac.mask[row],
                                            P.mask[row]) is None
                            for row in rows):
@@ -850,8 +856,7 @@ def _p10(ctx, rep):
 def _p11(ctx, rep):
     # the colon of a subset-radical ideal by any set X outside it keeps
     # the quantifier form of the law (disjointness tracked separately)
-    ring, jm = ctx.ring, ctx.jac.mask
-    els = ring.elements
+    ring = ctx.ring
     for I, S in ctx.pairs(rep):
         if not ctx.sj_witnesses(I, S).any():
             rep.vacuous += 1
@@ -865,13 +870,7 @@ def _p11(ctx, rep):
             if (cmask & S.mask).any():
                 rep.notes["colon_meets_subset"] = \
                     rep.notes.get("colon_meets_subset", 0) + 1
-            chyp = product_hyp_matrix(ring, cmask)
-
-            def disjuncts(s):
-                row = ring.mul_vec(np.int64(s), els)
-                return jm[row], cmask[row]
-
-            res = pair_scan(chyp, S.members, disjuncts, "fixed-s")
+            res = ctx.violations(cmask, S)[1]
             if not res.verdict:
                 rep.violation(ring, I, S, {
                     "x_set": [ring.element_label(x) for x in xs],

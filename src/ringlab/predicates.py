@@ -111,14 +111,17 @@ def _resolve_subset(ring, subset):
     return SubsetS(ring, subset, kind="mulclosed")
 
 
-def _require_disjoint(ring, imask, subset):
+def require_disjoint(ring, imask, subset):
+    """Raise NotDisjoint, naming the least common element, unless the
+    subset misses the ideal mask."""
     hits = subset.members[imask[subset.members]]
     if hits.size:
         raise NotDisjoint("subset meets the ideal",
                           witness=int(hits.min()), ring=ring.label)
 
 
-def _require_comm_identity(ring):
+def require_comm_identity(ring):
+    """Raise NotApplicable unless the ring is commutative with identity."""
     if not ring.commutative:
         raise NotApplicable("check requires a commutative ring",
                             ring=ring.label)
@@ -263,7 +266,7 @@ def is_J_ideal(ring, ideal, jacobson=None, lattice=None):
 def is_n_ideal(ring, ideal, beta=None, lattice=None):
     """Like the radical-membership check above but against the prime
     radical: ab in I and a not nilpotent force b in I."""
-    _require_comm_identity(ring)
+    require_comm_identity(ring)
     imask = _resolve_ideal(ring, ideal)
     if imask.all():
         raise InvalidIdeal("expected a proper ideal", ring=ring.label)
@@ -286,10 +289,10 @@ def is_S_J_ideal(ring, ideal, subset, jacobson=None, lattice=None,
     """There is an s in S so that whenever ab lands in the ideal, either
     s*a falls in the Jacobson radical or s*b falls in the ideal."""
     _check_mode(mode)
-    _require_comm_identity(ring)
+    require_comm_identity(ring)
     imask = _resolve_ideal(ring, ideal)
     subset = _resolve_subset(ring, subset)
-    _require_disjoint(ring, imask, subset)
+    require_disjoint(ring, imask, subset)
     jmask = _jac_mask(ring, jacobson, lattice)
     hyp = product_hyp_matrix(ring, imask)
     els = ring.elements
@@ -306,10 +309,10 @@ def is_S_n_ideal(ring, ideal, subset, beta=None, lattice=None,
     """There is an s in S so that ab in ideal and a*s not nilpotent force
     b*s into the ideal."""
     _check_mode(mode)
-    _require_comm_identity(ring)
+    require_comm_identity(ring)
     imask = _resolve_ideal(ring, ideal)
     subset = _resolve_subset(ring, subset)
-    _require_disjoint(ring, imask, subset)
+    require_disjoint(ring, imask, subset)
     if beta is None:
         beta, _ = prime_radical(ring, lattice)
     bmask = _resolve_ideal(ring, beta)
@@ -326,10 +329,10 @@ def is_S_n_ideal(ring, ideal, subset, beta=None, lattice=None,
 def is_S_prime(ring, ideal, subset, mode="fixed-s"):
     """There is an s in S so that ab in the ideal forces a*s or b*s in."""
     _check_mode(mode)
-    _require_comm_identity(ring)
+    require_comm_identity(ring)
     imask = _resolve_ideal(ring, ideal)
     subset = _resolve_subset(ring, subset)
-    _require_disjoint(ring, imask, subset)
+    require_disjoint(ring, imask, subset)
     hyp = product_hyp_matrix(ring, imask)
     els = ring.elements
 
@@ -379,7 +382,7 @@ def is_right_S_prime(ring, ideal, subset, lattice=None, mode="fixed-s"):
     _check_mode(mode)
     imask = _resolve_ideal(ring, ideal)
     subset = _resolve_subset(ring, subset)
-    _require_disjoint(ring, imask, subset)
+    require_disjoint(ring, imask, subset)
     lattice, pidx = _lattice_context(ring, imask, lattice)
     return _lattice_scan(lattice, pidx, pidx, subset.members, mode)
 
@@ -396,7 +399,7 @@ def is_right_S_J_ideal(ring, ideal, subset, lattice=None, jacobson=None,
     _check_mode(mode)
     imask = _resolve_ideal(ring, ideal)
     subset = _resolve_subset(ring, subset)
-    _require_disjoint(ring, imask, subset)
+    require_disjoint(ring, imask, subset)
     if method == "lattice":
         lattice, pidx = _lattice_context(ring, imask, lattice)
         jac = jacobson_radical(ring, lattice) if jacobson is None else jacobson

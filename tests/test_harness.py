@@ -7,10 +7,19 @@ import threading
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from ringlab import harness, predicates
-from ringlab.errors import InvalidParameter
+from ringlab import harness, naive, predicates
+from ringlab.errors import (
+    InvalidIdeal,
+    InvalidParameter,
+    NotApplicable,
+    NotDisjoint,
+    RinglabError,
+)
+from ringlab.subsets import SubsetS, generated_subset
+from test_ideals import generated_rings  # noqa: F401  (fixture)
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_PATH = ROOT / "schemas" / "report.schema.json"
@@ -239,6 +248,107 @@ def test_verdict_owners_answer_as_the_predicates():
     assert checked and unpicked
 
 
+def _answer(ctx, ideal, subset):
+    """What ctx.sj and ctx.sj_witnesses say, or the type of their error."""
+    try:
+        return (ctx.sj(ideal, subset).to_json(),
+                ctx.sj_witnesses(ideal, subset).tolist())
+    except RinglabError as err:
+        return type(err)
+
+
+def test_picked_and_other_subsets_get_the_same_answer():
+    """ctx.sj answers a subset the context picked as it answers any other
+    subset: with the same verdict, or with the same error."""
+    z36 = harness.build_context("Z36", "zn")
+    picked = next(S for S in z36.subsets if S.members.tolist() == [1, 3, 9, 27])
+    other = SubsetS(z36.ring, picked.members, kind="msystem")
+    assert other.key not in {S.key for S in z36.subsets}
+    not_ideal = np.zeros(36, dtype=bool)
+    not_ideal[[0, 4]] = True
+    for ideal, want in ((z36.lattice.principal(4), None),
+                        (z36.lattice.principal(3), NotDisjoint),
+                        (not_ideal, InvalidIdeal)):
+        answers = [_answer(z36, ideal, S) for S in (picked, other)]
+        assert answers[0] == answers[1]
+        if want is None:
+            assert answers[0][0]["verdict"]
+        else:
+            assert answers[0] is want
+    m2 = harness.build_context("M(2, Z2)", "matrix")
+    picked = m2.subsets[0]
+    other = SubsetS(m2.ring, picked.members, kind="msystem", check=False)
+    zero = m2.lattice.ideals[m2.lattice.zero_idx]
+    assert [_answer(m2, zero, S) for S in (picked, other)] \
+        == [NotApplicable] * 2
+
+
+def _assert_left_matches_naive(nr, njac, mask, subset, entry):
+    """A (wits, verdict) entry against naive.s_j_check: the verdict, the
+    witness and the violation table on the whole subset, and each witness
+    flag on the singleton {s}."""
+    wits, res = entry
+    iset = frozenset(np.flatnonzero(mask).tolist())
+    members = [int(s) for s in subset.members]
+    nv, nw, ntab = naive.s_j_check(nr, iset, members, njac)
+    assert (res.verdict, res.witness_s) == (nv, nw)
+    assert res.counterexample == (None if nv else tuple(ntab))
+    assert wits.tolist() == [naive.s_j_check(nr, iset, [s], njac)[0]
+                             for s in members]
+
+
+def test_left_verdicts_match_naive_on_generated_rings(generated_rings):
+    """On each commutative unital generated ring, every proper ideal
+    against its picked subsets and a few generated ones."""
+    checked = 0
+    for label, ring, nr in generated_rings:
+        if not ring.commutative or ring.one is None:
+            continue
+        ctx = harness.build_context(label, "custom")
+        njac = naive.jacobson(nr)
+        extra = [generated_subset(ctx.ring, [x]) for x in range(2, ring.size)]
+        extra = [S for S in extra if not S.contains(ring.zero)][:2]
+        for I in ctx.lattice.ideals:
+            for S in (*ctx.subsets, *extra):
+                if I.is_proper and not I.mask[S.members].any():
+                    _assert_left_matches_naive(
+                        nr, njac, I.mask, S,
+                        (ctx.sj_witnesses(I, S), ctx.sj(I, S)))
+                    checked += 1
+    assert checked > 100
+
+
+def test_left_verdicts_match_naive_on_quotients_and_colons():
+    """On each picked quotient, every proper ideal against the images of
+    the picked subsets; on the context rings, one colon (I : x) that
+    meets its subset, as P11 reads it."""
+    corpus = harness.build_corpus(CACHE_CORPUS)
+    checked = 0
+    for ctx in corpus.contexts:
+        for Q in ctx.quotients:
+            qctx = Q.ctx
+            nr = naive.NaiveRing(qctx.ring)
+            njac = naive.jacobson(nr)
+            for L in qctx.lattice.ideals:
+                for simg in map(Q.image, ctx.subsets):
+                    if L.is_proper and not L.mask[simg.members].any():
+                        _assert_left_matches_naive(
+                            nr, njac, L.mask, simg,
+                            (qctx.sj_witnesses(L, simg), qctx.sj(L, simg)))
+                        checked += 1
+    assert checked > 20
+    ctx = corpus.contexts[0]
+    cmask, S = next((cmask, S) for I, S in ctx.pairs(harness._Rep())
+                    for x in np.flatnonzero(~I.mask)
+                    for cmask in [ctx.colon(I.mask, x)]
+                    if cmask[S.members].any())
+    with pytest.raises(NotDisjoint):
+        ctx.sj(cmask, S)
+    nr = naive.NaiveRing(ctx.ring)
+    _assert_left_matches_naive(nr, naive.jacobson(nr), cmask, S,
+                               ctx.violations(cmask, S))
+
+
 def _cross_context_corpus():
     """Z_n contexts and an amalgamation over Z8, so that P17 and P22 read
     other contexts' verdicts."""
@@ -249,15 +359,15 @@ def _cross_context_corpus():
 
 
 def test_registry_evaluates_each_context_verdict_once(monkeypatch):
-    """Over a full registry run, each (ring, mask, subset) left and
-    lattice-method right verdict is evaluated at most once, whichever laws
-    ask, on every ring the registry touches: the context rings, their
-    picked quotients and the rings P17, P18, P20 and P21 derive, however
-    often such a ring is built.  So is each colon (I : s) and (I : <s>)
-    of a context ring.  On the second, cross-context corpus P17, P18,
-    P20, P21 and P22 test instances: a context whose memo were released
-    before P17 and P22 ran, or an idealization P21 rebuilt after P20,
-    would be evaluated twice."""
+    """Over a full registry run, each (ring, mask, subset) entry of a left
+    violation table is filled at most once, and each lattice-method right
+    verdict evaluated at most once, whichever laws ask, on every ring the
+    registry touches: the context rings, their picked quotients and the
+    rings P17, P18, P20 and P21 derive, however often such a ring is
+    built.  So is each colon (I : s) and (I : <s>) of a context ring.  On
+    the second, cross-context corpus P17, P18, P20, P21 and P22 test
+    instances: a context whose memo were released before P17 and P22 ran,
+    or an idealization P21 rebuilt after P20, would be evaluated twice."""
     ctx_rings, quotient_rings, seen = set(), set(), {}
 
     def count(kind, ring, ideal, subset_key):
@@ -272,25 +382,20 @@ def test_registry_evaluates_each_context_verdict_once(monkeypatch):
                subset_key)
         seen[key] = seen.get(key, 0) + 1
 
-    left, right = harness.is_S_J_ideal, harness.is_right_S_J_ideal
-    table = harness.RingCtx._left_verdicts
+    table, right = harness._violation_table, harness.is_right_S_J_ideal
 
-    def counted_left(ring, ideal, subset, **kwargs):
-        count("left", ring, ideal, subset.key)
-        return left(ring, ideal, subset, **kwargs)
+    def counted_table(ring, jm, imask, subsets):
+        out = table(ring, jm, imask, subsets)
+        for subset_key in out:
+            count("left", ring, imask, subset_key)
+        return out
 
     def counted_right(ring, ideal, subset, **kwargs):
         if kwargs.get("method", "lattice") == "lattice":
             count("right", ring, ideal, subset.key)
         return right(ring, ideal, subset, **kwargs)
 
-    def counted_table(self, imask):
-        out = table(self, imask)
-        for subset_key in out:
-            count("left", self.ring, imask, subset_key)
-        return out
-
-    monkeypatch.setattr(harness, "is_S_J_ideal", counted_left)
+    monkeypatch.setattr(harness, "_violation_table", counted_table)
     monkeypatch.setattr(harness, "is_right_S_J_ideal", counted_right)
     elem_colon, ideal_colon = harness.colon_elem_mask, harness.colon_ideal_mask
 
@@ -302,7 +407,6 @@ def test_registry_evaluates_each_context_verdict_once(monkeypatch):
         count("colon_ideal", ring, pmask, t_ideal.key)
         return ideal_colon(ring, pmask, t_ideal, **kwargs)
 
-    monkeypatch.setattr(harness.RingCtx, "_left_verdicts", counted_table)
     monkeypatch.setattr(harness, "colon_elem_mask", counted_elem_colon)
     monkeypatch.setattr(harness, "colon_ideal_mask", counted_ideal_colon)
     kinds = {"left", "right", "colon", "colon_ideal", "quotient_left",
