@@ -14,8 +14,14 @@ keyed by subset, of the fixed-s subset-radical verdict and its witness
 vector, which ``sj``, ``sj_witnesses`` and P11 read), ``right_sj``,
 ``j_check``, the colons and ``two_sided`` (the aRb-inside-I matrix P13
 and P31 scan).  Each is computed once through ``memo.once`` into the
-context's one ``memo``.  ``RingCtx.pairs`` yields every picked ideal
-with every picked subset it misses and counts the rest as vacuous.
+context's one ``memo``.
+
+A law states its hypotheses and its conclusion, and its ``_Rep`` counts
+the instances: ``rep.keep(holds)`` counts a vacuous one when a
+hypothesis fails, and ``rep.given(holds)`` a tested or a vacuous one by
+the last hypothesis.  ``_pairs(rep, ideals, subsets)`` streams the (I, S)
+instances with I missing S, counting each other pair as vacuous;
+``RingCtx.pairs`` streams the picked ones.
 
 Every derived ring a law checks is a ``RingCtx`` too, made by
 ``_context`` with its lattice and radical and no picks, and every
@@ -42,6 +48,7 @@ contexts in corpus order.
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -142,14 +149,8 @@ class RingCtx:
         return self.ring.one is not None
 
     def pairs(self, rep):
-        """The (I, S) instances with I missing S, ideal-major; each pair
-        whose ideal meets its subset counts as vacuous."""
-        for I in self.ideals:
-            for S in self.subsets:
-                if _disjoint(I, S):
-                    yield I, S
-                else:
-                    rep.vacuous += 1
+        """_pairs of the picked ideals and subsets."""
+        return _pairs(rep, self.ideals, self.subsets)
 
     def sj(self, ideal, subset):
         """The fixed-s subset-radical verdict of an ideal or mask, from its
@@ -309,9 +310,8 @@ def default_ring_exprs():
     for n in (2, 3, 4, 6):
         exprs.append(("M(2, Z%d)" % n, "matrix"))
     for n in IDEALIZE_BASES:
-        for k in _divisors(n):
-            if k >= 2 and n * k <= IDEALIZE_CAP:
-                exprs.append(("idealize(Z%d, %d)" % (n, k), "idealization"))
+        for k in _idealize_orders(n):
+            exprs.append(("idealize(Z%d, %d)" % (n, k), "idealization"))
     for n, m in AMALG_PAIRS:
         j = _squarefree_radical(m)
         gen = 0 if j == m else j   # <j> = J(Z_m); j == m means J = 0
@@ -323,6 +323,12 @@ def default_ring_exprs():
     for d in (2, 3, 4, 6, 9, 12, 18):
         exprs.append(("idealring(Z36, gen(%d))" % d, "idealring"))
     return exprs
+
+
+def _idealize_orders(n):
+    """The orders k >= 2 of the cyclic modules Z_k, k dividing n, by which
+    Z_n is idealized within IDEALIZE_CAP, in increasing order."""
+    return [k for k in _divisors(n) if k >= 2 and n * k <= IDEALIZE_CAP]
 
 
 def _squarefree_radical(m):
@@ -502,12 +508,31 @@ def build_corpus(config=None):
 # ---------------------------------------------------------------------------
 
 class _Rep:
+    """One law's report.  An instance is vacuous when a hypothesis of the
+    law fails for it, and tested when every hypothesis holds and the
+    conclusion was checked."""
+
     def __init__(self, notes=()):
         self.tested = 0
         self.vacuous = 0
         self.violated = 0
         self.violations = []
         self.notes = dict(notes)
+
+    def keep(self, holds):
+        """holds, a hypothesis of the instance; counted vacuous if false."""
+        if not holds:
+            self.vacuous += 1
+        return holds
+
+    def given(self, holds):
+        """holds, the last hypothesis of the instance; counted tested if
+        true, else vacuous."""
+        if holds:
+            self.tested += 1
+        else:
+            self.vacuous += 1
+        return holds
 
     def violation(self, ring, ideal, subset, counterexample, mode="fixed-s"):
         self.violated += 1
@@ -551,6 +576,13 @@ def _disjoint(ideal, subset):
     return not (ideal.mask & subset.mask).any()
 
 
+def _pairs(rep, ideals, subsets):
+    """The (I, S) instances with I missing S, ideal-major; each pair whose
+    ideal meets its subset counts as vacuous."""
+    return ((I, S) for I in ideals for S in subsets
+            if rep.keep(_disjoint(I, S)))
+
+
 def _mulclosed(subset):
     """Label a subset carried to a derived ring by its members."""
     subset.label = "mulclosed(%s)" % ", ".join(
@@ -582,10 +614,8 @@ def _p1(ctx, rep):
     ring, jm = ctx.ring, ctx.jac.mask
     for I, S in ctx.pairs(rep):
         wits = ctx.sj_witnesses(I, S)
-        if not wits.any():
-            rep.vacuous += 1
+        if not rep.given(wits.any()):
             continue
-        rep.tested += 1
         for s, ok in zip(S.members, wits):
             if not ok:
                 continue
@@ -602,10 +632,8 @@ def _p2(ctx, rep):
     # radical-membership ideals sit inside the radical
     ring = ctx.ring
     for I in ctx.ideals:
-        if not ctx.j_check(I).verdict:
-            rep.vacuous += 1
+        if not rep.given(ctx.j_check(I).verdict):
             continue
-        rep.tested += 1
         if (I.mask & ~ctx.jac.mask).any():
             bad = int(np.flatnonzero(I.mask & ~ctx.jac.mask)[0])
             rep.violation(ring, I, None,
@@ -619,42 +647,42 @@ def _p3(ctx, rep):
     sub_free_done = set()
     for I, S in ctx.pairs(rep):
         rn = is_S_n_ideal(ring, I, S, beta=beta, lattice=ctx.lattice)
-        if rn.verdict:
-            rep.tested += 1
+        if rep.given(rn.verdict):
             rj = ctx.sj(I, S)
             if not rj.verdict:
                 rep.violation(ring, I, S, {
                     "part": "subset-nilradical-but-not-subset-radical",
                     "nilradical_check": _labeled_result(ring, rn),
                     "radical_check": _labeled_result(ring, rj)})
-        else:
-            rep.vacuous += 1
         if I.key not in sub_free_done:
             sub_free_done.add(I.key)
             n_res = is_n_ideal(ring, I, beta=beta, lattice=ctx.lattice)
-            if n_res.verdict:
-                rep.tested += 1
+            if rep.given(n_res.verdict):
                 j_res = ctx.j_check(I)
                 if not j_res.verdict:
                     rep.violation(ring, I, None, {
                         "part": "nilradical-but-not-radical",
                         "counterexample":
                             label_indices(ring, j_res.counterexample)})
-            else:
-                rep.vacuous += 1
-    if ctx.jac.is_proper:
-        for S in ctx.subsets:
-            if not _disjoint(ctx.jac, S):
-                rep.vacuous += 1
-                continue
-            rep.tested += 1
-            rj = ctx.sj(ctx.jac, S)
-            rp = is_S_prime(ring, ctx.jac, S)
-            if rj.verdict != rp.verdict:
-                rep.violation(ring, ctx.jac, S, {
-                    "part": "radical-subset-radical-vs-subset-prime",
-                    "subset_radical": _labeled_result(ring, rj),
-                    "subset_prime": _labeled_result(ring, rp)})
+    _radical_vs_prime(ctx, rep, ctx.sj, lambda J, S: is_S_prime(ring, J, S),
+                      "radical-subset-radical-vs-subset-prime",
+                      "subset_radical", "subset_prime")
+
+
+def _radical_vs_prime(ctx, rep, law, prime, part, law_key, prime_key):
+    # on a proper J(R), for each subset J(R) misses: J(R) satisfies the
+    # law (ctx.sj or ctx.right_sj) iff prime(J(R), S) holds
+    ring = ctx.ring
+    if not ctx.jac.is_proper:
+        return
+    for J, S in _pairs(rep, (ctx.jac,), ctx.subsets):
+        rep.tested += 1
+        rj, rp = law(J, S), prime(J, S)
+        if rj.verdict != rp.verdict:
+            rep.violation(ring, J, S, {
+                "part": part,
+                law_key: _labeled_result(ring, rj),
+                prime_key: _labeled_result(ring, rp)})
 
 
 def _p4(ctx, rep):
@@ -689,10 +717,8 @@ def _p5(ctx, rep):
         for s in S.members:
             cmask = ctx.colon(I.mask, s)
             colon_j.append(not cmask.all() and ctx.j_check(cmask).verdict)
-        if not any(colon_j) and not (conv and wits.any()):
-            rep.vacuous += 1
+        if not rep.given(any(colon_j) or (conv and wits.any())):
             continue
-        rep.tested += 1
         for s, cj, w in zip(S.members, colon_j, wits):
             if cj and not w:
                 rep.violation(ring, I, S, {
@@ -744,25 +770,24 @@ def _p8(ctx, rep):
         if I.size < 2:
             continue
         sub = None
-        for S in ctx.subsets:
-            if not _disjoint(I, S) or not ctx.sj_witnesses(I, S).any():
-                rep.vacuous += 1
+        for _, S in _pairs(rep, (I,), ctx.subsets):
+            if not rep.keep(ctx.sj_witnesses(I, S).any()):
                 continue
             if sub is None:
                 sub = _context(make_ideal_as_ring(ring, I.mask))
                 nonzero = [int(sub.ring.pos[x]) for x in I.members
                            if int(x) != ring.zero]
-                stable = [(P, product_hyp_matrix(sub.ring, P.mask))
-                          for P in sub.lattice.ideals if all(np.array_equal(
-                              colon_elem_mask(sub.ring, P.mask, m), P.mask)
-                              for m in nonzero)]
-            rep.vacuous += len(sub.lattice) - len(stable)
+                # the hypothesis matrix of each colon-stable inner ideal
+                hyps = [product_hyp_matrix(sub.ring, P.mask) if all(
+                    np.array_equal(colon_elem_mask(sub.ring, P.mask, m),
+                                   P.mask) for m in nonzero) else None
+                        for P in sub.lattice.ideals]
             rows = sub.ring.pos[ring.mul_table[np.ix_(S.members, I.members)]]
-            for P, sub_hyp in stable:
-                rep.tested += 1
-                if not any(first_violation(sub_hyp, sub.jac.mask[row],
-                                           P.mask[row]) is None
-                           for row in rows):
+            for P, sub_hyp in zip(sub.lattice.ideals, hyps):
+                if rep.given(sub_hyp is not None) and not any(
+                        first_violation(sub_hyp, sub.jac.mask[row],
+                                        P.mask[row]) is None
+                        for row in rows):
                     rep.violation(ring, I, S, {
                         "inner_ideal": [sub.ring.element_label(int(g))
                                         for g in P.members],
@@ -775,27 +800,19 @@ def _p9(ctx, rep):
     # radical to be subset-finite (trivially true in finite rings)
     ring, jm = ctx.ring, ctx.jac.mask
     fmask = None
-    for I in ctx.ideals:
-        jstar = j_star(ring, I, ctx.lattice)
-        if jstar.key != I.key:
-            rep.vacuous += 1
+    fixed = [I for I in ctx.ideals
+             if rep.keep(j_star(ring, I, ctx.lattice).key == I.key)]
+    for I, S in _pairs(rep, fixed, ctx.subsets):
+        if not rep.given(ctx.sj_witnesses(I, S).any()):
             continue
-        for S in ctx.subsets:
-            if not _disjoint(I, S):
-                rep.vacuous += 1
-                continue
-            if not ctx.sj_witnesses(I, S).any():
-                rep.vacuous += 1
-                continue
-            rep.tested += 1
-            s = int(S.members.min())
-            if fmask is None:
-                fmask = ideal_generate(ring, minimal_generating_set(ctx.jac))
-            js = ring.mul_vec(ctx.jac.members, np.int64(s))
-            if not (fmask[js].all() and not (fmask & ~jm).any()):
-                rep.violation(ring, I, S, {
-                    "note": "no finite sandwich for the radical",
-                    "s": ring.element_label(s)})
+        s = int(S.members.min())
+        if fmask is None:
+            fmask = ideal_generate(ring, minimal_generating_set(ctx.jac))
+        js = ring.mul_vec(ctx.jac.members, np.int64(s))
+        if not (fmask[js].all() and not (fmask & ~jm).any()):
+            rep.violation(ring, I, S, {
+                "note": "no finite sandwich for the radical",
+                "s": ring.element_label(s)})
 
 
 def _p10(ctx, rep):
@@ -804,48 +821,31 @@ def _p10(ctx, rep):
     ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
     a_pool = list(ctx.ideals) + [unit_ideal(ring)]
     for S in ctx.subsets:
+        s = int(S.members.min())
         sj = {I.key: ctx.sj_witnesses(I, S).any()
               for I in ctx.ideals if _disjoint(I, S)}
+        missed = [J for J in ctx.ideals if J.key in sj]
         for A in a_pool:
-            if A.key not in lattice.key_to_idx:
-                continue
-            big = all((A.mask & ~ctx.colon(jm, s)).any()
-                      for s in S.members)
-            if not big:
-                rep.vacuous += 1
+            if not rep.keep(all((A.mask & ~ctx.colon(jm, t)).any()
+                                for t in S.members)):
                 continue
             aidx = lattice.idx_of(A)
             for I in ctx.ideals:
-                iidx = lattice.idx_of(I)
-                if I.key in sj:
-                    for J in ctx.ideals:
-                        if J.key not in sj:
-                            continue
-                        if not (sj[I.key] and sj[J.key]):
-                            rep.vacuous += 1
-                            continue
-                        ai = lattice.product_idx(aidx, iidx)
-                        aj = lattice.product_idx(aidx, lattice.idx_of(J))
-                        if ai != aj:
-                            rep.vacuous += 1
-                            continue
-                        rep.tested += 1
-                        s = int(S.members.min())
-                        js = ring.mul_vec(J.members, np.int64(s))
-                        if not J.mask[js].all():
-                            rep.violation(ring, J, S, {
-                                "note": "J*s escaped J",
-                                "s": ring.element_label(s)})
+                ai = lattice.product_idx(aidx, lattice.idx_of(I))
+                for J in (missed if I.key in sj else ()):
+                    if not rep.given(sj[I.key] and sj[J.key] and ai == (
+                            lattice.product_idx(aidx, lattice.idx_of(J)))):
+                        continue
+                    js = ring.mul_vec(J.members, np.int64(s))
+                    if not J.mask[js].all():
+                        rep.violation(ring, J, S, {
+                            "note": "J*s escaped J",
+                            "s": ring.element_label(s)})
                 # part two: a subset-radical product AI bounds I
-                ai_ideal = lattice.ideals[lattice.product_idx(aidx, iidx)]
-                if not _disjoint(ai_ideal, S):
-                    rep.vacuous += 1
+                ai_ideal = lattice.ideals[ai]
+                if not (rep.keep(_disjoint(ai_ideal, S)) and rep.given(
+                        ctx.sj_witnesses(ai_ideal, S).any())):
                     continue
-                if not ctx.sj_witnesses(ai_ideal, S).any():
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                s = int(S.members.min())
                 is_ = ring.mul_vec(I.members, np.int64(s))
                 if not I.mask[is_].all():
                     rep.violation(ring, I, S, {
@@ -858,8 +858,7 @@ def _p11(ctx, rep):
     # the quantifier form of the law (disjointness tracked separately)
     ring = ctx.ring
     for I, S in ctx.pairs(rep):
-        if not ctx.sj_witnesses(I, S).any():
-            rep.vacuous += 1
+        if not rep.keep(ctx.sj_witnesses(I, S).any()):
             continue
         outside = [int(x) for x in range(ring.size) if not I.mask[x]][:2]
         xsets = [[x] for x in outside] + [[int(x) for x in S.members]]
@@ -885,8 +884,7 @@ def _p12(ctx, rep):
         sj_idx = [i for i, idl in enumerate(lattice.ideals)
                   if idl.is_proper and _disjoint(idl, S)
                   and ctx.sj_witnesses(idl, S).any()]
-        if sj_idx:
-            rep.tested += 1
+        if rep.given(sj_idx):
             maximal = [i for i in sj_idx
                        if not any(j != i and lattice.leq[i, j]
                                   for j in sj_idx)]
@@ -894,8 +892,6 @@ def _p12(ctx, rep):
                 if not lattice.is_prime_idx(i):
                     rep.violation(ring, lattice.ideals[i], S, {
                         "part": "maximal-for-the-law-but-not-prime"})
-        else:
-            rep.vacuous += 1
         for i in range(len(lattice)):
             idl = lattice.ideals[i]
             if not lattice.is_prime_idx(i) or (idl.mask & S.mask).any():
@@ -923,11 +919,9 @@ def _p13(ctx, rep):
         good = [(int(s), bool(w))
                 for s, w in zip(S.members, ctx.sj_witnesses(I, S))
                 if np.array_equal(ctx.colon(jm, s), jm)]
-        if not good:
-            rep.vacuous += 1
+        if not rep.given(good):
             continue
         jstar = j_star(ring, I, ctx.lattice)
-        rep.tested += 1
         for s, lhs in good:
             # ab in I forces a*s in J*(I) or b*s in I (aRb = abR here)
             pair_ok = two_sided_violation(
@@ -950,39 +944,25 @@ def _p14(ctx, rep):
         kernel, qctx = Q.kernel, Q.ctx
         for S in ctx.subsets:
             simg = Q.image(S)
-            for I in ctx.ideals:
-                if not _disjoint(I, S):
-                    rep.vacuous += 1
+            for I, _ in _pairs(rep, ctx.ideals, (S,)):
+                if (kernel.mask & ~I.mask).any() \
+                        or not rep.given(ctx.sj(I, S).verdict):
                     continue
-                if not (kernel.mask & ~I.mask).any():
-                    if ctx.sj(I, S).verdict:
-                        rep.tested += 1
-                        qres = Q.image_verdict(I, S)
-                        if qres is None:
-                            rep.violation(ring, I, S, {
-                                "part": "image-meets-image-subset"})
-                            continue
-                        if not qres.verdict:
-                            rep.violation(ring, I, S, {
-                                "part": "image-loses-the-law",
-                                "quotient": qctx.expr,
-                                "image_check": _labeled_result(qctx.ring,
-                                                               qres)})
-                    else:
-                        rep.vacuous += 1
+                qres = Q.image_verdict(I, S)
+                if qres is None:
+                    rep.violation(ring, I, S, {
+                        "part": "image-meets-image-subset"})
+                elif not qres.verdict:
+                    rep.violation(ring, I, S, {
+                        "part": "image-loses-the-law",
+                        "quotient": qctx.expr,
+                        "image_check": _labeled_result(qctx.ring, qres)})
             if (kernel.mask & ~jm).any():
                 continue
-            for L in qctx.lattice.ideals:
-                if not L.is_proper:
+            proper = [L for L in qctx.lattice.ideals if L.is_proper]
+            for L, _ in _pairs(rep, proper, (simg,)):
+                if not rep.given(qctx.sj(L, simg).verdict):
                     continue
-                if (L.mask & simg.mask).any():
-                    rep.vacuous += 1
-                    continue
-                qres = qctx.sj(L, simg)
-                if not qres.verdict:
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
                 pre = L.mask[Q.hom.map]
                 res = ctx.sj(pre, S)
                 if not res.verdict:
@@ -1002,30 +982,22 @@ def _p15(ctx, rep):
         uppers = [i for i in ctx.lattice.ideals
                   if i.is_proper and not (Q.kernel.mask & ~i.mask).any()]
         for S in ctx.subsets:
-            for P2 in uppers:
-                if (P2.mask & S.mask).any():
-                    rep.vacuous += 1
-                    continue
+            for P2, _ in _pairs(rep, uppers, (S,)):
                 down, up = ctx.sj(P2, S), Q.image_verdict(P2, S)
-                hit = False
-                if down.verdict:
-                    hit = True
-                    if up is None or not up.verdict:
-                        rep.violation(ring, P2, S, {
-                            "part": "law-lost-in-quotient",
-                            "quotient": Q.ctx.expr})
-                if up is not None and up.verdict and (k_in_jac or k_is_j):
-                    hit = True
-                    if not down.verdict:
-                        rep.violation(ring, P2, S, {
-                            "part": "law-not-lifted-from-quotient",
-                            "quotient": Q.ctx.expr,
-                            "kernel_inside_radical": k_in_jac,
-                            "kernel_is_radical_membership": k_is_j})
-                if hit:
-                    rep.tested += 1
-                else:
-                    rep.vacuous += 1
+                up_lifts = (up is not None and up.verdict
+                            and (k_in_jac or k_is_j))
+                if not rep.given(down.verdict or up_lifts):
+                    continue
+                if down.verdict and (up is None or not up.verdict):
+                    rep.violation(ring, P2, S, {
+                        "part": "law-lost-in-quotient",
+                        "quotient": Q.ctx.expr})
+                if up_lifts and not down.verdict:
+                    rep.violation(ring, P2, S, {
+                        "part": "law-not-lifted-from-quotient",
+                        "quotient": Q.ctx.expr,
+                        "kernel_inside_radical": k_in_jac,
+                        "kernel_is_radical_membership": k_is_j})
 
 
 def _p16(ctx, rep):
@@ -1034,19 +1006,16 @@ def _p16(ctx, rep):
     for S in ctx.subsets:
         holders = [I for I in ctx.ideals
                    if _disjoint(I, S) and ctx.sj(I, S).verdict]
-        if len(holders) < 2:
-            rep.vacuous += 1
+        if not rep.keep(len(holders) >= 2):
             continue
-        for i in range(len(holders)):
-            for j in range(i + 1, len(holders)):
-                rep.tested += 1
-                mask = holders[i].mask & holders[j].mask
-                res = ctx.sj(mask, S)
-                if not res.verdict:
-                    rep.violation(ring, IdealSet(ring, mask), S, {
-                        "intersection_of": [holders[i].label,
-                                            holders[j].label],
-                        "check": _labeled_result(ring, res)})
+        for I, J in combinations(holders, 2):
+            rep.tested += 1
+            mask = I.mask & J.mask
+            res = ctx.sj(mask, S)
+            if not res.verdict:
+                rep.violation(ring, IdealSet(ring, mask), S, {
+                    "intersection_of": [I.label, J.label],
+                    "check": _labeled_result(ring, res)})
 
 
 def _p17(corpus, rep):
@@ -1065,32 +1034,28 @@ def _p17(corpus, rep):
         pring, n1, n2 = prod.ring, c1.ring.size, c2.ring.size
         for first in (True, False):
             ca, cb = (c1, c2) if first else (c2, c1)
-            for I in ca.ideals[:3]:
-                for Sa in ca.subsets[:2]:
-                    if not _disjoint(I, Sa):
-                        rep.vacuous += 1
-                        continue
-                    comp = ca.sj(I, Sa)
-                    for Sb in cb.subsets[:2]:
-                        rep.tested += 1
-                        meets = bool((cb.jac.mask & Sb.mask).any())
-                        if first:
-                            s12 = subset_product(Sa, Sb, pring)
-                            mask = _block_mask(pring, I.members,
-                                               np.arange(n2), n2)
-                        else:
-                            s12 = subset_product(Sb, Sa, pring)
-                            mask = _block_mask(pring, np.arange(n1),
-                                               I.members, n2)
-                        _mulclosed(s12)
-                        whole = prod.sj(mask, s12)
-                        expect = comp.verdict and meets
-                        if whole.verdict != expect:
-                            rep.violation(pring, IdealSet(pring, mask), s12, {
-                                "component_ring": ca.expr,
-                                "component_verdict": comp.verdict,
-                                "radical_meets_other_subset": meets,
-                                "product_verdict": whole.verdict})
+            for I, Sa in _pairs(rep, ca.ideals[:3], ca.subsets[:2]):
+                comp = ca.sj(I, Sa)
+                for Sb in cb.subsets[:2]:
+                    rep.tested += 1
+                    meets = bool((cb.jac.mask & Sb.mask).any())
+                    if first:
+                        s12 = subset_product(Sa, Sb, pring)
+                        mask = _block_mask(pring, I.members,
+                                           np.arange(n2), n2)
+                    else:
+                        s12 = subset_product(Sb, Sa, pring)
+                        mask = _block_mask(pring, np.arange(n1),
+                                           I.members, n2)
+                    _mulclosed(s12)
+                    whole = prod.sj(mask, s12)
+                    expect = comp.verdict and meets
+                    if whole.verdict != expect:
+                        rep.violation(pring, IdealSet(pring, mask), s12, {
+                            "component_ring": ca.expr,
+                            "component_verdict": comp.verdict,
+                            "radical_meets_other_subset": meets,
+                            "product_verdict": whole.verdict})
 
 
 def _p18(ctx, rep):
@@ -1099,8 +1064,7 @@ def _p18(ctx, rep):
     if ctx.family != "zn" or ctx.ring.size > 8:
         return
     ring, jm = ctx.ring, ctx.jac.mask
-    if not ctx.j_check(ctx.jac).verdict:
-        rep.vacuous += 1
+    if not rep.keep(ctx.j_check(ctx.jac).verdict):
         return
     n = ring.size
     for d in (2, 3):
@@ -1114,21 +1078,26 @@ def _p18(ctx, rep):
                 "note": "radical of the truncated ring is not "
                         "constant-term-in-radical"})
             continue
-        for I, S in ctx.pairs(rep):
-            lift = np.ones(trunc.ring.size, dtype=bool)
-            c = coeffs
-            for _ in range(d):
-                lift &= I.mask[c % n]
-                c = c // n
-            rep.tested += 1
-            sc = _mulclosed(subset_const_embed(S, trunc.ring))
-            base = ctx.sj(I, S)
-            up = trunc.sj(lift, sc)
-            if base.verdict != up.verdict:
-                rep.violation(trunc.ring, IdealSet(trunc.ring, lift), sc, {
-                    "base_ring": ctx.expr,
-                    "base_verdict": base.verdict,
-                    "lifted_verdict": up.verdict})
+        # a polynomial lies in I[x] iff each of its d coefficients is in I
+        coords = [coeffs // n ** i % n for i in range(d)]
+        _transfer(rep, ctx, trunc, "lifted",
+                  lambda I: _mask_from_base(trunc.ring.size, I.mask, coords),
+                  lambda S: subset_const_embed(S, trunc.ring))
+
+
+def _transfer(rep, base, derived, kind, lift_ideal, lift_subset):
+    # a picked (I, S) of the base context satisfies the law iff its lift
+    # (lift_ideal(I), lift_subset(S)) does, named <kind>_verdict
+    for I, S in base.pairs(rep):
+        mask = lift_ideal(I)
+        rep.tested += 1
+        lifted = _mulclosed(lift_subset(S))
+        down, up = base.sj(I, S), derived.sj(mask, lifted)
+        if down.verdict != up.verdict:
+            rep.violation(derived.ring, IdealSet(derived.ring, mask), lifted, {
+                "base_ring": base.expr,
+                "base_verdict": down.verdict,
+                kind + "_verdict": up.verdict})
 
 
 def _nothing(ctx, rep):
@@ -1148,30 +1117,19 @@ def _p20(ctx, rep):
     # trivial-extension equivalence: I+M works iff I works
     if ctx.family != "zn":
         return
-    n = ctx.ring.size
-    ks = [k for k in _divisors(n) if k >= 2 and n * k <= IDEALIZE_CAP]
+    ks = _idealize_orders(ctx.ring.size)
     for k in dict.fromkeys(ks[:1] + ks[-1:]):
         ext = _extension(ctx, k)
-        for I, S in ctx.pairs(rep):
-            emask = _block_mask(ext.ring, I.members, np.arange(k), k)
-            rep.tested += 1
-            se = _mulclosed(subset_idealization(S, ext.ring))
-            base = ctx.sj(I, S)
-            up = ext.sj(emask, se)
-            if base.verdict != up.verdict:
-                rep.violation(ext.ring, IdealSet(ext.ring, emask), se, {
-                    "base_ring": ctx.expr,
-                    "base_verdict": base.verdict,
-                    "extension_verdict": up.verdict})
+        _transfer(rep, ctx, ext, "extension",
+                  lambda I: _block_mask(ext.ring, I.members, np.arange(k), k),
+                  lambda S: subset_idealization(S, ext.ring))
 
 
 def _p21(ctx, rep):
     # trivial extension, proper submodule: the law for I+N forces it for I
     if ctx.family != "zn":
         return
-    n = ctx.ring.size
-    ks = [k for k in _divisors(n) if k >= 2 and n * k <= IDEALIZE_CAP]
-    for k in ks[-1:]:
+    for k in _idealize_orders(ctx.ring.size)[-1:]:
         ext = _extension(ctx, k)
         for I in ctx.ideals:
             prods = (I.members[:, None] * np.arange(k)[None, :]) % k
@@ -1182,16 +1140,10 @@ def _p21(ctx, rep):
                 if not nmask[prods].all():
                     continue
                 emask = _block_mask(ext.ring, I.members, nmem, k)
-                for S in ctx.subsets:
-                    if not _disjoint(I, S):
-                        rep.vacuous += 1
-                        continue
+                for _, S in _pairs(rep, (I,), ctx.subsets):
                     se = _mulclosed(subset_idealization(S, ext.ring))
-                    up = ext.sj(emask, se)
-                    if not up.verdict:
-                        rep.vacuous += 1
+                    if not rep.given(ext.sj(emask, se).verdict):
                         continue
-                    rep.tested += 1
                     base = ctx.sj(I, S)
                     if not base.verdict:
                         lifted = IdealSet(ext.ring, emask)
@@ -1208,24 +1160,16 @@ def _p22(corpus, rep):
         if ctx.family != "amalgamation":
             continue
         amalg = ctx.ring
-        base_expr = "Z%d" % amalg.base.size
         base_ctx = next((c for c in corpus.contexts
-                         if c.expr == base_expr), None)
+                         if c.expr == "Z%d" % amalg.base.size), None)
         if base_ctx is None:
             continue
         nj = len(amalg.jmembers)
-        for I, S in base_ctx.pairs(rep):
-            amask = _block_mask(amalg, I.members, np.arange(nj), nj)
-            rep.tested += 1
-            sb = SubsetS(amalg.base, S.members, kind=S.kind, check=False,
-                         label=S.label)
-            sa = _mulclosed(subset_amalgamation(sb, amalg))
-            base, up = base_ctx.sj(I, S), ctx.sj(amask, sa)
-            if base.verdict != up.verdict:
-                rep.violation(amalg, IdealSet(amalg, amask), sa, {
-                    "base_ring": base_expr,
-                    "base_verdict": base.verdict,
-                    "amalgamation_verdict": up.verdict})
+        _transfer(rep, base_ctx, ctx, "amalgamation",
+                  lambda I: _block_mask(amalg, I.members, np.arange(nj), nj),
+                  lambda S: subset_amalgamation(SubsetS(
+                      amalg.base, S.members, kind=S.kind, check=False,
+                      label=S.label), amalg))
 
 
 def _p23(ctx, rep):
@@ -1270,12 +1214,10 @@ def _p25(ctx, rep):
     # right subset-prime ideals inside the radical satisfy the right law
     ring = ctx.ring
     for P, S in ctx.pairs(rep):
-        if ((P.mask & ~ctx.jac.mask).any()
-                or not is_right_S_prime(ring, P, S,
-                                        lattice=ctx.lattice).verdict):
-            rep.vacuous += 1
+        if not rep.given(not (P.mask & ~ctx.jac.mask).any()
+                         and is_right_S_prime(ring, P, S,
+                                              lattice=ctx.lattice).verdict):
             continue
-        rep.tested += 1
         res = ctx.right_sj(P, S)
         if not res.verdict:
             rep.violation(ring, P, S, {"check": _labeled_result(ring, res)})
@@ -1306,10 +1248,8 @@ def _p27(ctx, rep):
     for P, S in ctx.pairs(rep):
         cert = next((int(s) for s in S.members
                      if _j_colon(ctx, P.mask, s)), None)
-        if cert is None:
-            rep.vacuous += 1
+        if not rep.given(cert is not None):
             continue
-        rep.tested += 1
         res = ctx.right_sj(P, S)
         if not res.verdict:
             rep.violation(ring, P, S, {
@@ -1323,23 +1263,16 @@ def _p28(ctx, rep):
     ring, jm = ctx.ring, ctx.jac.mask
     cmask = center_mask(ring)
     for S in ctx.subsets:
-        if not cmask[S.members].all():
-            rep.vacuous += 1
+        if not rep.keep(cmask[S.members].all()):
             continue
         good = [int(s) for s in S.members
                 if not (ctx.colon_principal(jm, s) & S.mask).any()
                 and _j_colon(ctx, jm, s)]
-        if not good:
-            rep.vacuous += 1
+        if not rep.keep(good):
             continue
-        for P in ctx.ideals:
-            if not _disjoint(P, S):
-                rep.vacuous += 1
+        for P, _ in _pairs(rep, ctx.ideals, (S,)):
+            if not rep.given(ctx.right_sj(P, S).verdict):
                 continue
-            if not ctx.right_sj(P, S).verdict:
-                rep.vacuous += 1
-                continue
-            rep.tested += 1
             for s in good:
                 q = ctx.colon_principal(P.mask, s)
                 if q.all() or not ctx.j_check(q).verdict:
@@ -1353,28 +1286,23 @@ def _p29(ctx, rep):
     # right law pushes forward along surjections with kernel inside P
     ring = ctx.ring
     for Q in ctx.quotients:
-        for P in ctx.ideals:
-            if (Q.kernel.mask & ~P.mask).any():
-                rep.vacuous += 1
+        for P, S in _pairs(rep, _uppers(rep, Q, ctx.ideals), ctx.subsets):
+            if not rep.given(ctx.right_sj(P, S).verdict):
                 continue
-            for S in ctx.subsets:
-                if not _disjoint(P, S):
-                    rep.vacuous += 1
-                    continue
-                if not ctx.right_sj(P, S).verdict:
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                qres = Q.image_verdict(P, S, right=True)
-                if qres is None:
-                    rep.violation(ring, P, S, {
-                        "part": "image-meets-image-subset",
-                        "quotient": Q.ctx.expr})
-                    continue
-                if not qres.verdict:
-                    rep.violation(ring, P, S, {
-                        "quotient": Q.ctx.expr,
-                        "image_check": _labeled_result(Q.ctx.ring, qres)})
+            qres = Q.image_verdict(P, S, right=True)
+            if qres is None:
+                rep.violation(ring, P, S, {
+                    "part": "image-meets-image-subset",
+                    "quotient": Q.ctx.expr})
+            elif not qres.verdict:
+                rep.violation(ring, P, S, {
+                    "quotient": Q.ctx.expr,
+                    "image_check": _labeled_result(Q.ctx.ring, qres)})
+
+
+def _uppers(rep, Q, ideals):
+    """The ideals that hold Q's kernel; each other one counts as vacuous."""
+    return [P for P in ideals if rep.keep(not (Q.kernel.mask & ~P.mask).any())]
 
 
 def _p30(ctx, rep):
@@ -1383,24 +1311,15 @@ def _p30(ctx, rep):
     for Q in ctx.quotients:
         if (Q.kernel.mask & ~jm).any():
             continue
-        for P in ctx.ideals:
-            if (Q.kernel.mask & ~P.mask).any():
-                rep.vacuous += 1
+        for P, S in _pairs(rep, _uppers(rep, Q, ctx.ideals), ctx.subsets):
+            qres = Q.image_verdict(P, S, right=True)
+            if not rep.given(qres is not None and qres.verdict):
                 continue
-            for S in ctx.subsets:
-                if not _disjoint(P, S):
-                    rep.vacuous += 1
-                    continue
-                qres = Q.image_verdict(P, S, right=True)
-                if qres is None or not qres.verdict:
-                    rep.vacuous += 1
-                    continue
-                rep.tested += 1
-                res = ctx.right_sj(P, S)
-                if not res.verdict:
-                    rep.violation(ring, P, S, {
-                        "quotient": Q.ctx.expr,
-                        "base_check": _labeled_result(ring, res)})
+            res = ctx.right_sj(P, S)
+            if not res.verdict:
+                rep.violation(ring, P, S, {
+                    "quotient": Q.ctx.expr,
+                    "base_check": _labeled_result(ring, res)})
 
 
 def _p31(ctx, rep):
@@ -1412,13 +1331,11 @@ def _p31(ctx, rep):
     for P, S in ctx.pairs(rep):
         good = [int(s) for s in S.members
                 if np.array_equal(ctx.colon_principal(jm, s), jm)]
-        if not good:
-            rep.vacuous += 1
+        if not rep.given(good):
             continue
         pidx = lattice.idx_of(P)
         hyp = lattice.leq[lattice.prod, pidx]
         jstar = j_star(ring, P, lattice)
-        rep.tested += 1
         for s in good:
             lhs = _right_witness(lattice, hyp, pidx, jidx, s)
             contain = not (P.mask & ~ctx.colon_principal(jm, s)).any()
@@ -1439,26 +1356,15 @@ def _p32(ctx, rep):
     # right law and right subset-primeness coincide
     ring, jm = ctx.ring, ctx.jac.mask
     for P, S in ctx.pairs(rep):
-        if not ctx.right_sj(P, S).verdict:
-            rep.vacuous += 1
+        if not rep.given(ctx.right_sj(P, S).verdict):
             continue
-        rep.tested += 1
         if not any(not (P.mask & ~ctx.colon_principal(jm, s)).any()
                    for s in S.members):
             rep.violation(ring, P, S, {"part": "no-colon-container"})
-    if ctx.jac.is_proper:
-        for S in ctx.subsets:
-            if not _disjoint(ctx.jac, S):
-                rep.vacuous += 1
-                continue
-            rep.tested += 1
-            rj = ctx.right_sj(ctx.jac, S)
-            rp = is_right_S_prime(ring, ctx.jac, S, lattice=ctx.lattice)
-            if rj.verdict != rp.verdict:
-                rep.violation(ring, ctx.jac, S, {
-                    "part": "radical-right-law-vs-right-prime",
-                    "right_law": _labeled_result(ring, rj),
-                    "right_prime": _labeled_result(ring, rp)})
+    _radical_vs_prime(ctx, rep, ctx.right_sj, lambda J, S: is_right_S_prime(
+                          ring, J, S, lattice=ctx.lattice),
+                      "radical-right-law-vs-right-prime",
+                      "right_law", "right_prime")
 
 
 def _p33(ctx, rep):
@@ -1468,17 +1374,11 @@ def _p33(ctx, rep):
     if len(lattice.maximal_indices()) != 1:
         return
     for S in ctx.subsets:
-        if not any(_j_colon(ctx, jm, s) for s in S.members):
-            rep.vacuous += 1
+        if not rep.keep(any(_j_colon(ctx, jm, s) for s in S.members)):
             continue
-        for P in ctx.ideals:
-            if not _disjoint(P, S):
-                rep.vacuous += 1
+        for P, _ in _pairs(rep, ctx.ideals, (S,)):
+            if not rep.given(ctx.right_sj(P, S).verdict):
                 continue
-            if not ctx.right_sj(P, S).verdict:
-                rep.vacuous += 1
-                continue
-            rep.tested += 1
             if not lattice.is_superfluous_idx(lattice.idx_of(P)):
                 rep.violation(ring, P, S, {"part": "not-superfluous"})
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import threading
+import zlib
 from pathlib import Path
 
 import jsonschema
@@ -18,6 +19,7 @@ from ringlab.errors import (
     NotDisjoint,
     RinglabError,
 )
+from ringlab.memo import readonly
 from ringlab.subsets import SubsetS, generated_subset
 from test_ideals import generated_rings  # noqa: F401  (fixture)
 
@@ -356,6 +358,63 @@ def _cross_context_corpus():
         harness.build_context(expr, family) for expr, family in (
             ("Z4", "zn"), ("Z6", "zn"), ("Z8", "zn"),
             ("amalg(Z8, Z4, mod, gen(2))", "amalgamation"))])
+
+
+# sha256 of report_json of the forced-failure run below
+FORCED_FAILURE_REPORT_SHA256 = \
+    "2bdbb2046e2c0707ac9bea891ec287c66b1a49d167f51f4524d477ca6272edfa"
+
+
+def _flips(mask, k):
+    """The fixed rule of the forced-failure test: is the CRC-32 of the
+    mask's bytes 1 modulo k?"""
+    return zlib.crc32(mask.tobytes()) % k == 1
+
+
+def _negated(res):
+    return dataclasses.replace(res, verdict=not res.verdict)
+
+
+def test_forced_failure_report_bytes_match_the_pin(monkeypatch):
+    """Every law reports no violation on the default corpus, so the report
+    pin never reads a violation payload.  Here the three verdict owners
+    answer wrongly by a fixed rule on the mask: a left violation-table
+    entry (verdict and witness vector) and a j_check verdict flip when
+    the mask's CRC-32 is odd, a right verdict when it is 1 modulo 3.  The
+    report on CACHE_CORPUS and the cross-context corpus (counts, payloads
+    and their order) must match the pin, and 27 laws must report
+    violations.  P8, P9, P10, P31 and P33 report none under this rule, and
+    P19 has no body."""
+    table = harness._violation_table
+    right, j_check = harness.RingCtx.right_sj, harness.RingCtx.j_check
+
+    def flipped_table(ring, jm, imask, subsets):
+        out = table(ring, jm, imask, subsets)
+        if not _flips(imask, 2):
+            return out
+        return {key: (readonly(~wits), _negated(res))
+                for key, (wits, res) in out.items()}
+
+    def flipped_right(ctx, ideal, subset):
+        res = right(ctx, ideal, subset)
+        return _negated(res) if _flips(getattr(ideal, "mask", ideal), 3) \
+            else res
+
+    def flipped_j(ctx, ideal):
+        res = j_check(ctx, ideal)
+        return _negated(res) if _flips(getattr(ideal, "mask", ideal), 2) \
+            else res
+
+    monkeypatch.setattr(harness, "_violation_table", flipped_table)
+    monkeypatch.setattr(harness.RingCtx, "right_sj", flipped_right)
+    monkeypatch.setattr(harness.RingCtx, "j_check", flipped_j)
+    reports = (harness.verify_properties(harness.build_corpus(CACHE_CORPUS))
+               + harness.verify_properties(_cross_context_corpus()))
+    reached = {r["property_id"] for r in reports if r["violated"]}
+    assert len(reached) == 27
+    text = harness.report_json(reports)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == FORCED_FAILURE_REPORT_SHA256
 
 
 def test_registry_evaluates_each_context_verdict_once(monkeypatch):

@@ -1,4 +1,5 @@
-"""Module boundaries: no ringlab module uses another one's private names."""
+"""Module boundaries: no ringlab module uses another one's private names,
+and the law harness counts vacuous instances in one place."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,31 @@ def test_the_scan_sees_both_forms_of_access():
               "x = rad._budget + rad.j_star + harness.__doc__\n")
     assert foreign_private_names(source, "harness") == [
         (1, "ideals._orbit"), (2, "rings._table"), (5, "radicals._budget")]
+
+
+def vacuous_writes(source):
+    """Line of each assignment to a ``.vacuous`` attribute outside the
+    class ``_Rep``."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "_Rep"
+              for node in ast.walk(cls)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "vacuous"
+            and isinstance(node.ctx, ast.Store) and id(node) not in inside]
+
+
+def test_only_the_report_counts_vacuous_instances():
+    """Laws count vacuous instances through _Rep.keep, _Rep.given and
+    harness._pairs only (ROADMAP aim 2: one counting path)."""
+    assert vacuous_writes((SRC / "harness.py").read_text()) == []
+
+
+def test_the_scan_sees_a_vacuous_write_outside_the_report():
+    source = ("class _Rep:\n"
+              "    def keep(self, holds):\n"
+              "        self.vacuous += 1\n"
+              "def _p1(ctx, rep):\n"
+              "    rep.vacuous += 1\n"
+              "    rep.vacuous = rep.tested = 0\n")
+    assert vacuous_writes(source) == [5, 6]
