@@ -12,7 +12,7 @@ radicals, the picked ideals, subsets and quotients, and one owner per
 fact that several laws share: ``violations`` (one table per ideal mask,
 keyed by subset, of the fixed-s subset-radical verdict and its witness
 vector, which ``sj``, ``sj_witnesses`` and P11 read), ``right_sj``,
-``j_check``, the colons and ``two_sided`` (the aRb-inside-I matrix P13
+``j_check``, the colons and ``two_sided`` (the aRb-inside-I relation P13
 and P31 scan).  Each is computed once through ``memo.once`` into the
 context's one ``memo``.
 
@@ -29,7 +29,8 @@ verdict on it is asked of its ``sj``, ``right_sj`` or ``j_check``.  The
 picked quotients (P14, P15, P29, P30) are built with their context and
 the idealizations (P20, P21) into its memo; the products (P17),
 truncations (P18) and ideal-as-rings (P8) live only inside the law that
-reads them.
+reads them.  A subset that P18 and P20-P22 carry into a derived ring is
+built once, by that context's ``lift``.
 
 A law is a scope plus a body that checks one context.  The scope names
 the ``RingCtx`` flag a context needs (``comm_ident``, ``ident``, or None
@@ -69,6 +70,7 @@ from .memo import once, readonly
 from .predicates import (
     ELEMENTWISE_LIMIT,
     CheckResult,
+    Relation,
     first_violation,
     is_J_ideal,
     is_S_J_ideal,  # unused here; perfbench/tests reads harness.is_S_J_ideal
@@ -181,7 +183,7 @@ class RingCtx:
         """The unchecked (wits, verdict) entry of a subset in an ideal
         mask's violation table.  A missing one is filled with those of the
         context subsets that miss the mask and are not in the table yet,
-        from one hypothesis matrix that is not kept."""
+        from one hypothesis relation that is not kept."""
         table = once(self.memo, ("sj", mask.tobytes()), dict)
         if subset.key not in table:
             todo = {subset.key: subset}
@@ -211,10 +213,18 @@ class RingCtx:
             self.ring, mask, jacobson=self.jac, lattice=self.lattice))
 
     def two_sided(self, mask):
-        """T[a, b] = (aRb inside the ideal) of a mask on this context's
-        ring, kept read-only per mask; within PAIR_SCAN_LIMIT only."""
+        """The Relation (aRb inside the ideal) of a mask on this context's
+        ring, kept per mask; within PAIR_SCAN_LIMIT only."""
         return once(self.memo, ("two_sided", mask.tobytes()),
-                    lambda: readonly(two_sided_matrix(self.ring, mask)))
+                    lambda: two_sided_matrix(self.ring, mask))
+
+    def lift(self, subset, carry):
+        """carry(subset): a subset of the ring this derived context is
+        built from, carried to this context's ring and labeled by its
+        members; built once per subset, so every law that lifts a subset
+        into this context passes the same carry."""
+        return once(self.memo, ("lift", subset.key),
+                    lambda: _mulclosed(carry(subset)))
 
     def colon(self, mask, s):
         """(I : s) = {x : xs in I} of a mask on this context's ring, kept
@@ -232,7 +242,7 @@ class RingCtx:
 
 def _violation_table(ring, jm, imask, subsets):
     """{S.key: (wits, verdict)} of the fixed-s law for an ideal mask and a
-    radical mask jm, from one hypothesis matrix: wits[k] says whether
+    radical mask jm, from one hypothesis relation: wits[k] says whether
     members[k] is a witness; the verdict carries the least witness, or
     else one violating pair per s, as the fixed-s predicate does."""
     hyp = product_hyp_matrix(ring, imask)
@@ -689,7 +699,8 @@ def _p4(ctx, rep):
     # elementwise form agrees with the ideal-pair form, witness by witness
     ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
     for I, S in ctx.pairs(rep):
-        hyp_lat = lattice.leq[lattice.prod, lattice.idx_of(I)]
+        hyp_lat = Relation.dense(
+            lattice.leq[lattice.prod, lattice.idx_of(I)])
         wits = ctx.sj_witnesses(I, S)
         rep.tested += 1
         for s, ok in zip(S.members, wits):
@@ -777,7 +788,7 @@ def _p8(ctx, rep):
                 sub = _context(make_ideal_as_ring(ring, I.mask))
                 nonzero = [int(sub.ring.pos[x]) for x in I.members
                            if int(x) != ring.zero]
-                # the hypothesis matrix of each colon-stable inner ideal
+                # the hypothesis relation of each colon-stable inner ideal
                 hyps = [product_hyp_matrix(sub.ring, P.mask) if all(
                     np.array_equal(colon_elem_mask(sub.ring, P.mask, m),
                                    P.mask) for m in nonzero) else None
@@ -1091,7 +1102,7 @@ def _transfer(rep, base, derived, kind, lift_ideal, lift_subset):
     for I, S in base.pairs(rep):
         mask = lift_ideal(I)
         rep.tested += 1
-        lifted = _mulclosed(lift_subset(S))
+        lifted = derived.lift(S, lift_subset)
         down, up = base.sj(I, S), derived.sj(mask, lifted)
         if down.verdict != up.verdict:
             rep.violation(derived.ring, IdealSet(derived.ring, mask), lifted, {
@@ -1141,7 +1152,8 @@ def _p21(ctx, rep):
                     continue
                 emask = _block_mask(ext.ring, I.members, nmem, k)
                 for _, S in _pairs(rep, (I,), ctx.subsets):
-                    se = _mulclosed(subset_idealization(S, ext.ring))
+                    se = ext.lift(S, lambda S: subset_idealization(
+                        S, ext.ring))
                     if not rep.given(ext.sj(emask, se).verdict):
                         continue
                     base = ctx.sj(I, S)
@@ -1181,7 +1193,8 @@ def _p23(ctx, rep):
     prin = np.unique(lattice.principal_of)
     for P, S in ctx.pairs(rep):
         pidx = lattice.idx_of(P)
-        hyp_pr = lattice.leq[prod, pidx][np.ix_(prin, prin)]
+        hyp_pr = Relation.dense(
+            lattice.leq[prod, pidx][np.ix_(prin, prin)])
         rep.tested += 1
         cols = (prod[:, lattice.principal_of[int(s)]] for s in S.members)
         pair = any(first_violation(hyp_pr, lattice.leq[col, jidx][prin],
@@ -1334,7 +1347,7 @@ def _p31(ctx, rep):
         if not rep.given(good):
             continue
         pidx = lattice.idx_of(P)
-        hyp = lattice.leq[lattice.prod, pidx]
+        hyp = Relation.dense(lattice.leq[lattice.prod, pidx])
         jstar = j_star(ring, P, lattice)
         for s in good:
             lhs = _right_witness(lattice, hyp, pidx, jidx, s)
@@ -1610,10 +1623,10 @@ def run_worked_examples():
     ok = not res.verdict and res.counterexample is not None
     covered = {entry[0] for entry in (res.counterexample or ())}
     ok = ok and covered == {int(x) for x in s_prod.members}
-    hyp = product_hyp_matrix(prod.ring, imask)
+    H, cls = product_hyp_matrix(prod.ring, imask)
     for s in s_prod.members:
         row = prod.ring.mul_vec(np.int64(int(s)), prod.ring.elements)
-        ok = ok and bool(hyp[pair, pair]) \
+        ok = ok and bool(H[cls[pair], cls[pair]]) \
             and not prod.jac.mask[row[pair]] and not imask[row[pair]]
     out.append({"id": "E2", "passed": bool(ok),
                 "description": "gen(4) x Z36 fails the product law for "
@@ -1658,7 +1671,7 @@ def run_worked_examples():
     # 3I replays as a witness through the lattice scan
     pidx = lat12.idx_of(IdealSet(m12.ring, pmask))
     jidx = lat12.idx_of(m12.jac)
-    hyp_m = lat12.leq[lat12.prod, pidx]
+    hyp_m = Relation.dense(lat12.leq[lat12.prod, pidx])
     ok = ok and _right_witness(lat12, hyp_m, pidx, jidx, three_i)
     out.append({"id": "E4", "passed": bool(ok),
                 "description": "M2(Z12): the scalar-subset right law "

@@ -13,8 +13,9 @@ condensation DAG; on table rings with identity, unit-group generators join
 the additive ones as multipliers, since x, ux and xu generate one ideal.
 The components are found in numpy by array sweeps: the cycles of the
 multiplications that permute the ring are contracted by pointer doubling,
-elements with no way in or out are peeled off as singletons, and what is
-left is split by forward and backward label propagation ("colouring").
+starting from the ring's unit classes (``Ring.unit_classes``), elements
+with no way in or out are peeled off as singletons, and what is left is
+split by forward and backward label propagation ("colouring").
 Every ideal is a sum of principals, so the rest of the lattice comes from
 adding one principal at a time to each ideal found.  Since |A + B| =
 |A||B| / |A & B| for subgroups, a known ideal of that size holding both A
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, InvalidIdeal
 from .memo import fact, once, readonly
-from .rings import additive_closure, is_ideal_mask, units_mask
+from .rings import additive_closure, is_ideal_mask, orbit_least
 
 DEFAULT_IDEAL_BUDGET = 100_000
 
@@ -392,13 +393,15 @@ def _distinct(values):
     return values[_changes(values)]
 
 
-def _strong_components(n, maps):
+def _strong_components(n, maps, least=None):
     """(n_comp, labels) of the graph on range(n) with an edge x -> f[x]
     for each map f in ``maps``.
 
     The cycles of a map that permutes the nodes lie inside one component,
     so each node first takes the least node of its orbit under those maps,
-    by pointer doubling.  On the contracted graph, a node with no edge in
+    by pointer doubling (``rings.orbit_least``) from ``least``: when
+    given, each node's least orbit-mate under some of those maps, as the
+    unit classes give it.  On the contracted graph, a node with no edge in
     or none out is a component alone (trimming).  Of the rest, each node
     takes the largest id that reaches it (forward colouring); a node whose
     colour is its own id is a root, and the nodes of its colour that reach
@@ -410,15 +413,7 @@ def _strong_components(n, maps):
     for f in maps:
         (perms if np.bincount(f, minlength=n).max() == 1
          else rest).append(f)
-    rep, changed = ids, True
-    while changed:
-        changed = False
-        for g in perms:
-            while True:
-                nxt = np.minimum(rep, rep[g])
-                if (nxt == rep).all():
-                    break
-                rep, g, changed = nxt, g[g], True
+    rep = orbit_least(ids if least is None else least, perms)
 
     src = np.tile(rep, len(rest))
     dst = rep[np.concatenate([ids[:0]] + rest)]
@@ -486,28 +481,10 @@ def _condensation_order(labels, n_comp, maps):
     return levels, parents, kids
 
 
-def _unit_generators(ring):
-    """Unit-group generators: each the least unit outside those before."""
-    table, units = ring.mul_table, units_mask(ring)
-    reached = np.zeros(ring.size, dtype=bool)
-    reached[ring.one] = True
-    gens = []
-    while not reached[units].all():
-        gens.append(int(np.argmax(units & ~reached)))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            nxt = np.unique(table[frontier[:, None], gens])
-            frontier = nxt[~reached[nxt]]
-            reached[frontier] = True
-    return gens
-
-
 def _reachability_maps(ring):
     """The multiplication-reachability graph as maps x -> m x and x -> x m,
     for m an additive generator or, on table rings, a unit-group one."""
-    mults = list(ring.addgens)
-    if ring.mul_table is not None and ring.one is not None:
-        mults += _unit_generators(ring)
+    mults = list(ring.addgens) + list(ring.unit_generators)
     maps = []
     for m in mults:
         m64 = np.int64(m)
@@ -531,7 +508,8 @@ def enumerate_ideals(ring, budget=DEFAULT_IDEAL_BUDGET):
     """
     n = ring.size
     maps = _reachability_maps(ring)
-    n_comp, labels = _strong_components(n, maps)
+    cls, reps = ring.unit_classes
+    n_comp, labels = _strong_components(n, maps, reps[cls])
     levels, parents, kids = _condensation_order(labels, n_comp, maps)
 
     # masks[i] is the i-th distinct ideal found and sizes[i] its size; each

@@ -15,7 +15,7 @@ Conventions shared by every check here:
 """
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,13 +35,14 @@ from .ideals import (
     ideal_generate,
     minimal_generating_set,
 )
+from .memo import readonly
 from .rings import TABLE_LIMIT, is_ideal_mask
 from .radicals import jacobson_radical, prime_radical
 from . import radicals as _radicals
 from .subsets import SubsetS
 
-# dense pair scans gather an n x n boolean matrix from the product table,
-# so they stop where the tables do
+# pair relations are gathered from the product table, so they stop where
+# the tables do
 PAIR_SCAN_LIMIT = TABLE_LIMIT
 # elementwise right-sided checks do |R|^2 colon tests on top of that
 ELEMENTWISE_LIMIT = 300
@@ -87,7 +88,10 @@ def _plain(obj):
     return obj
 
 
-def _resolve_ideal(ring, ideal):
+def _resolve_ideal(ring, ideal, lattice=None):
+    """The mask of an IdealSet of this ring, or a bare mask checked to be
+    a two-sided ideal: looked up in the ring's lattice when one is given
+    (the enumeration is complete, so membership is exact), else tested."""
     if isinstance(ideal, IdealSet):
         if ideal.ring is not ring:
             raise RingMismatch("ideal belongs to a different ring",
@@ -97,7 +101,11 @@ def _resolve_ideal(ring, ideal):
     if mask.shape != (ring.size,):
         raise InvalidParameter("ideal mask has wrong length",
                                expected=int(ring.size), got=mask.shape)
-    if not is_ideal_mask(ring, mask):
+    if lattice is not None and lattice.ring is ring:
+        ok = mask.tobytes() in lattice.key_to_idx
+    else:
+        ok = is_ideal_mask(ring, mask)
+    if not ok:
         raise InvalidIdeal("mask is not a two-sided ideal", ring=ring.label)
     return mask
 
@@ -133,7 +141,7 @@ def require_comm_identity(ring):
 def _jac_mask(ring, jacobson=None, lattice=None):
     if jacobson is None:
         jacobson = jacobson_radical(ring, lattice)
-    return _resolve_ideal(ring, jacobson)
+    return _resolve_ideal(ring, jacobson, lattice)
 
 
 def _check_mode(mode):
@@ -144,62 +152,115 @@ def _check_mode(mode):
 
 # ---------------------------------------------------------------------------
 # pair-scan engine (commutative checks and elementwise forms), shared with
-# the law harness.  Within PAIR_SCAN_LIMIT every ring has its product
-# table, and the dense n x n matrices below are gathers from it; build one
-# when it is scanned against several skip masks (first_violation per
-# mask).  Above the limit only the two-sided relation is scanned, by
-# arb_violation, which streams row chunks and stops at the first hit;
-# two_sided_violation picks between the two by ring size.
+# the law harness.  A pair relation is a Relation (H, cls): rel(a, b) =
+# H[cls[a], cls[b]], with H a P x P matrix over classes of elements on
+# which the relation is constant.  Within PAIR_SCAN_LIMIT every ring has
+# its product table; the product and two-sided relations are gathered
+# from it on the ring's unit classes (Ring.unit_classes), so P is the
+# number of classes of associates, not n, and first_violation finds the
+# lex-least violating pair of any skip masks in O(n + P^2).  Lattice-level
+# scans pass the identity partition (Relation.dense).  Above the limit
+# only the two-sided relation is scanned, by arb_violation, which streams
+# row chunks and stops at the first hit; two_sided_violation picks
+# between the two by ring size.
 # ---------------------------------------------------------------------------
 
-def product_hyp_matrix(ring, imask):
-    """hyp[a, b] = (a*b lands in the ideal)."""
+class Relation(NamedTuple):
+    """A pair relation read through classes: rel(a, b) = H[cls[a], cls[b]].
+
+    H is a P x P boolean matrix and cls labels each of the n elements
+    with its class in range(P).
+    """
+
+    H: np.ndarray
+    cls: np.ndarray
+
+    @staticmethod
+    def dense(matrix):
+        """The relation of an n x n matrix: every element its own class."""
+        return Relation(matrix, np.arange(len(matrix)))
+
+
+def _pair_table(ring):
+    """The product table, for gathering a pair relation; CapacityExceeded
+    above PAIR_SCAN_LIMIT, before any class work."""
     n = int(ring.size)
     if n > PAIR_SCAN_LIMIT:
         raise CapacityExceeded("dense pair scan capped", size=n,
                                limit=PAIR_SCAN_LIMIT)
-    return imask[ring.mul_table]
+    return ring.mul_table
+
+
+def product_hyp_matrix(ring, imask):
+    """The Relation rel(a, b) = (a*b lands in the ideal).
+
+    On a commutative ring it is read on the unit classes: for units u and
+    v, (ua)(vb) = uv(ab), and uv(ab) lies in the ideal iff ab does, so the
+    relation is constant on classes and H = imask[T[reps][:, reps]].  A
+    noncommutative ring keeps singleton classes, since (au)b need not be
+    a(ub) there.
+    """
+    table = _pair_table(ring)
+    if not ring.commutative:
+        return Relation.dense(readonly(imask[table]))
+    cls, reps = ring.unit_classes
+    return Relation(readonly(imask[table[np.ix_(reps, reps)]]), cls)
 
 
 def two_sided_matrix(ring, imask):
-    """T[a, b] = (aRb inside the ideal): the AND over additive generators
-    g of hyp[a*g, b]."""
-    hyp = product_hyp_matrix(ring, imask)
-    out = np.ones_like(hyp)
+    """The Relation rel(a, b) = (aRb inside the ideal): the AND over
+    additive generators g of (a*g)*b in the ideal, read on the unit
+    classes.
+
+    For units u and v, (uav)Rb = u(aRb) since vR = R, and aR(ubv) =
+    (aRb)v since Ru = R; a two-sided ideal holds ux and xv iff it holds x,
+    so the relation is constant on classes and H = AND_g imask[T[T[reps,
+    g]][:, reps]].  Without an identity every class is a singleton.
+    """
+    table = _pair_table(ring)
+    cls, reps = ring.unit_classes
+    H = np.ones((reps.size, reps.size), dtype=bool)
     for g in ring.addgens:
-        out &= hyp[ring.mul_vec(ring.elements, g)]
-    return out
+        H &= imask[table[np.ix_(table[reps, g], reps)]]
+    return Relation(readonly(H), cls)
 
 
-def first_violation(hyp, a_ok, b_ok):
-    """Lex-least (a, b) with hyp[a, b] true and both disjuncts false."""
-    bad = hyp & ~b_ok[None, :]
-    rows = bad.any(axis=1) & ~a_ok
+def first_violation(rel, a_ok, b_ok):
+    """Lex-least (a, b) with rel(a, b) true and both disjuncts false.
+
+    A class is bad when one of its elements fails b_ok; a is the least
+    element failing a_ok whose class row of H meets a bad class, and b
+    the least element failing b_ok whose class that row holds.
+    """
+    H, cls = rel
+    bad = np.zeros(len(H), dtype=bool)
+    bad[cls[~b_ok]] = True
+    rows = (H & bad).any(axis=1)[cls] & ~a_ok
     if not rows.any():
         return None
     a = int(np.argmax(rows))
-    b = int(np.argmax(bad[a]))
-    return (a, b)
+    return (a, int(np.argmax(H[cls[a]][cls] & ~b_ok)))
 
 
-def pair_scan(hyp, members, disjuncts, mode):
-    """Run the quantifier over s; disjuncts(s) -> (a_ok, b_ok) masks."""
+def pair_scan(rel, members, disjuncts, mode):
+    """Run the quantifier over s on a Relation; disjuncts(s) -> (a_ok,
+    b_ok) masks."""
     if mode == "fixed-s":
         table = []
         for s in members:
             a_ok, b_ok = disjuncts(int(s))
-            v = first_violation(hyp, a_ok, b_ok)
+            v = first_violation(rel, a_ok, b_ok)
             if v is None:
                 return CheckResult(True, witness_s=int(s))
             table.append((int(s), v))
         return CheckResult(False, counterexample=tuple(table))
-    any_a = np.zeros(hyp.shape[0], dtype=bool)
-    any_b = np.zeros(hyp.shape[0], dtype=bool)
+    any_a = np.zeros(len(rel.cls), dtype=bool)
+    any_b = np.zeros(len(rel.cls), dtype=bool)
     for s in members:
         a_ok, b_ok = disjuncts(int(s))
         any_a |= a_ok
         any_b |= b_ok
-    v = first_violation(hyp, any_a, any_b)
+    v = first_violation(rel, any_a, any_b)
     if v is None:
         return CheckResult(True, quantifier_mode="per-pair-s")
     return CheckResult(False, counterexample=v, quantifier_mode="per-pair-s")
@@ -231,7 +292,7 @@ def arb_violation(ring, imask, a_skip, b_skip):
 
 
 def two_sided_violation(ring, imask, a_skip, b_skip, matrix=None):
-    """arb_violation's pair, read from the dense two-sided matrix within
+    """arb_violation's pair, read from the two-sided relation within
     PAIR_SCAN_LIMIT (matrix(imask), when given, supplies a kept one) and
     streamed above it."""
     if ring.size > PAIR_SCAN_LIMIT:
@@ -249,13 +310,13 @@ def is_J_ideal(ring, ideal, jacobson=None, lattice=None):
     the ideal and the left factor is outside the Jacobson radical, the
     right factor must lie in the ideal.  Commutative rings use plain
     products a*b; noncommutative rings use the two-sided form aRb."""
-    imask = _resolve_ideal(ring, ideal)
+    imask = _resolve_ideal(ring, ideal, lattice)
     if imask.all():
         raise InvalidIdeal("expected a proper ideal", ring=ring.label)
     jmask = _jac_mask(ring, jacobson, lattice)
     if ring.commutative:
-        hyp = product_hyp_matrix(ring, imask)
-        v = first_violation(hyp, jmask, imask)
+        rel = product_hyp_matrix(ring, imask)
+        v = first_violation(rel, jmask, imask)
     else:
         v = two_sided_violation(ring, imask, jmask, imask)
     if v is None:
@@ -267,14 +328,14 @@ def is_n_ideal(ring, ideal, beta=None, lattice=None):
     """Like the radical-membership check above but against the prime
     radical: ab in I and a not nilpotent force b in I."""
     require_comm_identity(ring)
-    imask = _resolve_ideal(ring, ideal)
+    imask = _resolve_ideal(ring, ideal, lattice)
     if imask.all():
         raise InvalidIdeal("expected a proper ideal", ring=ring.label)
     if beta is None:
         beta, _ = prime_radical(ring, lattice)
-    bmask = _resolve_ideal(ring, beta)
-    hyp = product_hyp_matrix(ring, imask)
-    v = first_violation(hyp, bmask, imask)
+    bmask = _resolve_ideal(ring, beta, lattice)
+    rel = product_hyp_matrix(ring, imask)
+    v = first_violation(rel, bmask, imask)
     if v is None:
         return CheckResult(True)
     return CheckResult(False, counterexample=v)
@@ -290,18 +351,18 @@ def is_S_J_ideal(ring, ideal, subset, jacobson=None, lattice=None,
     s*a falls in the Jacobson radical or s*b falls in the ideal."""
     _check_mode(mode)
     require_comm_identity(ring)
-    imask = _resolve_ideal(ring, ideal)
+    imask = _resolve_ideal(ring, ideal, lattice)
     subset = _resolve_subset(ring, subset)
     require_disjoint(ring, imask, subset)
     jmask = _jac_mask(ring, jacobson, lattice)
-    hyp = product_hyp_matrix(ring, imask)
+    rel = product_hyp_matrix(ring, imask)
     els = ring.elements
 
     def disjuncts(s):
         row = ring.mul_vec(s, els)
         return jmask[row], imask[row]
 
-    return pair_scan(hyp, subset.members, disjuncts, mode)
+    return pair_scan(rel, subset.members, disjuncts, mode)
 
 
 def is_S_n_ideal(ring, ideal, subset, beta=None, lattice=None,
@@ -310,20 +371,20 @@ def is_S_n_ideal(ring, ideal, subset, beta=None, lattice=None,
     b*s into the ideal."""
     _check_mode(mode)
     require_comm_identity(ring)
-    imask = _resolve_ideal(ring, ideal)
+    imask = _resolve_ideal(ring, ideal, lattice)
     subset = _resolve_subset(ring, subset)
     require_disjoint(ring, imask, subset)
     if beta is None:
         beta, _ = prime_radical(ring, lattice)
-    bmask = _resolve_ideal(ring, beta)
-    hyp = product_hyp_matrix(ring, imask)
+    bmask = _resolve_ideal(ring, beta, lattice)
+    rel = product_hyp_matrix(ring, imask)
     els = ring.elements
 
     def disjuncts(s):
         row = ring.mul_vec(els, s)
         return bmask[row], imask[row]
 
-    return pair_scan(hyp, subset.members, disjuncts, mode)
+    return pair_scan(rel, subset.members, disjuncts, mode)
 
 
 def is_S_prime(ring, ideal, subset, mode="fixed-s"):
@@ -333,14 +394,14 @@ def is_S_prime(ring, ideal, subset, mode="fixed-s"):
     imask = _resolve_ideal(ring, ideal)
     subset = _resolve_subset(ring, subset)
     require_disjoint(ring, imask, subset)
-    hyp = product_hyp_matrix(ring, imask)
+    rel = product_hyp_matrix(ring, imask)
     els = ring.elements
 
     def disjuncts(s):
         row = imask[ring.mul_vec(els, s)]
         return row, row
 
-    return pair_scan(hyp, subset.members, disjuncts, mode)
+    return pair_scan(rel, subset.members, disjuncts, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +429,8 @@ def _lattice_scan(lattice, pidx, target_a_idx, members, mode):
         b = tuple(int(x) for x in minimal_generating_set(lattice.ideals[j]))
         return (a, b)
 
-    res = pair_scan(leq[prod, pidx], members, disjuncts, mode)
+    res = pair_scan(Relation.dense(leq[prod, pidx]), members, disjuncts,
+                    mode)
     cex = res.counterexample
     if cex is not None:
         cex = (gens_pair(*cex) if res.quantifier_mode == "per-pair-s"
@@ -380,7 +442,7 @@ def is_right_S_prime(ring, ideal, subset, lattice=None, mode="fixed-s"):
     """There is an s in S so that for all ideals I, K with IK inside P,
     either I<s> or K<s> lands inside P."""
     _check_mode(mode)
-    imask = _resolve_ideal(ring, ideal)
+    imask = _resolve_ideal(ring, ideal, lattice)
     subset = _resolve_subset(ring, subset)
     require_disjoint(ring, imask, subset)
     lattice, pidx = _lattice_context(ring, imask, lattice)
@@ -397,14 +459,15 @@ def is_right_S_J_ideal(ring, ideal, subset, lattice=None, jacobson=None,
     identity rings up to ELEMENTWISE_LIMIT elements.
     """
     _check_mode(mode)
-    imask = _resolve_ideal(ring, ideal)
+    imask = _resolve_ideal(ring, ideal, lattice)
     subset = _resolve_subset(ring, subset)
     require_disjoint(ring, imask, subset)
     if method == "lattice":
         lattice, pidx = _lattice_context(ring, imask, lattice)
         jac = jacobson_radical(ring, lattice) if jacobson is None else jacobson
-        jidx = lattice.idx_of(jac if isinstance(jac, IdealSet)
-                              else IdealSet(ring, _resolve_ideal(ring, jac)))
+        jidx = lattice.idx_of(
+            jac if isinstance(jac, IdealSet)
+            else IdealSet(ring, _resolve_ideal(ring, jac, lattice)))
         return _lattice_scan(lattice, pidx, jidx, subset.members, mode)
     if method != "elementwise":
         raise InvalidParameter("unknown method", method=method,
@@ -422,7 +485,7 @@ def _right_sj_elementwise(ring, pmask, subset, jacobson, lattice, mode):
                                size=n, limit=ELEMENTWISE_LIMIT)
     jmask = _jac_mask(ring, jacobson, lattice)
     els = ring.elements
-    hyp = two_sided_matrix(ring, pmask)
+    rel = two_sided_matrix(ring, pmask)
 
     def disjuncts(s):
         smem = (lattice.principal(s).members if lattice is not None
@@ -430,7 +493,7 @@ def _right_sj_elementwise(ring, pmask, subset, jacobson, lattice, mode):
         prods = ring.mul_vec(els[:, None], smem[None, :])
         return jmask[prods].all(axis=1), pmask[prods].all(axis=1)
 
-    return pair_scan(hyp, subset.members, disjuncts, mode)
+    return pair_scan(rel, subset.members, disjuncts, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +505,7 @@ def related_checks(ring, ideal, subset, lattice=None, jacobson=None):
     ideal sits inside (J(R) : s) for the witness, the intersection of
     maximals above the ideal, the superfluous flag, and the colon
     ideals (I : s) and (I : <s>) for the witness s."""
-    imask = _resolve_ideal(ring, ideal)
+    imask = _resolve_ideal(ring, ideal, lattice)
     subset = _resolve_subset(ring, subset)
     if lattice is None:
         lattice = enumerate_ideals(ring)

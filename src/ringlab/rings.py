@@ -87,7 +87,7 @@ class Ring:
         self._add_table = None
         self._mul_table = None
         self._neg_table = None
-        self._facts = {}        # elements, addgens, one, commutative
+        self._facts = {}        # elements, addgens, one, unit_*, commutative
 
     # -- formula interface ------------------------------------------------
 
@@ -228,6 +228,42 @@ class Ring:
         return int(hits[0]) if hits.size else None
 
     @fact
+    def unit_generators(self):
+        """Unit-group generators, each the least unit outside the group of
+        those before; empty without an identity or a table to walk."""
+        table = self.mul_table
+        if self.one is None or table is None:
+            return ()
+        units = units_mask(self)
+        reached = np.zeros(self.size, dtype=bool)
+        reached[self.one] = True
+        gens = []
+        while not reached[units].all():
+            gens.append(int(np.argmax(units & ~reached)))
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                nxt = np.unique(table[frontier[:, None], gens])
+                frontier = nxt[~reached[nxt]]
+                reached[frontier] = True
+        return tuple(gens)
+
+    @fact
+    def unit_classes(self):
+        """(cls, reps), read-only: cls[x] numbers the orbit of x under
+        x -> u x v for units u and v, and reps[k] is the least member of
+        class k, so reps rises and reps[cls[x]] is the least element
+        associate to x.  The orbits come from the unit generators' rows
+        and columns of the table; without them (no identity, or no
+        table) every class is a singleton.
+        """
+        table = self.mul_table
+        maps = [m for u in self.unit_generators
+                for m in (table[u], table[:, u])]
+        least = orbit_least(self.elements, maps)
+        reps = np.flatnonzero(least == self.elements)
+        return readonly(np.searchsorted(reps, least)), readonly(reps)
+
+    @fact
     def commutative(self):
         gens = self.addgens
         return all(self.mul(g, h) == self.mul(h, g)
@@ -259,6 +295,27 @@ def additive_closure(ring, seeds, base_mask=None):
         if not seeds.size:
             return mask
         _subgroup_extend(mask, int(seeds.min()), ring.add_vec)
+
+
+def orbit_least(least, perms):
+    """Each node's least orbit-mate under the group that the permutation
+    maps ``perms`` generate, starting from ``least``: for each x a mate
+    no larger than x (x itself will do).
+
+    Pointer doubling: with g a power of a map, least takes the smaller of
+    least and least[g], and g squares, until nothing changes; the pass
+    repeats over the maps until none changes anything.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for g in perms:
+            while True:
+                nxt = np.minimum(least, least[g])
+                if (nxt == least).all():
+                    break
+                least, g, changed = nxt, g[g], True
+    return least
 
 
 def units_mask(ring):

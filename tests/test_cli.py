@@ -1,10 +1,16 @@
 """End-to-end command-line behavior via subprocess."""
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+
+from ringlab import cli, predicates
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args):
@@ -153,3 +159,15 @@ def test_reproduce():
 def test_no_subcommand_exits_two():
     p = run_cli()
     assert p.returncode == 2
+
+
+def test_readme_mode_names_are_accepted():
+    """Every library ``mode="..."`` in the README is a predicate mode and
+    every ``--mode`` value a CLI one."""
+    text = README.read_text()
+    library = re.findall(r'mode="([^"]*)"', text)
+    flags = [v for spec in re.findall(r"--mode ([\w|-]+)", text)
+             for v in spec.split("|")]
+    assert library and flags
+    assert set(library) <= set(predicates.MODES)
+    assert set(flags) <= set(cli.MODES)

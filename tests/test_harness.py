@@ -199,15 +199,23 @@ def test_law_caches_do_not_change_the_report_on_derived_rings():
 def test_j_check_work_does_not_depend_on_the_argument_form(monkeypatch):
     """Laws pass j_check both IdealSets and bare masks.  Its memo has one
     entry per mask, so the form of whichever call comes first must not
-    change what is computed: each mask is validated once either way."""
+    change what is computed: each mask is validated once either way, by
+    a lookup in the context's lattice, not by testing ideal closure."""
     checked = []
-    validate = predicates.is_ideal_mask
-    monkeypatch.setattr(predicates, "is_ideal_mask",
-                        lambda ring, mask: checked.append(1)
-                        or validate(ring, mask))
+
+    class CountedKeys(dict):
+        def __contains__(self, key):
+            checked.append(1)
+            return super().__contains__(key)
+
+    def no_closure_test(ring, mask):
+        raise AssertionError("mask tested where the lattice holds it")
+
+    monkeypatch.setattr(predicates, "is_ideal_mask", no_closure_test)
     seen = []
     for form in (lambda I: I, lambda I: I.mask):
         ctx = harness.build_corpus({"rings": ["Z36"]}).contexts[0]
+        ctx.lattice.key_to_idx = CountedKeys(ctx.lattice.key_to_idx)
         checked.clear()
         verdicts = [ctx.j_check(form(I)).verdict for I in ctx.ideals]
         verdicts += [ctx.j_check(I).verdict for I in ctx.ideals]
@@ -485,6 +493,27 @@ def test_registry_evaluates_each_context_verdict_once(monkeypatch):
     assert {i: reports[i]["tested"] for i in ("P17", "P18", "P20", "P21",
                                               "P22")} \
         == {"P17": 40, "P18": 32, "P20": 50, "P21": 64, "P22": 12}
+
+
+def test_registry_lifts_each_subset_once(monkeypatch):
+    """P18, P20, P21 and P22 carry picked subsets into derived rings.
+    Each lift is kept in the derived context's memo, so on the cross-
+    context corpus each (derived ring, subset) is carried once, P21
+    reading the idealizations' lifts that P20 made."""
+    lifted = []
+    for name in ("subset_const_embed", "subset_idealization",
+                 "subset_amalgamation"):
+        def counted(subset, ring, _carry=getattr(harness, name), _name=name):
+            lifted.append((_name, ring.label, subset.key))
+            return _carry(subset, ring)
+
+        monkeypatch.setattr(harness, name, counted)
+    reports = harness.verify_properties(_cross_context_corpus(),
+                                        ids=["P18", "P20", "P21", "P22"])
+    assert all(r["tested"] for r in reports)
+    assert {name for name, _, _ in lifted} == {
+        "subset_const_embed", "subset_idealization", "subset_amalgamation"}
+    assert len(set(lifted)) == len(lifted)
 
 
 def test_registry_builds_each_two_sided_matrix_once(monkeypatch):

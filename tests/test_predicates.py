@@ -1,5 +1,7 @@
 """CheckResult semantics, error contracts, and differential spot checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from ringlab.ideals import IdealSet, enumerate_ideals, principal_ideal
 from ringlab.radicals import jacobson_radical
 from ringlab.subsets import SubsetS, enumerate_subsets, generated_subset
 from ringlab.predicates import (
+    Relation,
     arb_violation,
     first_violation,
     is_J_ideal,
@@ -126,6 +129,41 @@ def test_improper_ideal_rejected(z36):
         is_J_ideal(ring, full, jacobson=jac, lattice=lattice)
 
 
+def test_bare_masks_are_looked_up_in_a_given_lattice(z36, monkeypatch):
+    """With a lattice, a bare mask is checked by lookup, not by testing
+    ideal closure; a mask off the lattice still raises InvalidIdeal."""
+    ring, lattice, jac = z36
+    mat = build_ring(parse_ring_expr("M(2, Z2)"))   # simple: 0 and R
+    mlat = enumerate_ideals(mat)
+    subgroup = np.zeros(mat.size, dtype=bool)
+    subgroup[[mat.zero, 1]] = True              # a subgroup, not an ideal
+    not_subgroup = np.zeros(ring.size, dtype=bool)
+    not_subgroup[[0, 1]] = True
+
+    def no_closure_test(ring, mask, two_sided=True):
+        raise AssertionError("mask tested where the lattice holds it")
+
+    monkeypatch.setattr(predicates, "is_ideal_mask", no_closure_test)
+    ideal = principal_ideal(ring, 4)
+    subset = SubsetS(ring, [1, 3, 9, 27], kind="mulclosed")
+    assert is_J_ideal(ring, ideal.mask, jacobson=jac.mask, lattice=lattice) \
+        == is_J_ideal(ring, ideal, lattice=lattice)
+    assert is_S_J_ideal(ring, ideal.mask, subset, jacobson=jac.mask,
+                        lattice=lattice).witness_s == 3
+    with pytest.raises(InvalidIdeal):
+        is_J_ideal(ring, not_subgroup, jacobson=jac, lattice=lattice)
+    with pytest.raises(InvalidIdeal):
+        is_S_J_ideal(ring, not_subgroup, subset, lattice=lattice)
+    with pytest.raises(InvalidIdeal):
+        is_J_ideal(mat, subgroup, lattice=mlat)
+    with pytest.raises(InvalidIdeal):
+        is_right_S_J_ideal(mat, subgroup, SubsetS(mat, [mat.one]),
+                           lattice=mlat)
+    monkeypatch.undo()
+    with pytest.raises(InvalidIdeal):
+        is_J_ideal(mat, subgroup)
+
+
 def test_commutativity_and_identity_guards():
     mat = build_ring(parse_ring_expr("M(2, Z2)"))
     lattice = enumerate_ideals(mat)
@@ -152,9 +190,13 @@ def test_capacity_guards():
     zero = IdealSet(big, principal_ideal(big, 0).mask)
     subset = SubsetS(big, [big.one], kind="mulclosed")
     with pytest.raises(CapacityExceeded):
-        is_S_J_ideal(big, zero, subset)
-    with pytest.raises(CapacityExceeded):
         two_sided_matrix(big, zero.mask)
+    with pytest.raises(CapacityExceeded):
+        product_hyp_matrix(big, zero.mask)
+    # the cap is met before any class work
+    assert "unit_classes" not in big._facts
+    with pytest.raises(CapacityExceeded):
+        is_S_J_ideal(big, zero, subset)
 
     mat = build_ring(parse_ring_expr("M(2, Z6)"))   # 1296 > 300
     lattice = enumerate_ideals(mat)
@@ -283,6 +325,34 @@ def pair_rings(generated_rings):
             for label, ring, nr in out]
 
 
+def expanded(rel):
+    """The n x n matrix of a Relation: H[cls][:, cls]."""
+    H, cls = rel
+    return H[cls][:, cls]
+
+
+def dense_first_violation(hyp, a_ok, b_ok):
+    """The lex-least violating pair by a scan of the whole n x n matrix."""
+    bad = hyp & ~b_ok[None, :]
+    rows = bad.any(axis=1) & ~a_ok
+    if not rows.any():
+        return None
+    a = int(np.argmax(rows))
+    return (a, int(np.argmax(bad[a])))
+
+
+def naive_unit_orbits(nr):
+    """same[x, y]: y = u x v for some units u and v."""
+    mul = np.array(nr.mul)
+    units = np.array(sorted(naive.units(nr)), dtype=np.int64)
+    same = np.eye(nr.size, dtype=bool)
+    if units.size:
+        uxv = mul[mul[units][:, :, None], units[None, None, :]]
+        for x in range(nr.size):
+            same[x, uxv[:, x, :].ravel()] = True
+    return same
+
+
 def test_two_sided_matrix_matches_naive(pair_rings):
     """T[a, b] is the naive aRb-inside-I relation, r ranging over all of
     R, for every ideal of every ring."""
@@ -291,8 +361,9 @@ def test_two_sided_matrix_matches_naive(pair_rings):
         arb = mul[mul[:, :, None], np.arange(nr.size)[None, None, :]]
         for ideal in lattice.ideals:
             want = ideal.mask[arb].all(axis=1)
-            assert (two_sided_matrix(ring, ideal.mask) == want).all(), label
-            assert (product_hyp_matrix(ring, ideal.mask)
+            assert (expanded(two_sided_matrix(ring, ideal.mask))
+                    == want).all(), label
+            assert (expanded(product_hyp_matrix(ring, ideal.mask))
                     == ideal.mask[mul]).all(), label
 
 
@@ -301,12 +372,68 @@ def test_first_violation_of_two_sided_matrix_is_arb_violation(pair_rings):
     for label, ring, nr, lattice in pair_rings:
         for ideal in lattice.ideals:
             T = two_sided_matrix(ring, ideal.mask)
+            dense = expanded(T)
             for density in (0.1, 0.5, 0.9):
                 a_skip = rng.random(ring.size) < density
                 for b_skip in (rng.random(ring.size) < density, ideal.mask):
-                    assert first_violation(T, a_skip, b_skip) \
-                        == arb_violation(ring, ideal.mask, a_skip,
-                                         b_skip), label
+                    got = first_violation(T, a_skip, b_skip)
+                    assert got == arb_violation(ring, ideal.mask, a_skip,
+                                                b_skip), label
+                    assert got == dense_first_violation(dense, a_skip,
+                                                        b_skip), label
+
+
+def test_unit_classes_are_the_naive_unit_orbits(pair_rings):
+    """cls[x] == cls[y] iff y = u x v for units u and v; reps[k] is the
+    least member of class k; singletons without an identity."""
+    for label, ring, nr, _ in pair_rings:
+        cls, reps = ring.unit_classes
+        assert ((cls[:, None] == cls[None, :])
+                == naive_unit_orbits(nr)).all(), label
+        assert (cls[reps] == np.arange(reps.size)).all(), label
+        assert (reps[cls] <= np.arange(ring.size)).all(), label
+        if ring.one is None:
+            assert reps.size == ring.size, label
+
+
+def test_class_first_violation_matches_the_dense_scan(pair_rings):
+    """On random skip masks, the class scan of the product and two-sided
+    relations finds the pair the dense scan of the expanded matrix finds;
+    so does the identity partition of the dense matrix."""
+    rng = np.random.default_rng(13)
+    for label, ring, nr, lattice in pair_rings:
+        for ideal in lattice.ideals:
+            for rel in (product_hyp_matrix(ring, ideal.mask),
+                        two_sided_matrix(ring, ideal.mask)):
+                dense = expanded(rel)
+                for density in (0.05, 0.3, 0.7, 0.95):
+                    a_ok = rng.random(ring.size) < density
+                    b_ok = rng.random(ring.size) < density
+                    want = dense_first_violation(dense, a_ok, b_ok)
+                    assert first_violation(rel, a_ok, b_ok) == want, label
+                    assert first_violation(Relation.dense(dense), a_ok,
+                                           b_ok) == want, label
+
+
+@pytest.mark.parametrize("expr, build, classes", [
+    ("Z36 x Z36", product_hyp_matrix, 81),
+    ("M(2, Z6)", two_sided_matrix, 9),
+])
+def test_pair_relations_hold_one_cell_per_class_pair(expr, build, classes):
+    """On Z36 x Z36 (81 classes of associates) and M(2, Z6) (9 classes
+    under x -> uxv) the relation is a classes x classes matrix, and no
+    n x n matrix is built on the way."""
+    ring = build_ring(parse_ring_expr(expr))
+    lattice = enumerate_ideals(ring)       # fills the table and classes
+    n = ring.size
+    for ideal in lattice.ideals[1:4]:
+        tracemalloc.start()
+        rel = build(ring, ideal.mask)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert rel.H.shape == (classes, classes)
+        assert rel.cls.shape == (n,)
+        assert peak < n * n // 8
 
 
 def test_streamed_formula_scan_matches_dense_table_scan(pair_rings,
