@@ -150,10 +150,6 @@ def ideal_sum(a, b):
     return IdealSet(ring, mask)
 
 
-def ideal_intersect(a, b):
-    return IdealSet(a.ring, a.mask & b.mask)
-
-
 def ideal_product(a, b):
     """AB = additive closure of pairwise products of additive generators."""
     ring = a.ring
@@ -180,23 +176,6 @@ def colon_subset_mask(ring, imask, xs):
 def colon_ideal_mask(ring, pmask, t_ideal):
     """(P : T) for an ideal T; membership needs only T's additive generators."""
     return colon_subset_mask(ring, pmask, t_ideal.addgens)
-
-
-def is_modular_ideal(ring, imask):
-    """Some e acts as identity mod I on both sides.
-
-    r -> er - r is additive in r, so e works iff it works on the ring's
-    additive generators; that makes the scan over candidates linear.
-    """
-    ok = np.ones(ring.size, dtype=bool)
-    idx = ring.elements
-    for g in ring.addgens:
-        g64 = np.int64(g)
-        ok &= imask[ring.sub_vec(ring.mul_vec(idx, g64), g64)]
-        ok &= imask[ring.sub_vec(ring.mul_vec(g64, idx), g64)]
-        if not ok.any():
-            return False
-    return bool(ok.any())
 
 
 def minimal_generating_set(ideal):

@@ -5,10 +5,14 @@ defines addition, multiplication and negation by vectorized index
 formulas, which operate on whole numpy arrays at once.  Rings with at
 most TABLE_LIMIT elements also get read-only int32 Cayley tables, built
 lazily: the formulas give only the rows of the additive generators, and a
-walk over the additive group from zero gathers every other row from rows
-already filled.  Larger rings (the 2x2 matrices over Z12, for instance)
-always evaluate through the formulas.  The matrix and truncated
-polynomial constructors refuse rings above MAX_RING_SIZE elements.
+walk over the additive group from zero fills every other row from rows
+already filled, by one-dimensional takes: a sum row is a take along the
+columns of a filled sum row, a product row a flat take into the sum table.
+The walk takes rows in blocks that allocate at most _BLOCK_BYTES (1 MiB)
+each, so the transient memory beside the tables stays near 1 MiB.
+Larger rings (the 2x2 matrices over Z12, for instance) always evaluate
+through the formulas.  The matrix and truncated polynomial constructors
+refuse rings above MAX_RING_SIZE elements.
 
 Rings without identity are first class: ``one`` is None when no identity
 exists and nothing downstream may assume otherwise.
@@ -22,16 +26,18 @@ from .memo import fact, readonly
 
 TABLE_LIMIT = 4096
 MAX_RING_SIZE = 50_000_000
-_BLOCK_CELLS = 1 << 20      # cells per row block of a large gather
+_BLOCK_BYTES = 1 << 20      # bytes one row block of a large gather allocates
 
 
 def _as_idx(a):
     return np.asarray(a, dtype=np.int64)
 
 
-def _row_blocks(rows, width):
-    """Slices covering range(rows), each at most _BLOCK_CELLS cells wide."""
-    step = max(1, _BLOCK_CELLS // width)
+def _row_blocks(rows, row_bytes):
+    """Slices covering range(rows), sized so that a block allocates at most
+    _BLOCK_BYTES when the work on one row allocates row_bytes (the caller
+    counts every array it makes per row, index arrays included)."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
@@ -115,8 +121,14 @@ class Ring:
         since (s + t) + b = s + (t + b), and add[2t] = add[t][add[t]].
         The product rows replay the same steps on the finished sum table:
         mul[y] = add[mul[s], mul[t]] since (s + t)b = sb + tb, and
-        mul[2t] = add[mul[t], mul[t]].  Each step gathers in row blocks,
-        so the transient memory stays near _BLOCK_CELLS cells.
+        mul[2t] = add[mul[t], mul[t]].
+
+        Both gathers are one-dimensional takes.  A block of sum rows is
+        ``np.take(add[s], add[t], axis=1)``: a copied int32 block and its
+        int32 take, 8 bytes a cell.  A block of product rows is a take
+        from the flat sum table at the intp index mul[s] * n + mul[t],
+        built in place: 12 bytes a cell.  ``_row_blocks`` sizes the blocks
+        by those bytes, so no step allocates more than _BLOCK_BYTES.
         """
         n = self.size
         idx = self.elements
@@ -135,17 +147,21 @@ class Ring:
                 dst = row[src]
                 fresh = ~filled[dst]
                 src, dst = src[fresh], dst[fresh]
-                for b in _row_blocks(src.size, n):
-                    add[dst[b]] = add[src[b, None], row]
+                for b in _row_blocks(src.size, 8 * n):
+                    add[dst[b]] = np.take(add[src[b]], row, axis=1)
                 filled[dst] = True
                 steps.append((src, dst))
                 t, row = int(row[t]), row[row]
             walk.append((g, steps))
+        flat = add.ravel()
         for g, steps in walk:
             row = self._mul_vec(np.int64(g), idx).astype(np.int32)
             for src, dst in steps:
-                for b in _row_blocks(src.size, n):
-                    mul[dst[b]] = add[mul[src[b]], row]
+                for b in _row_blocks(src.size, 12 * n):
+                    at = np.multiply(mul[src[b]], n, dtype=np.intp)
+                    at += row
+                    mul[dst[b]] = flat.take(at)
+                    del at      # before the next block's index exists
                 row = add[row, row]
         self._add_table, self._mul_table = readonly(add), readonly(mul)
         self._neg_table = readonly(self._neg_vec(idx).astype(np.int32))
@@ -328,7 +344,7 @@ def units_mask(ring):
     if ring.one is None:
         return out
     idx, table = ring.elements, ring.mul_table
-    for b in _row_blocks(ring.size, ring.size):
+    for b in _row_blocks(ring.size, 8 * ring.size):    # int64 formula rows
         rows = ring.mul_vec(idx[b, None], idx) if table is None else table[b]
         out[b] = (rows == ring.one).any(axis=1)
     return out

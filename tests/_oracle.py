@@ -1,4 +1,9 @@
-"""Differential sweep: every predicate next to its table-walking twin.
+"""Cross-check routes that only the tests read, and the differential
+sweep: every predicate next to its table-walking twin.
+
+The radical routes (quasi-regular elements, units) and the modular-ideal
+and intersection helpers are independent of the lattice route that
+ringlab computes with; the tests hold the two against each other.
 
 The naive module recomputes everything from scratch out of n-by-n Python
 multiplication tables, so agreement here is evidence the vectorized
@@ -8,8 +13,85 @@ both sides (smallest s, lexicographically least pair), so those are
 compared too wherever the shapes match.
 """
 
+import numpy as np
+
 from ringlab import naive
 from ringlab import predicates as P
+from ringlab.errors import InternalInconsistency, NotApplicable
+from ringlab.ideals import IdealSet, enumerate_ideals, zero_ideal
+from ringlab.rings import units_mask
+
+_CROSSCHECK_LIMIT = 4096
+
+
+def quasi_regular_mask(ring):
+    """x such that some y solves y + x + yx = 0."""
+    if ring.size > _CROSSCHECK_LIMIT:
+        raise NotApplicable("quasi-regular scan capped",
+                            limit=_CROSSCHECK_LIMIT, size=ring.size)
+    idx = ring.elements
+    out = np.zeros(ring.size, dtype=bool)
+    for x in range(ring.size):
+        x64 = np.int64(x)
+        val = ring.add_vec(ring.add_vec(idx, x64), ring.mul_vec(idx, x64))
+        out[x] = bool((val == ring.zero).any())
+    return out
+
+
+def jacobson_via_quasiregular(ring, lattice=None):
+    """Largest ideal inside the quasi-regular set.  Cross-check method."""
+    q = quasi_regular_mask(ring)
+    if lattice is None:
+        lattice = enumerate_ideals(ring)
+    best = zero_ideal(ring)
+    for ideal in lattice.ideals:
+        if ideal.size > best.size and not (ideal.mask & ~q).any():
+            best = ideal
+    return best
+
+
+def jacobson_via_units(ring, lattice=None):
+    """{x : 1 + r x is a unit for every r}.  Cross-check; identity needed."""
+    if ring.one is None:
+        raise NotApplicable("unit characterization needs an identity",
+                            ring=ring.label)
+    if ring.size > _CROSSCHECK_LIMIT:
+        raise NotApplicable("unit scan capped",
+                            limit=_CROSSCHECK_LIMIT, size=ring.size)
+    units = units_mask(ring)
+    one = np.int64(ring.one)
+    idx = ring.elements
+    mask = np.zeros(ring.size, dtype=bool)
+    for x in range(ring.size):
+        vals = ring.add_vec(one, ring.mul_vec(idx, np.int64(x)))
+        mask[x] = bool(units[vals].all())
+    if lattice is None:
+        lattice = enumerate_ideals(ring)
+    if mask.tobytes() not in lattice.key_to_idx:
+        raise InternalInconsistency("unit characterization is not an ideal",
+                                    ring=ring.label)
+    return IdealSet(ring, mask)
+
+
+def ideal_intersect(a, b):
+    return IdealSet(a.ring, a.mask & b.mask)
+
+
+def is_modular_ideal(ring, imask):
+    """Some e acts as identity mod I on both sides.
+
+    r -> er - r is additive in r, so e works iff it works on the ring's
+    additive generators; that makes the scan over candidates linear.
+    """
+    ok = np.ones(ring.size, dtype=bool)
+    idx = ring.elements
+    for g in ring.addgens:
+        g64 = np.int64(g)
+        ok &= imask[ring.sub_vec(ring.mul_vec(idx, g64), g64)]
+        ok &= imask[ring.sub_vec(ring.mul_vec(g64, idx), g64)]
+        if not ok.any():
+            return False
+    return bool(ok.any())
 
 
 def _tab(pairs):

@@ -13,16 +13,16 @@ import time
 
 import numpy as np
 
-from _oracle import oracle_sweep
+from _oracle import (
+    jacobson_via_quasiregular,
+    jacobson_via_units,
+    oracle_sweep,
+)
 from ringlab import harness, naive
 from ringlab.exprs import build_ring, parse_ring_expr
 from ringlab.ideals import IdealSet, enumerate_ideals, principal_ideal
 from ringlab.predicates import is_J_ideal, is_S_J_ideal, is_right_S_J_ideal
-from ringlab.radicals import (
-    jacobson_radical,
-    jacobson_via_quasiregular,
-    jacobson_via_units,
-)
+from ringlab.radicals import jacobson_radical
 from ringlab.subsets import SubsetS
 
 

@@ -200,9 +200,18 @@ def test_max_ring_size_boundary(monkeypatch):
         make_truncated_poly(base4, 2)
 
 
+def _table_bytes(ring):
+    return sum(t.nbytes for t in (ring._add_table, ring.mul_table,
+                                  ring._neg_table))
+
+
 def test_table_build_peak_memory():
     """The walk and the unit mask read in row blocks: building the Z4096
-    tables and its unit mask peaks within 16 MB of the tables' own bytes."""
+    tables and its unit mask peaks within 16 MB of the tables' own bytes.
+    M(2, Z7) walks 4 generators in 12 doubling steps, and its product
+    steps span several blocks: its build peaks within 12 MB of its
+    tables, which product steps with an int32 index in blocks of 2^20
+    cells (16 MB over) would not."""
     ring = make_zn(4096)
     tracemalloc.start()
     try:
@@ -211,7 +220,71 @@ def test_table_build_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tables = sum(t.nbytes for t in (ring._add_table, ring.mul_table,
-                                    ring._neg_table))
-    assert peak < tables + 16 * 2**20
+    assert peak < _table_bytes(ring) + 16 * 2**20
     assert int(units.sum()) == 2048 and units[1] and not units[2]
+
+    mat = build_ring(parse_ring_expr("M(2, Z7)"))
+    assert len(mat.addgens) == 4
+    tracemalloc.start()
+    try:
+        mat.mul_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _table_bytes(mat) + 12 * 2**20
+
+
+# --- metamorphic relations of the walked tables ------------------------------
+
+def _pair_index(a, b, second):
+    """Index of (a, b) in a product whose second factor has that size."""
+    return a * second + b
+
+
+def _swap(m, n):
+    """R x S -> S x R, (a, b) -> (b, a), for factors of sizes m and n."""
+    e = np.arange(m * n)
+    return _pair_index(e % n, e // n, m)
+
+
+def _crt(m, n):
+    """Zm x Zn -> Zmn for coprime m and n: (a, b) -> the x with x = a mod m
+    and x = b mod n, by inverting x -> (x mod m, x mod n)."""
+    x = np.arange(m * n)
+    out = np.empty(m * n, dtype=np.int64)
+    out[_pair_index(x % m, x % n, n)] = x
+    return out
+
+
+METAMORPHIC = [
+    ("Z4 x Z6", "Z6 x Z4", _swap(4, 6)),
+    ("Z4 x Z9", "Z36", _crt(4, 9)),
+    ("M(2, Z2) x Z3", "Z3 x M(2, Z2)", _swap(16, 3)),
+    ("Z16 x Z81", "Z1296", _crt(16, 81)),
+] + [("trunc(%s, 1)" % expr, expr, np.arange(size)) for expr, size in (
+    ("Z12", 12), ("M(2, Z3)", 81), ("Z4 x Z6", 24),
+    ("idealring(Z36, gen(6))", 6), ("amalg(Z8, Z4, mod, gen(2))", 16),
+    ("idealize(Z4, 2)", 8))]
+
+
+@pytest.mark.parametrize("left, right, f", METAMORPHIC,
+                         ids=[pair[0] + " ~ " + pair[1]
+                              for pair in METAMORPHIC])
+def test_walked_tables_agree_through_a_bijection(left, right, f):
+    """f maps the elements of ``left`` onto those of ``right`` and carries
+    each walked table of one onto the other: f(a + b) = f(a) + f(b),
+    f(ab) = f(a)f(b), f(-a) = -f(a).  The two sides of a swap or CRT
+    pair are walked from different generators, so those check the walk
+    without the formulas; trunc(R, 1) checks the encoding at d = 1."""
+    a, b = (build_ring(parse_ring_expr(expr)) for expr in (left, right))
+    assert a.size == b.size == f.size <= 1296
+    assert sorted(f.tolist()) == list(range(a.size))
+    (mul_a, add_a, neg_a), (mul_b, add_b, neg_b) = (
+        (r.mul_table, r._add_table, r._neg_table) for r in (a, b))
+    assert (add_b[f][:, f] == f[add_a]).all(), (left, right)
+    assert (mul_b[f][:, f] == f[mul_a]).all(), (left, right)
+    assert (neg_b[f] == f[neg_a]).all(), (left, right)
+    assert f[a.zero] == b.zero
+    assert (a.one is None) == (b.one is None)
+    if a.one is not None:
+        assert f[a.one] == b.one
