@@ -14,7 +14,8 @@ keyed by subset, of the fixed-s subset-radical verdict and its witness
 vector, which ``sj``, ``sj_witnesses`` and P11 read), ``right_sj``,
 ``j_check``, the colons and ``two_sided`` (the aRb-inside-I relation P13
 and P31 scan).  Each is computed once through ``memo.once`` into the
-context's one ``memo``.
+context's one ``memo``.  A law that quantifies over s scans all its
+s-rows in one batch, never one scan per s.
 
 A law states its hypotheses and its conclusion, and its ``_Rep`` counts
 the instances: ``rep.keep(holds)`` counts a vacuous one when a
@@ -69,9 +70,9 @@ from .ideals import (
 from .memo import once, readonly
 from .predicates import (
     ELEMENTWISE_LIMIT,
-    CheckResult,
     Relation,
-    first_violation,
+    first_violations,
+    fixed_s_result,
     is_J_ideal,
     is_S_J_ideal,  # unused here; perfbench/tests reads harness.is_S_J_ideal
     is_S_n_ideal,
@@ -79,11 +80,13 @@ from .predicates import (
     is_n_ideal,
     is_right_S_J_ideal,
     is_right_S_prime,
+    lattice_colon_rows,
+    pair_scan,
     product_hyp_matrix,
     require_comm_identity,
     require_disjoint,
     two_sided_matrix,
-    two_sided_violation,
+    two_sided_violations,
 )
 from .radicals import j_star, jacobson_radical, prime_radical
 from .rings import (
@@ -242,18 +245,18 @@ class RingCtx:
 
 def _violation_table(ring, jm, imask, subsets):
     """{S.key: (wits, verdict)} of the fixed-s law for an ideal mask and a
-    radical mask jm, from one hypothesis relation: wits[k] says whether
-    members[k] is a witness; the verdict carries the least witness, or
-    else one violating pair per s, as the fixed-s predicate does."""
+    radical mask jm, from one hypothesis relation and one scan of the
+    s-rows of every subset: wits[k] says whether members[k] is a witness;
+    the verdict is the fixed-s predicate's."""
     hyp = product_hyp_matrix(ring, imask)
-    out = {}
+    subsets = list(subsets)
+    rows = ring.mul_table[np.concatenate([S.members for S in subsets])]
+    found = first_violations(hyp, jm.take(rows), imask.take(rows))
+    out, lo = {}, 0
     for S in subsets:
-        table = tuple((int(s), first_violation(hyp, jm[row], imask[row]))
-                      for s, row in zip(S.members, ring.mul_table[S.members]))
-        wits = readonly(np.array([v is None for _, v in table]))
-        res = (CheckResult(True, witness_s=table[wits.argmax()][0])
-               if wits.any() else CheckResult(False, counterexample=table))
-        out[S.key] = (wits, res)
+        viols, lo = found[lo:lo + S.size], lo + S.size
+        out[S.key] = (readonly(np.array([v is None for v in viols])),
+                      fixed_s_result(S.members, viols))
     return out
 
 
@@ -608,13 +611,6 @@ def _block_mask(ring, rows, cols, width):
     return mask
 
 
-def _right_witness(lattice, hyp, pidx, jidx, s):
-    col = lattice.prod[:, lattice.principal_of[int(s)]]
-    a_ok = lattice.leq[col, jidx]
-    b_ok = lattice.leq[col, pidx]
-    return first_violation(hyp, a_ok, b_ok) is None
-
-
 # ---------------------------------------------------------------------------
 # law checkers: each body checks one context (P17 and P22 the corpus)
 # ---------------------------------------------------------------------------
@@ -703,16 +699,16 @@ def _p4(ctx, rep):
             lattice.leq[lattice.prod, lattice.idx_of(I)])
         wits = ctx.sj_witnesses(I, S)
         rep.tested += 1
-        for s, ok in zip(S.members, wits):
-            # A*s lies in T iff A lies in the ideal (T : s)
-            a_ok, b_ok = (lattice.leq[:, lattice.idx_of(IdealSet(
-                ring, ctx.colon(t, s)))] for t in (jm, I.mask))
-            pair_ok = first_violation(hyp_lat, a_ok, b_ok) is None
-            if pair_ok != bool(ok):
+        # A*s lies in T iff A lies in the ideal (T : s)
+        viols = first_violations(hyp_lat, *(lattice.leq[:, [lattice.idx_of(
+            IdealSet(ring, ctx.colon(t, s))) for s in S.members]].T
+            for t in (jm, I.mask)))
+        for s, ok, v in zip(S.members, wits, viols):
+            if (v is None) != bool(ok):
                 rep.violation(ring, I, S, {
                     "s": ring.element_label(int(s)),
                     "elementwise_witness": bool(ok),
-                    "ideal_pair_witness": pair_ok})
+                    "ideal_pair_witness": v is None})
                 break
 
 
@@ -795,10 +791,9 @@ def _p8(ctx, rep):
                         for P in sub.lattice.ideals]
             rows = sub.ring.pos[ring.mul_table[np.ix_(S.members, I.members)]]
             for P, sub_hyp in zip(sub.lattice.ideals, hyps):
-                if rep.given(sub_hyp is not None) and not any(
-                        first_violation(sub_hyp, sub.jac.mask[row],
-                                        P.mask[row]) is None
-                        for row in rows):
+                if rep.given(sub_hyp is not None) and not pair_scan(
+                        sub_hyp, S.members, sub.jac.mask[rows], P.mask[rows],
+                        "fixed-s").verdict:
                     rep.violation(ring, I, S, {
                         "inner_ideal": [sub.ring.element_label(int(g))
                                         for g in P.members],
@@ -925,26 +920,31 @@ def _p12(ctx, rep):
 def _p13(ctx, rep):
     # when (J(R) : s) = J(R), the witness law rewrites through the
     # maximal-intersection radical of I
-    ring, jm = ctx.ring, ctx.jac.mask
+    jm = ctx.jac.mask
     for I, S in ctx.pairs(rep):
         good = [(int(s), bool(w))
                 for s, w in zip(S.members, ctx.sj_witnesses(I, S))
                 if np.array_equal(ctx.colon(jm, s), jm)]
-        if not rep.given(good):
-            continue
-        jstar = j_star(ring, I, ctx.lattice)
-        for s, lhs in good:
+        if rep.given(good):
             # ab in I forces a*s in J*(I) or b*s in I (aRb = abR here)
-            pair_ok = two_sided_violation(
-                ring, I.mask, ctx.colon(jstar.mask, s),
-                ctx.colon(I.mask, s), ctx.two_sided) is None
-            contain = not (I.mask & ~ctx.colon(jm, s)).any()
-            rhs = pair_ok and contain
-            if lhs != rhs:
-                rep.violation(ring, I, S, {
-                    "s": ring.element_label(s),
-                    "witness": lhs, "rewritten_form": rhs})
-                break
+            _rewritten_form(ctx, rep, I, S, *zip(*good), ctx.colon)
+
+
+def _rewritten_form(ctx, rep, I, S, ss, lhs, colon):
+    """P13 and P31: each s of ss is a witness (its entry of lhs) iff I
+    lies in colon(J(R), s) and aRb inside I forces a into colon(J*(I), s)
+    or b into colon(I, s); the first s where the two differ is reported."""
+    ring = ctx.ring
+    jstar = j_star(ring, I, ctx.lattice)
+    a_skip, b_skip = (np.array([colon(t, s) for s in ss])
+                      for t in (jstar.mask, I.mask))
+    viols = two_sided_violations(ring, I.mask, a_skip, b_skip, ctx.two_sided)
+    for s, w, v in zip(ss, lhs, viols):
+        rhs = not (I.mask & ~colon(ctx.jac.mask, s)).any() and v is None
+        if w != rhs:
+            rep.violation(ring, I, S, {"s": ring.element_label(s),
+                                       "witness": w, "rewritten_form": rhs})
+            break
 
 
 def _p14(ctx, rep):
@@ -1188,18 +1188,16 @@ def _p23(ctx, rep):
     # three faces of the right-sided law: full ideal pairs, principal
     # pairs, and the elementwise two-sided form
     ring, lattice = ctx.ring, ctx.lattice
-    prod = lattice.prod
     jidx = lattice.idx_of(ctx.jac)
     prin = np.unique(lattice.principal_of)
     for P, S in ctx.pairs(rep):
         pidx = lattice.idx_of(P)
         hyp_pr = Relation.dense(
-            lattice.leq[prod, pidx][np.ix_(prin, prin)])
+            lattice.leq[lattice.prod, pidx][np.ix_(prin, prin)])
         rep.tested += 1
-        cols = (prod[:, lattice.principal_of[int(s)]] for s in S.members)
-        pair = any(first_violation(hyp_pr, lattice.leq[col, jidx][prin],
-                                   lattice.leq[col, pidx][prin]) is None
-                   for col in cols)
+        pair = pair_scan(hyp_pr, S.members, *(
+            lattice_colon_rows(lattice, t, S.members)[:, prin]
+            for t in (jidx, pidx)), "fixed-s").verdict
         verdicts = {"ideal_pairs": ctx.right_sj(P, S).verdict,
                     "principal_pairs": pair}
         if ring.size <= ELEMENTWISE_LIMIT:
@@ -1339,7 +1337,7 @@ def _p31(ctx, rep):
     # with (J(R) : <s>) = J(R): witness s for the right law iff P sits
     # in the colon and the elementwise two-sided form holds through the
     # maximal-intersection radical
-    ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
+    lattice, jm = ctx.lattice, ctx.jac.mask
     jidx = lattice.idx_of(ctx.jac)
     for P, S in ctx.pairs(rep):
         good = [int(s) for s in S.members
@@ -1347,21 +1345,10 @@ def _p31(ctx, rep):
         if not rep.given(good):
             continue
         pidx = lattice.idx_of(P)
-        hyp = Relation.dense(lattice.leq[lattice.prod, pidx])
-        jstar = j_star(ring, P, lattice)
-        for s in good:
-            lhs = _right_witness(lattice, hyp, pidx, jidx, s)
-            contain = not (P.mask & ~ctx.colon_principal(jm, s)).any()
-            a_skip = ctx.colon_principal(jstar.mask, s)
-            b_skip = ctx.colon_principal(P.mask, s)
-            pair_ok = two_sided_violation(ring, P.mask, a_skip, b_skip,
-                                          ctx.two_sided) is None
-            rhs = contain and pair_ok
-            if lhs != rhs:
-                rep.violation(ring, P, S, {
-                    "s": ring.element_label(s),
-                    "witness": lhs, "rewritten_form": rhs})
-                break
+        lhs = [v is None for v in first_violations(
+            Relation.dense(lattice.leq[lattice.prod, pidx]),
+            *(lattice_colon_rows(lattice, t, good) for t in (jidx, pidx)))]
+        _rewritten_form(ctx, rep, P, S, good, lhs, ctx.colon_principal)
 
 
 def _p32(ctx, rep):
@@ -1601,9 +1588,9 @@ def run_worked_examples():
           and rel.verdict and rel.witness_s == 3)
     # the chosen witness must replay: no violating pair for s = 3
     hyp = product_hyp_matrix(r36, i4.mask)
-    row = r36.mul_vec(np.int64(3), r36.elements)
-    ok = ok and first_violation(hyp, z36.jac.mask[row],
-                                i4.mask[row]) is None
+    rows = r36.mul_table[[3]]
+    ok = ok and first_violations(hyp, z36.jac.mask[rows],
+                                 i4.mask[rows]) == [None]
     out.append({"id": "E1", "passed": bool(ok),
                 "description": "Z36: gen(4) fails the plain radical-"
                                "membership law at (2, 2) but holds the "
@@ -1624,10 +1611,9 @@ def run_worked_examples():
     covered = {entry[0] for entry in (res.counterexample or ())}
     ok = ok and covered == {int(x) for x in s_prod.members}
     H, cls = product_hyp_matrix(prod.ring, imask)
-    for s in s_prod.members:
-        row = prod.ring.mul_vec(np.int64(int(s)), prod.ring.elements)
-        ok = ok and bool(H[cls[pair], cls[pair]]) \
-            and not prod.jac.mask[row[pair]] and not imask[row[pair]]
+    spair = prod.ring.mul_table[s_prod.members, pair]
+    ok = ok and bool(H[cls[pair], cls[pair]]) \
+        and not (prod.jac.mask[spair] | imask[spair]).any()
     out.append({"id": "E2", "passed": bool(ok),
                 "description": "gen(4) x Z36 fails the product law for "
                                "every s; ((2, 1), (2, 1)) violates each",
@@ -1642,9 +1628,9 @@ def run_worked_examples():
     ok = bool(res38.verdict)
     if ok:
         hyp = product_hyp_matrix(p38.ring, imask38)
-        row = p38.ring.mul_vec(np.int64(int(res38.witness_s)),
-                               p38.ring.elements)
-        ok = first_violation(hyp, p38.jac.mask[row], imask38[row]) is None
+        rows = p38.ring.mul_table[[res38.witness_s]]
+        ok = first_violations(hyp, p38.jac.mask[rows],
+                              imask38[rows]) == [None]
     out.append({"id": "E3", "passed": bool(ok),
                 "description": "gen(4) x Z8 with the paired subset "
                                "satisfies the product law",
@@ -1672,7 +1658,9 @@ def run_worked_examples():
     pidx = lat12.idx_of(IdealSet(m12.ring, pmask))
     jidx = lat12.idx_of(m12.jac)
     hyp_m = Relation.dense(lat12.leq[lat12.prod, pidx])
-    ok = ok and _right_witness(lat12, hyp_m, pidx, jidx, three_i)
+    ok = ok and first_violations(
+        hyp_m, *(lattice_colon_rows(lat12, t, [three_i])
+                 for t in (jidx, pidx))) == [None]
     out.append({"id": "E4", "passed": bool(ok),
                 "description": "M2(Z12): the scalar-subset right law "
                                "holds for M2(gen(4)) with witness 3I, "

@@ -44,7 +44,8 @@ from .subsets import SubsetS
 # pair relations are gathered from the product table, so they stop where
 # the tables do
 PAIR_SCAN_LIMIT = TABLE_LIMIT
-# elementwise right-sided checks do |R|^2 colon tests on top of that
+# elementwise right-sided checks scan the two-sided relation, and each s
+# costs |addgens(<s>)| colon gathers of n on top of that
 ELEMENTWISE_LIMIT = 300
 
 MODES = ("fixed-s", "per-pair-s")
@@ -157,12 +158,16 @@ def _check_mode(mode):
 # which the relation is constant.  Within PAIR_SCAN_LIMIT every ring has
 # its product table; the product and two-sided relations are gathered
 # from it on the ring's unit classes (Ring.unit_classes), so P is the
-# number of classes of associates, not n, and first_violation finds the
-# lex-least violating pair of any skip masks in O(n + P^2).  Lattice-level
-# scans pass the identity partition (Relation.dense).  Above the limit
-# only the two-sided relation is scanned, by arb_violation, which streams
-# row chunks and stops at the first hit; two_sided_violation picks
-# between the two by ring size.
+# number of classes of associates, not n.  Lattice-level scans pass the
+# identity partition (Relation.dense).  A quantifier over s in S stacks
+# one row of disjunct masks per s, and first_violations finds the
+# lex-least violating pair of every row at once: the classes each row
+# leaves bad form a k x P array, and one boolean matrix product bad @
+# H.T marks the class rows that meet them, in O(k (n + P^2)).  The fixed-s quantifier scans its rows in blocks of 1, 2, 4, ...
+# and stops at the block holding the first witness; fixed_s_result builds
+# its verdict.  Above the limit only the two-sided relation is scanned,
+# by arb_violation, which streams row chunks and stops at the first hit;
+# two_sided_violations picks between the two by ring size.
 # ---------------------------------------------------------------------------
 
 class Relation(NamedTuple):
@@ -225,45 +230,56 @@ def two_sided_matrix(ring, imask):
     return Relation(readonly(H), cls)
 
 
-def first_violation(rel, a_ok, b_ok):
-    """Lex-least (a, b) with rel(a, b) true and both disjuncts false.
+def first_violations(rel, a_ok, b_ok):
+    """Per row of the stacked k x n masks, the lex-least (a, b) with
+    rel(a, b) true and a_ok[row, a], b_ok[row, b] both false, or None.
 
-    A class is bad when one of its elements fails b_ok; a is the least
-    element failing a_ok whose class row of H meets a bad class, and b
-    the least element failing b_ok whose class that row holds.
+    A class is bad in a row when fewer of its elements pass b_ok there
+    than it holds (the passing ones, usually few, are counted); a is the
+    least element failing a_ok whose class row of H meets a bad class,
+    and b the least element failing b_ok whose class that row holds.
     """
     H, cls = rel
-    bad = np.zeros(len(H), dtype=bool)
-    bad[cls[~b_ok]] = True
-    rows = (H & bad).any(axis=1)[cls] & ~a_ok
-    if not rows.any():
-        return None
-    a = int(np.argmax(rows))
-    return (a, int(np.argmax(H[cls[a]][cls] & ~b_ok)))
+    k, P = len(b_ok), len(H)
+    r, x = np.nonzero(b_ok)
+    bad = (np.bincount(r * P + cls.take(x), minlength=k * P).reshape(k, P)
+           < np.bincount(cls, minlength=P))
+    # on masks, x > y is x & ~y
+    rows = np.matmul(bad, H.T).take(cls, axis=1) > a_ok
+    hit = rows.any(axis=1)
+    if not hit.any():
+        return [None] * len(hit)
+    a = rows.argmax(axis=1)
+    b = (H.take(cls.take(a), axis=0).take(cls, axis=1) > b_ok).argmax(axis=1)
+    return [(i, j) if h else None
+            for h, i, j in zip(hit.tolist(), a.tolist(), b.tolist())]
 
 
-def pair_scan(rel, members, disjuncts, mode):
-    """Run the quantifier over s on a Relation; disjuncts(s) -> (a_ok,
-    b_ok) masks."""
+def fixed_s_result(members, violations):
+    """The fixed-s CheckResult of violations[k], the violating pair of s =
+    members[k] or None: the first witness, where the list may stop, or
+    else one pair per s."""
+    for s, v in zip(members, violations):
+        if v is None:
+            return CheckResult(True, witness_s=int(s))
+    return CheckResult(False, counterexample=tuple(
+        (int(s), v) for s, v in zip(members, violations)))
+
+
+def pair_scan(rel, members, a_ok, b_ok, mode):
+    """Run the quantifier over s on a Relation: rows k of the stacked
+    a_ok and b_ok masks are the disjuncts of s = members[k]."""
     if mode == "fixed-s":
-        table = []
-        for s in members:
-            a_ok, b_ok = disjuncts(int(s))
-            v = first_violation(rel, a_ok, b_ok)
-            if v is None:
-                return CheckResult(True, witness_s=int(s))
-            table.append((int(s), v))
-        return CheckResult(False, counterexample=tuple(table))
-    any_a = np.zeros(len(rel.cls), dtype=bool)
-    any_b = np.zeros(len(rel.cls), dtype=bool)
-    for s in members:
-        a_ok, b_ok = disjuncts(int(s))
-        any_a |= a_ok
-        any_b |= b_ok
-    v = first_violation(rel, any_a, any_b)
-    if v is None:
-        return CheckResult(True, quantifier_mode="per-pair-s")
-    return CheckResult(False, counterexample=v, quantifier_mode="per-pair-s")
+        found, lo, step = [], 0, 1
+        while lo < len(members) and None not in found:
+            found += first_violations(rel, a_ok[lo:lo + step],
+                                      b_ok[lo:lo + step])
+            lo, step = lo + step, 2 * step
+        return fixed_s_result(members, found)
+    (v,) = first_violations(rel, a_ok.any(axis=0, keepdims=True),
+                            b_ok.any(axis=0, keepdims=True))
+    return CheckResult(v is None, counterexample=v,
+                       quantifier_mode="per-pair-s")
 
 
 def arb_violation(ring, imask, a_skip, b_skip):
@@ -291,14 +307,15 @@ def arb_violation(ring, imask, a_skip, b_skip):
     return None
 
 
-def two_sided_violation(ring, imask, a_skip, b_skip, matrix=None):
-    """arb_violation's pair, read from the two-sided relation within
-    PAIR_SCAN_LIMIT (matrix(imask), when given, supplies a kept one) and
-    streamed above it."""
+def two_sided_violations(ring, imask, a_skip, b_skip, matrix=None):
+    """arb_violation's pair for each row of the stacked skip masks: read
+    from the two-sided relation within PAIR_SCAN_LIMIT (matrix(imask),
+    when given, supplies a kept one) and streamed row by row above it."""
     if ring.size > PAIR_SCAN_LIMIT:
-        return arb_violation(ring, imask, a_skip, b_skip)
+        return [arb_violation(ring, imask, a, b)
+                for a, b in zip(a_skip, b_skip)]
     T = two_sided_matrix(ring, imask) if matrix is None else matrix(imask)
-    return first_violation(T, a_skip, b_skip)
+    return first_violations(T, a_skip, b_skip)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +333,10 @@ def is_J_ideal(ring, ideal, jacobson=None, lattice=None):
     jmask = _jac_mask(ring, jacobson, lattice)
     if ring.commutative:
         rel = product_hyp_matrix(ring, imask)
-        v = first_violation(rel, jmask, imask)
+        (v,) = first_violations(rel, jmask[None], imask[None])
     else:
-        v = two_sided_violation(ring, imask, jmask, imask)
-    if v is None:
-        return CheckResult(True)
-    return CheckResult(False, counterexample=v)
+        (v,) = two_sided_violations(ring, imask, jmask[None], imask[None])
+    return CheckResult(v is None, counterexample=v)
 
 
 def is_n_ideal(ring, ideal, beta=None, lattice=None):
@@ -335,73 +350,59 @@ def is_n_ideal(ring, ideal, beta=None, lattice=None):
         beta, _ = prime_radical(ring, lattice)
     bmask = _resolve_ideal(ring, beta, lattice)
     rel = product_hyp_matrix(ring, imask)
-    v = first_violation(rel, bmask, imask)
-    if v is None:
-        return CheckResult(True)
-    return CheckResult(False, counterexample=v)
+    (v,) = first_violations(rel, bmask[None], imask[None])
+    return CheckResult(v is None, counterexample=v)
 
 
 # ---------------------------------------------------------------------------
 # subset-relative commutative checks
 # ---------------------------------------------------------------------------
 
+def _subset_args(ring, ideal, subset, lattice, mode, commutative=True):
+    """The checked mask and subset of a subset-relative check; commutative
+    ones need a commutative ring with identity."""
+    _check_mode(mode)
+    if commutative:
+        require_comm_identity(ring)
+    imask = _resolve_ideal(ring, ideal, lattice)
+    subset = _resolve_subset(ring, subset)
+    require_disjoint(ring, imask, subset)
+    return imask, subset
+
+
+def _subset_scan(ring, imask, subset, amask, mode):
+    """There is an s in S so that ab in the ideal forces s*a into amask or
+    s*b into the ideal; the s-rows are one gather of the product table."""
+    rel = product_hyp_matrix(ring, imask)
+    rows = ring.mul_table[subset.members]
+    return pair_scan(rel, subset.members, amask.take(rows),
+                     imask.take(rows), mode)
+
+
 def is_S_J_ideal(ring, ideal, subset, jacobson=None, lattice=None,
                  mode="fixed-s"):
     """There is an s in S so that whenever ab lands in the ideal, either
     s*a falls in the Jacobson radical or s*b falls in the ideal."""
-    _check_mode(mode)
-    require_comm_identity(ring)
-    imask = _resolve_ideal(ring, ideal, lattice)
-    subset = _resolve_subset(ring, subset)
-    require_disjoint(ring, imask, subset)
-    jmask = _jac_mask(ring, jacobson, lattice)
-    rel = product_hyp_matrix(ring, imask)
-    els = ring.elements
-
-    def disjuncts(s):
-        row = ring.mul_vec(s, els)
-        return jmask[row], imask[row]
-
-    return pair_scan(rel, subset.members, disjuncts, mode)
+    imask, subset = _subset_args(ring, ideal, subset, lattice, mode)
+    return _subset_scan(ring, imask, subset,
+                        _jac_mask(ring, jacobson, lattice), mode)
 
 
 def is_S_n_ideal(ring, ideal, subset, beta=None, lattice=None,
                  mode="fixed-s"):
     """There is an s in S so that ab in ideal and a*s not nilpotent force
     b*s into the ideal."""
-    _check_mode(mode)
-    require_comm_identity(ring)
-    imask = _resolve_ideal(ring, ideal, lattice)
-    subset = _resolve_subset(ring, subset)
-    require_disjoint(ring, imask, subset)
+    imask, subset = _subset_args(ring, ideal, subset, lattice, mode)
     if beta is None:
         beta, _ = prime_radical(ring, lattice)
-    bmask = _resolve_ideal(ring, beta, lattice)
-    rel = product_hyp_matrix(ring, imask)
-    els = ring.elements
-
-    def disjuncts(s):
-        row = ring.mul_vec(els, s)
-        return bmask[row], imask[row]
-
-    return pair_scan(rel, subset.members, disjuncts, mode)
+    return _subset_scan(ring, imask, subset,
+                        _resolve_ideal(ring, beta, lattice), mode)
 
 
 def is_S_prime(ring, ideal, subset, mode="fixed-s"):
     """There is an s in S so that ab in the ideal forces a*s or b*s in."""
-    _check_mode(mode)
-    require_comm_identity(ring)
-    imask = _resolve_ideal(ring, ideal)
-    subset = _resolve_subset(ring, subset)
-    require_disjoint(ring, imask, subset)
-    rel = product_hyp_matrix(ring, imask)
-    els = ring.elements
-
-    def disjuncts(s):
-        row = imask[ring.mul_vec(els, s)]
-        return row, row
-
-    return pair_scan(rel, subset.members, disjuncts, mode)
+    imask, subset = _subset_args(ring, ideal, subset, None, mode)
+    return _subset_scan(ring, imask, subset, imask, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +415,24 @@ def _lattice_context(ring, imask, lattice):
     return lattice, lattice.idx_of(IdealSet(ring, imask))
 
 
+def lattice_colon_rows(lattice, idx, members):
+    """Row k marks the ideals A with A<s> inside ideal idx, s =
+    members[k]: the lattice reading of (T : <s>)."""
+    cols = lattice.prod[:, lattice.principal_of[np.asarray(members)]]
+    return lattice.leq[cols.T, idx]
+
+
 def _lattice_scan(lattice, pidx, target_a_idx, members, mode):
     """Quantifier over ideal pairs: product below pidx forces the first
     ideal times <s> below target_a_idx, or the second times <s> below
     pidx.  Counterexample pairs are given by minimal generators."""
-    leq, prod, gidx = lattice.leq, lattice.prod, lattice.principal_of
+    def gens_pair(*pair):
+        return tuple(tuple(int(x) for x in minimal_generating_set(
+            lattice.ideals[i])) for i in pair)
 
-    def disjuncts(s):
-        col = prod[:, gidx[s]]
-        return leq[col, target_a_idx], leq[col, pidx]
-
-    def gens_pair(i, j):
-        a = tuple(int(x) for x in minimal_generating_set(lattice.ideals[i]))
-        b = tuple(int(x) for x in minimal_generating_set(lattice.ideals[j]))
-        return (a, b)
-
-    res = pair_scan(Relation.dense(leq[prod, pidx]), members, disjuncts,
-                    mode)
+    res = pair_scan(Relation.dense(lattice.leq[lattice.prod, pidx]), members,
+                    lattice_colon_rows(lattice, target_a_idx, members),
+                    lattice_colon_rows(lattice, pidx, members), mode)
     cex = res.counterexample
     if cex is not None:
         cex = (gens_pair(*cex) if res.quantifier_mode == "per-pair-s"
@@ -441,10 +443,8 @@ def _lattice_scan(lattice, pidx, target_a_idx, members, mode):
 def is_right_S_prime(ring, ideal, subset, lattice=None, mode="fixed-s"):
     """There is an s in S so that for all ideals I, K with IK inside P,
     either I<s> or K<s> lands inside P."""
-    _check_mode(mode)
-    imask = _resolve_ideal(ring, ideal, lattice)
-    subset = _resolve_subset(ring, subset)
-    require_disjoint(ring, imask, subset)
+    imask, subset = _subset_args(ring, ideal, subset, lattice, mode,
+                                 commutative=False)
     lattice, pidx = _lattice_context(ring, imask, lattice)
     return _lattice_scan(lattice, pidx, pidx, subset.members, mode)
 
@@ -458,16 +458,12 @@ def is_right_S_J_ideal(ring, ideal, subset, lattice=None, jacobson=None,
     definition); method="elementwise" runs the equivalent xRy form for
     identity rings up to ELEMENTWISE_LIMIT elements.
     """
-    _check_mode(mode)
-    imask = _resolve_ideal(ring, ideal, lattice)
-    subset = _resolve_subset(ring, subset)
-    require_disjoint(ring, imask, subset)
+    imask, subset = _subset_args(ring, ideal, subset, lattice, mode,
+                                 commutative=False)
     if method == "lattice":
         lattice, pidx = _lattice_context(ring, imask, lattice)
-        jac = jacobson_radical(ring, lattice) if jacobson is None else jacobson
-        jidx = lattice.idx_of(
-            jac if isinstance(jac, IdealSet)
-            else IdealSet(ring, _resolve_ideal(ring, jac, lattice)))
+        jidx = lattice.idx_of(IdealSet(ring, _jac_mask(ring, jacobson,
+                                                       lattice)))
         return _lattice_scan(lattice, pidx, jidx, subset.members, mode)
     if method != "elementwise":
         raise InvalidParameter("unknown method", method=method,
@@ -476,6 +472,9 @@ def is_right_S_J_ideal(ring, ideal, subset, lattice=None, jacobson=None,
 
 
 def _right_sj_elementwise(ring, pmask, subset, jacobson, lattice, mode):
+    """xRy inside P forces x<s> into J(R) or y<s> into P.  x<s> lies in an
+    ideal T iff x*g does for every additive generator g of <s>, so the
+    s-rows are the colon ideals (J(R) : <s>) and (P : <s>)."""
     n = int(ring.size)
     if ring.one is None:
         raise NotApplicable("elementwise form needs an identity",
@@ -484,16 +483,13 @@ def _right_sj_elementwise(ring, pmask, subset, jacobson, lattice, mode):
         raise CapacityExceeded("elementwise form refused above size cutoff",
                                size=n, limit=ELEMENTWISE_LIMIT)
     jmask = _jac_mask(ring, jacobson, lattice)
-    els = ring.elements
     rel = two_sided_matrix(ring, pmask)
-
-    def disjuncts(s):
-        smem = (lattice.principal(s).members if lattice is not None
-                else np.flatnonzero(ideal_generate(ring, [s])))
-        prods = ring.mul_vec(els[:, None], smem[None, :])
-        return jmask[prods].all(axis=1), pmask[prods].all(axis=1)
-
-    return pair_scan(rel, subset.members, disjuncts, mode)
+    gens = [lattice.principal(s) if lattice is not None
+            else IdealSet(ring, ideal_generate(ring, [s]))
+            for s in subset.members]
+    a_ok, b_ok = (np.array([colon_ideal_mask(ring, t, g) for g in gens])
+                  for t in (jmask, pmask))
+    return pair_scan(rel, subset.members, a_ok, b_ok, mode)
 
 
 # ---------------------------------------------------------------------------

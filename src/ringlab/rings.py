@@ -338,15 +338,15 @@ def units_mask(ring):
     """Elements with a two-sided inverse; all False without an identity.
 
     In a finite ring uv = 1 forces vu = 1 (x -> vx is one-to-one, so some
-    w has vw = 1, and u = uvw = w): u is a unit iff its row holds 1.
+    w has vw = 1, and u = uvw = w): u is a unit iff its row of the
+    product table holds 1.  Within TABLE_LIMIT only.
     """
     out = np.zeros(ring.size, dtype=bool)
     if ring.one is None:
         return out
-    idx, table = ring.elements, ring.mul_table
-    for b in _row_blocks(ring.size, 8 * ring.size):    # int64 formula rows
-        rows = ring.mul_vec(idx[b, None], idx) if table is None else table[b]
-        out[b] = (rows == ring.one).any(axis=1)
+    table = ring.mul_table
+    for b in _row_blocks(ring.size, ring.size):     # a bool row per element
+        out[b] = (table[b] == ring.one).any(axis=1)
     return out
 
 

@@ -16,13 +16,15 @@ from ringlab.errors import (
     NotDisjoint,
 )
 from ringlab.exprs import build_ring, parse_ring_expr
-from ringlab.ideals import IdealSet, enumerate_ideals, principal_ideal
+from ringlab.ideals import (IdealSet, enumerate_ideals, minimal_generating_set,
+                            principal_ideal)
 from ringlab.radicals import jacobson_radical
 from ringlab.subsets import SubsetS, enumerate_subsets, generated_subset
 from ringlab.predicates import (
     Relation,
     arb_violation,
-    first_violation,
+    first_violations,
+    fixed_s_result,
     is_J_ideal,
     is_S_J_ideal,
     is_S_n_ideal,
@@ -30,10 +32,11 @@ from ringlab.predicates import (
     is_n_ideal,
     is_right_S_J_ideal,
     is_right_S_prime,
+    pair_scan,
     product_hyp_matrix,
     related_checks,
     two_sided_matrix,
-    two_sided_violation,
+    two_sided_violations,
 )
 from test_ideals import generated_rings  # noqa: F401  (fixture)
 
@@ -367,20 +370,34 @@ def test_two_sided_matrix_matches_naive(pair_rings):
                     == ideal.mask[mul]).all(), label
 
 
+STACK_HEIGHTS = (1, 2, 5, 16)
+
+
+def random_rows(rng, k, n, densities):
+    """k random masks of length n, row i true with densities[i % len]."""
+    dens = np.resize(np.asarray(densities), k)
+    return rng.random((k, n)) < dens[:, None]
+
+
 def test_first_violation_of_two_sided_matrix_is_arb_violation(pair_rings):
+    """Row by row, first_violations of k stacked skip rows on the two-sided
+    relation is the pair arb_violation streams and the dense scan finds;
+    the b rows are random, or each the ideal itself."""
     rng = np.random.default_rng(11)
     for label, ring, nr, lattice in pair_rings:
         for ideal in lattice.ideals:
             T = two_sided_matrix(ring, ideal.mask)
             dense = expanded(T)
-            for density in (0.1, 0.5, 0.9):
-                a_skip = rng.random(ring.size) < density
-                for b_skip in (rng.random(ring.size) < density, ideal.mask):
-                    got = first_violation(T, a_skip, b_skip)
-                    assert got == arb_violation(ring, ideal.mask, a_skip,
-                                                b_skip), label
-                    assert got == dense_first_violation(dense, a_skip,
-                                                        b_skip), label
+            for k in STACK_HEIGHTS:
+                a_skip = random_rows(rng, k, ring.size, (0.1, 0.5, 0.9))
+                for b_skip in (random_rows(rng, k, ring.size, (0.1, 0.5, 0.9)),
+                               np.tile(ideal.mask, (k, 1))):
+                    got = first_violations(T, a_skip, b_skip)
+                    assert len(got) == k, label
+                    for v, a, b in zip(got, a_skip, b_skip):
+                        assert v == arb_violation(ring, ideal.mask, a, b), \
+                            label
+                        assert v == dense_first_violation(dense, a, b), label
 
 
 def test_unit_classes_are_the_naive_unit_orbits(pair_rings):
@@ -397,22 +414,148 @@ def test_unit_classes_are_the_naive_unit_orbits(pair_rings):
 
 
 def test_class_first_violation_matches_the_dense_scan(pair_rings):
-    """On random skip masks, the class scan of the product and two-sided
-    relations finds the pair the dense scan of the expanded matrix finds;
-    so does the identity partition of the dense matrix."""
+    """On k stacked random rows, the class scan of the product and
+    two-sided relations finds, row by row, the pair the dense scan of the
+    expanded matrix finds; so does the identity partition of the dense
+    matrix."""
     rng = np.random.default_rng(13)
+    densities = (0.05, 0.3, 0.7, 0.95)
     for label, ring, nr, lattice in pair_rings:
         for ideal in lattice.ideals:
             for rel in (product_hyp_matrix(ring, ideal.mask),
                         two_sided_matrix(ring, ideal.mask)):
                 dense = expanded(rel)
-                for density in (0.05, 0.3, 0.7, 0.95):
-                    a_ok = rng.random(ring.size) < density
-                    b_ok = rng.random(ring.size) < density
-                    want = dense_first_violation(dense, a_ok, b_ok)
-                    assert first_violation(rel, a_ok, b_ok) == want, label
-                    assert first_violation(Relation.dense(dense), a_ok,
-                                           b_ok) == want, label
+                for k in STACK_HEIGHTS:
+                    a_ok = random_rows(rng, k, ring.size, densities)
+                    b_ok = random_rows(rng, k, ring.size, densities)
+                    want = [dense_first_violation(dense, a, b)
+                            for a, b in zip(a_ok, b_ok)]
+                    assert first_violations(rel, a_ok, b_ok) == want, label
+                    assert first_violations(Relation.dense(dense), a_ok,
+                                            b_ok) == want, label
+
+
+@pytest.mark.parametrize("witness_row", [0, 1, 2, 3, 6, 7, 14, None])
+def test_fixed_s_blocks_stop_at_the_first_witness(z36, witness_row):
+    """The fixed-s scan reads 16 stacked rows in blocks of 1, 2, 4 and 8.
+    Whether the one witness row sits at a block's first or last row, or
+    nowhere, its verdict is that of a scan of every row, the false table
+    of one pair per s included."""
+    ring, lattice, _ = z36
+    rel = product_hyp_matrix(ring, principal_ideal(ring, 4).mask)
+    rng = np.random.default_rng(witness_row or 17)
+    members = np.arange(16) * 2 + 1
+    # b = 0 fails every b row and a*0 lies in the ideal, so a row's pair
+    # is (least a failing it, 0), different from row to row
+    a_ok = rng.random((16, ring.size)) < 0.5
+    b_ok = rng.random((16, ring.size)) < 0.5
+    b_ok[:, 0] = False
+    if witness_row is not None:
+        a_ok[witness_row] = True
+    full = first_violations(rel, a_ok, b_ok)
+    assert [v is None for v in full] == [r == witness_row for r in range(16)]
+    want = fixed_s_result(members, full)
+    assert pair_scan(rel, members, a_ok, b_ok, "fixed-s") == want
+    assert want.verdict == (witness_row is not None)
+    if witness_row is None:
+        assert [s for s, _ in want.counterexample] == members.tolist()
+    else:
+        assert want.witness_s == members[witness_row]
+
+
+def naive_scans(pairs, sm, a_in, b_in):
+    """Both readings of "a pair (a, b) of pairs forces a_in(a, s) or
+    b_in(b, s)", by brute force in the order of pairs: the fixed-s
+    (verdict, witness, table of the first violating pair per s) and the
+    per-pair-s first pair that fails for every s, or None."""
+    table = []
+    for s in sm:
+        v = next(((a, b) for a, b in pairs
+                  if not (a_in(a, s) or b_in(b, s))), None)
+        if v is None:
+            return (True, s, None), None
+        table.append((s, v))
+    per = next(((a, b) for a, b in pairs
+                if not any(a_in(a, s) or b_in(b, s) for s in sm)), None)
+    return (False, None, tuple(table)), per
+
+
+def test_right_forms_match_naive_on_generated_rings(pair_rings):
+    """is_right_S_J_ideal (lattice and elementwise methods) and
+    is_right_S_prime, in both modes, against brute force over naive ideal
+    pairs in lattice order and naive element pairs in index order:
+    verdict, witness, the false tables and the per-pair-s pair.  Every
+    subset missing one of three proper ideals is asked, on the generated
+    rings and on M(2, Z2) x Z2, whose matrix side has x<s> inside an
+    ideal where xs alone is not enough."""
+    ring = build_ring(parse_ring_expr("M(2, Z2) x Z2"))
+    extra = [("M(2, Z2) x Z2", ring, naive.NaiveRing(ring),
+              enumerate_ideals(ring))]
+    checked = {"elementwise-false": 0, "lattice-false": 0}
+    for label, ring, nr, lattice in pair_rings + extra:
+        mul = np.array(nr.mul)
+        jac = jacobson_radical(ring, lattice)
+        njac = naive.jacobson(nr)
+        jmask = np.zeros(ring.size, dtype=bool)
+        jmask[sorted(njac)] = True
+        nideals = {i: frozenset(map(int, I.members))
+                   for i, I in enumerate(lattice.ideals)}
+        assert set(nideals.values()) == set(naive.all_ideals(nr)), label
+        subsets = enumerate_subsets(ring)
+        arb = mul[mul[:, :, None], np.arange(ring.size)[None, None, :]]
+
+        def gens(i):
+            return tuple(int(x) for x in
+                         minimal_generating_set(lattice.ideals[i]))
+
+        for P in [P for P in lattice.ideals if P.is_proper][:3]:
+            pset = nideals[lattice.idx_of(P)]
+            free = [S for S in subsets if not (S.mask & P.mask).any()]
+            for S in free:
+                sm = sorted(map(int, S.members))
+                nprin = {s: naive.principal(nr, s) for s in sm}
+                ipairs = [(i, j) for i in nideals for j in nideals
+                          if naive.product_in(nr, nideals[i], nideals[j],
+                                              pset)]
+                for target, right in ((njac, is_right_S_J_ideal),
+                                      (pset, is_right_S_prime)):
+                    (nv, nw, ntab), nper = naive_scans(
+                        ipairs, sm,
+                        lambda i, s: naive.product_in(
+                            nr, nideals[i], nprin[s], target),
+                        lambda j, s: naive.product_in(
+                            nr, nideals[j], nprin[s], pset))
+                    got = right(ring, P, S, lattice=lattice)
+                    assert (got.verdict, got.witness_s) == (nv, nw), label
+                    assert got.counterexample == (None if nv else tuple(
+                        (s, (gens(i), gens(j))) for s, (i, j) in ntab))
+                    per = right(ring, P, S, lattice=lattice,
+                                mode="per-pair-s")
+                    assert per.verdict == (nper is None), label
+                    assert per.counterexample == (
+                        None if nper is None else (gens(nper[0]),
+                                                   gens(nper[1])))
+                    checked["lattice-false"] += not nv
+                if ring.one is None:
+                    continue
+                pmask = P.mask
+                epairs = [tuple(map(int, xy)) for xy in
+                          np.argwhere(pmask[arb].all(axis=1))]
+                rows = {s: mul[:, sorted(nprin[s])] for s in sm}
+                (nv, nw, ntab), nper = naive_scans(
+                    epairs, sm, lambda x, s: jmask[rows[s][x]].all(),
+                    lambda y, s: pmask[rows[s][y]].all())
+                assert (nv, nw, None if nv else list(ntab)) == \
+                    naive.right_s_j_elementwise(nr, pset, sm, njac), label
+                for mode, want in (("fixed-s", (nv, nw, ntab)),
+                                   ("per-pair-s", (nper is None, None, nper))):
+                    got = is_right_S_J_ideal(ring, P, S, lattice=lattice,
+                                             jacobson=jac, mode=mode,
+                                             method="elementwise")
+                    assert (got.verdict, got.witness_s,
+                            got.counterexample) == want, (label, mode)
+                checked["elementwise-false"] += not nv
+    assert min(checked.values()) > 0
 
 
 @pytest.mark.parametrize("expr, build, classes", [
@@ -438,19 +581,20 @@ def test_pair_relations_hold_one_cell_per_class_pair(expr, build, classes):
 
 def test_streamed_formula_scan_matches_dense_table_scan(pair_rings,
                                                        monkeypatch):
-    """Above PAIR_SCAN_LIMIT two_sided_violation streams arb_violation
-    through the formula path; it finds the pair that the dense scan of
-    the table ring finds."""
+    """Above PAIR_SCAN_LIMIT two_sided_violations streams arb_violation
+    through the formula path, row by row; it finds the pairs that the
+    dense scan of the table ring finds."""
     rng = np.random.default_rng(12)
     cases = []
     for label, ring, nr, lattice in pair_rings:
         for ideal in lattice.ideals:
             T = two_sided_matrix(ring, ideal.mask)
             for density in (0.1, 0.5, 0.9):
-                a_skip = rng.random(ring.size) < density
-                for b_skip in (rng.random(ring.size) < density, ideal.mask):
+                a_skip = rng.random((2, ring.size)) < density
+                for b_skip in (rng.random((2, ring.size)) < density,
+                               np.tile(ideal.mask, (2, 1))):
                     cases.append((label, ideal.mask, a_skip, b_skip,
-                                  first_violation(T, a_skip, b_skip)))
+                                  first_violations(T, a_skip, b_skip)))
     monkeypatch.setattr(rings, "TABLE_LIMIT", 0)
     monkeypatch.setattr(predicates, "PAIR_SCAN_LIMIT", 0)
     formula = {}
@@ -458,8 +602,8 @@ def test_streamed_formula_scan_matches_dense_table_scan(pair_rings,
         if label not in formula:
             formula[label] = build_ring(parse_ring_expr(label))
             assert formula[label].mul_table is None, label
-        assert two_sided_violation(formula[label], mask, a_skip,
-                                   b_skip) == want, label
+        assert two_sided_violations(formula[label], mask, a_skip,
+                                    b_skip) == want, label
 
 
 def test_mul_table_is_read_only():
