@@ -4,8 +4,11 @@ A ring is a finite set of element indices 0..size-1.  Each backend
 defines addition, multiplication and negation by vectorized index
 formulas, which operate on whole numpy arrays at once.  Rings with at
 most TABLE_LIMIT elements also get read-only int32 Cayley tables, built
-lazily: the formulas give only the rows of the additive generators, and a
-walk over the additive group from zero fills every other row from rows
+lazily: on the first read of ``mul_table``, or once the vector ops have
+evaluated by formula as many cells as the tables hold (size**2), so a
+factor that serves a few calls of a product above TABLE_LIMIT never pays
+for them.  The formulas give only the rows of the additive generators, and
+a walk over the additive group from zero fills every other row from rows
 already filled, by one-dimensional takes: a sum row is a take along the
 columns of a filled sum row, a product row a flat take into the sum table.
 The walk takes rows in blocks that allocate at most _BLOCK_BYTES (1 MiB)
@@ -81,7 +84,8 @@ class Ring:
     These formulas define the ring: they give ``addgens`` and the
     generator rows of the tables, and every op above TABLE_LIMIT.  The
     public ``add_vec``/``mul_vec``/``neg_vec`` read the tables where they
-    exist.
+    exist, and build them once their formula cells reach size**2 (rent
+    or buy: Karlin, Manasse, Rudolph & Sleator, Algorithmica 1988).
     """
 
     def __init__(self, size, label, zero):
@@ -93,6 +97,7 @@ class Ring:
         self._add_table = None
         self._mul_table = None
         self._neg_table = None
+        self._formula_cells = 0     # cells add_vec/mul_vec gave by formula
         self._facts = {}        # elements, addgens, one, unit_*, commutative
 
     # -- formula interface ------------------------------------------------
@@ -168,7 +173,8 @@ class Ring:
 
     @property
     def mul_table(self):
-        """table[a, b] = a*b, read-only; None above TABLE_LIMIT."""
+        """table[a, b] = a*b, read-only, built on the first read; None
+        above TABLE_LIMIT."""
         if self._mul_table is None and self.size <= TABLE_LIMIT:
             self._materialize()
         return self._mul_table
@@ -177,21 +183,28 @@ class Ring:
     def elements(self):
         return np.arange(self.size, dtype=np.int64)
 
+    def _tables_paid(self, a, b):
+        """Whether an op on a and b reads the tables, building them when
+        this op brings the formula cells to size**2, what they hold."""
+        if self._mul_table is None and self.size <= TABLE_LIMIT:
+            self._formula_cells += np.broadcast(a, b).size
+            if self._formula_cells >= self.size ** 2:
+                self._materialize()
+        return self._mul_table is not None
+
     def add_vec(self, a, b):
+        """a + b, broadcast; by formula until ``_tables_paid``."""
         a = _as_idx(a)
         b = _as_idx(b)
-        if self._add_table is None and self.size <= TABLE_LIMIT:
-            self._materialize()
-        if self._add_table is not None:
+        if self._tables_paid(a, b):
             return self._add_table[a, b].astype(np.int64)
         return self._add_vec(a, b)
 
     def mul_vec(self, a, b):
         a = _as_idx(a)
         b = _as_idx(b)
-        table = self.mul_table
-        if table is not None:
-            return table[a, b].astype(np.int64)
+        if self._tables_paid(a, b):
+            return self._mul_table[a, b].astype(np.int64)
         return self._mul_vec(a, b)
 
     def neg_vec(self, a):

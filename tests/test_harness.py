@@ -51,6 +51,25 @@ def test_minimal_corpus_all_laws_pass(minimal):
     assert harness.gate_passed(reports)
 
 
+def _idealizations(exprs):
+    """(n, k) of each idealize(Zn, k) expression, in corpus order."""
+    return [tuple(int(v) for v in expr[len("idealize(Z"):-1].split(", "))
+            for expr, family in exprs if family == "idealization"]
+
+
+def test_idealize_cap_boundary(monkeypatch):
+    """The default corpus idealizes Z_n by Z_k exactly when n * k is within
+    IDEALIZE_CAP: idealize(Z36, 12) sits at the cap (432) and drops when
+    the cap is one lower.  Only expressions are listed; no ring is built."""
+    pairs = _idealizations(harness.default_ring_exprs())
+    assert (36, 12) in pairs
+    assert max(n * k for n, k in pairs) == harness.IDEALIZE_CAP == 432
+    monkeypatch.setattr(harness, "IDEALIZE_CAP", 431)
+    lower = _idealizations(harness.default_ring_exprs())
+    assert set(pairs) - set(lower) == {(36, 12)}
+    assert max(n * k for n, k in lower) <= 431
+
+
 def test_registry_ids_and_citations():
     ids = [law.id for law in harness.REGISTRY]
     assert ids == ["P%d" % i for i in range(1, 34)]

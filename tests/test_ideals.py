@@ -315,12 +315,21 @@ IDENTITY_FREE_EXPRS = [
     "M(2, Z2) x idealring(Z4, gen(2))",
 ]
 
+# Noncommutative unital rings that are not simple, so they have non-prime
+# ideals (the matrix rings the generator draws are simple).  Walking their
+# tables drives the M(2, Z2) factor past its size**2 formula cells, so the
+# walk reads the factor by formula first and by its tables after.
+MATRIX_PRODUCT_EXPRS = [
+    "M(2, Z2) x Z2",
+    "Z3 x M(2, Z2)",
+]
+
 
 @pytest.fixture(scope="module")
 def generated_rings():
     """30 distinct rings of at most 64 elements, at most 5 per top-level
     constructor, from the round-trip grammar generator, then the rings of
-    IDENTITY_FREE_EXPRS."""
+    IDENTITY_FREE_EXPRS and MATRIX_PRODUCT_EXPRS."""
     rng = random.Random(0x1DEA1)
     out, kinds = {}, []
     while len(out) < 30:
@@ -336,7 +345,7 @@ def generated_rings():
         if ring.size <= 64 and label not in out:
             out[label] = ring
             kinds.append(kind)
-    for expr in IDENTITY_FREE_EXPRS:
+    for expr in IDENTITY_FREE_EXPRS + MATRIX_PRODUCT_EXPRS:
         out[expr] = build_ring(parse_ring_expr(expr))
     return [(label, ring, naive.NaiveRing(ring))
             for label, ring in out.items()]

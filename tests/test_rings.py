@@ -7,7 +7,7 @@ import pytest
 
 from test_ideals import generated_rings  # noqa: F401  (fixture)
 
-from ringlab import naive, rings
+from ringlab import cli, naive, rings
 from ringlab.errors import InvalidParameter
 from ringlab.exprs import build_ring, parse_ring_expr
 from ringlab.rings import (
@@ -183,9 +183,60 @@ def test_table_limit_boundary(monkeypatch):
     assert at.mul_table is not None
     assert at.add(9, 9) == 2
     above = make_zn(17)
+    idx = above.elements
+    for _ in range(10):         # no amount of formula work builds them
+        above.add_vec(idx[:, None], idx[None, :])
+        above.mul_vec(idx[:, None], idx[None, :])
     assert above.mul_table is None
     assert above.add(9, 9) == 1 and above.mul(4, 5) == 3
     assert above._add_table is None
+
+
+def _no_tables(ring):
+    return ring._add_table is None and ring._mul_table is None
+
+
+def test_vector_ops_build_tables_once_formula_cells_reach_size_squared():
+    """Within TABLE_LIMIT, add_vec and mul_vec run by formula until the
+    cells they evaluated reach size**2 in total, then read built tables;
+    reading mul_table builds them at once."""
+    ring = make_zn(12)
+    idx = ring.elements
+    assert (ring.add_vec(idx[:, None], idx[None, :11]) ==
+            (idx[:, None] + idx[None, :11]) % 12).all()     # 132 cells
+    assert (ring.mul_vec(idx[:10], 5) == idx[:10] * 5 % 12).all()
+    assert ring.add(7, 8) == 3                              # 143 = 12**2 - 1
+    assert _no_tables(ring)
+    assert ring.mul(7, 8) == 8                              # 144
+    assert not _no_tables(ring) and ring._neg_table is not None
+
+    fresh = make_zn(12)
+    assert fresh.mul_table is not None and fresh._add_table is not None
+
+
+def test_describe_of_a_matrix_product_builds_no_factor_tables(monkeypatch,
+                                                              capsys):
+    """Describing Z2 x M(2, Z7) (4,802 elements, above TABLE_LIMIT) drives
+    its M(2, Z7) factor by formula only: the factor's two 2,401-square
+    int32 tables (46 MB at peak to build) are never paid for."""
+    built = []
+
+    def recorded(node):
+        built.append(build_ring(node))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_ring", recorded)
+    tracemalloc.start()
+    try:
+        assert cli.main(["describe", "Z2 x M(2, Z7)"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "ideal_count: 4" in capsys.readouterr().out
+    ring, = built
+    assert ring.size == 4802 and ring.r2.label == "M(2, Z7)"
+    assert _no_tables(ring.r2) and ring.mul_table is None
+    assert peak < 8 * 2**20
 
 
 def test_max_ring_size_boundary(monkeypatch):
