@@ -6,9 +6,8 @@ objects; ``ideals`` enumerates and manipulates two-sided ideals;
 ``radicals`` computes the Jacobson and prime radicals; ``subsets``
 handles multiplicative subsets and m-systems; ``predicates`` runs the
 membership-forcing checks relative to such subsets; ``harness`` verifies
-the law registry over a ring corpus; ``naive`` is the slow
-table-walking twin used to cross-check everything; ``cli`` fronts it
-all from the command line.
+the law registry over a ring corpus; ``cli`` fronts it all from the
+command line.
 """
 
 from .errors import (
@@ -51,7 +50,7 @@ from .ideals import (
     principal_ideal,
 )
 from .radicals import jacobson_radical, prime_radical
-from .subsets import SubsetS, enumerate_subsets, generated_subset
+from .subsets import SubsetS, generated_subset
 from .predicates import (
     is_J_ideal,
     is_S_J_ideal,
@@ -60,7 +59,6 @@ from .predicates import (
     is_n_ideal,
     is_right_S_J_ideal,
     is_right_S_prime,
-    related_checks,
 )
 from .harness import build_corpus, run_worked_examples, verify_properties
 
@@ -85,7 +83,6 @@ __all__ = [
     "center_mask",
     "element_index",
     "enumerate_ideals",
-    "enumerate_subsets",
     "generated_subset",
     "ideal_generate",
     "is_J_ideal",
@@ -111,7 +108,6 @@ __all__ = [
     "principal_ideal",
     "prime_radical",
     "print_ring",
-    "related_checks",
     "run_worked_examples",
     "verify_properties",
     "__version__",

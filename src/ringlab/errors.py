@@ -46,10 +46,6 @@ class InvalidModule(RinglabError):
     category = "invalid-module"
 
 
-class InvalidHom(RinglabError):
-    category = "invalid-hom"
-
-
 class InvalidSubset(RinglabError):
     """Subset fails its closure law; ``witness`` is the offending pair."""
 

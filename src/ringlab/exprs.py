@@ -34,6 +34,7 @@ from .ideals import IdealSet, ideal_generate
 from .rings import (
     MAX_RING_SIZE,
     AmalgRing,
+    Hom,
     IdealizationRing,
     IdealSubringRing,
     MatrixRing,
@@ -43,7 +44,6 @@ from .rings import (
     ZnRing,
     canonical_surjection,
     make_cyclic_module,
-    make_hom,
     make_ideal_as_ring,
     make_idealization,
     make_matrix_ring,
@@ -524,10 +524,8 @@ def build_ring(node):
         if right.n < 1 or left.n % right.n != 0:
             raise _elab_error("reduction needs the second modulus dividing "
                               "the first", node, n=left.n, m=right.n)
-        hom = make_hom(left, right,
-                       np.arange(left.n, dtype=np.int64) % right.n,
-                       check=False,
-                       label="mod(%d -> %d)" % (left.n, right.n))
+        hom = Hom(left, right, np.arange(left.n, dtype=np.int64) % right.n,
+                  label="mod(%d -> %d)" % (left.n, right.n))
         ideal = build_ideal(right, node.ideal)
         return AmalgRing(left, right, hom, ideal.mask, label=label)
     if isinstance(node, Trunc):

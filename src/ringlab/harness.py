@@ -55,8 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CapacityExceeded, InvalidParameter, InvalidSubset,
-                     RingMismatch)
+from .errors import CapacityExceeded, InvalidParameter, InvalidSubset
 from .exprs import build_ring, parse_ring_expr
 from .ideals import (
     IdealSet,
@@ -83,8 +82,7 @@ from .predicates import (
     lattice_colon_rows,
     pair_scan,
     product_hyp_matrix,
-    require_comm_identity,
-    require_disjoint,
+    subset_args,
     two_sided_matrix,
     two_sided_violations,
 )
@@ -130,7 +128,6 @@ def default_threads():
 @dataclass
 class RingCtx:
     expr: str
-    node: object
     ring: object
     family: str
     lattice: object = None
@@ -159,28 +156,17 @@ class RingCtx:
 
     def sj(self, ideal, subset):
         """The fixed-s subset-radical verdict of an ideal or mask, from its
-        violation table; raises NotApplicable, RingMismatch, InvalidIdeal
-        and NotDisjoint as the predicate does."""
-        return self.violations(self._missed_mask(ideal, subset), subset)[1]
+        violation table; its arguments are checked by the predicate's own
+        subset_args, so it raises what is_S_J_ideal raises."""
+        return self.violations(*subset_args(self.ring, ideal, subset,
+                                            self.lattice, "fixed-s"))[1]
 
     def sj_witnesses(self, ideal, subset):
         """wits[k]: is subset.members[k] a fixed witness of the subset-
         radical law for the ideal?  sj(ideal, subset) is read from the
         same table entry, so the two always agree."""
-        return self.violations(self._missed_mask(ideal, subset), subset)[0]
-
-    def _missed_mask(self, ideal, subset):
-        """The mask of an ideal of this commutative unital ring that the
-        subset misses; a bare mask is looked up in the complete lattice."""
-        require_comm_identity(self.ring)
-        for arg in (ideal, subset):
-            if getattr(arg, "ring", self.ring) is not self.ring:
-                raise RingMismatch("argument belongs to a different ring",
-                                   ring=self.ring.label, other=arg.ring.label)
-        mask = getattr(ideal, "mask", ideal)
-        self.lattice.idx_of(IdealSet(self.ring, mask))   # else InvalidIdeal
-        require_disjoint(self.ring, mask, subset)
-        return mask
+        return self.violations(*subset_args(self.ring, ideal, subset,
+                                            self.lattice, "fixed-s"))[0]
 
     def violations(self, mask, subset):
         """The unchecked (wits, verdict) entry of a subset in an ideal
@@ -349,7 +335,7 @@ def _squarefree_radical(m):
     return int(np.prod([p for p in _divisors(m) if len(_divisors(p)) == 2]))
 
 
-def _pick_ideals(ctx, limit=6):
+def _pick_ideals(ctx):
     lattice, ring = ctx.lattice, ctx.ring
     proper = [i for i in lattice.ideals if i.is_proper]
     chosen = []
@@ -364,24 +350,24 @@ def _pick_ideals(ctx, limit=6):
     if ctx.jac.is_proper:
         take(next((i for i in proper if i.key == ctx.jac.key), None))
     for i in proper:
-        if len(chosen) >= limit - 2:
+        if len(chosen) >= 4:
             break
         take(i)
     for i in reversed(proper):
-        if len(chosen) >= limit:
+        if len(chosen) >= 6:
             break
         take(i)
     return tuple(IdealSet(ring, idl.mask, label=gens_label(ring, idl))
                  for idl in chosen)
 
 
-def _pick_subsets(ctx, limit=5):
+def _pick_subsets(ctx):
     ring, jmask = ctx.ring, ctx.jac.mask
     out = []
     keys = set()
 
     def take(sub):
-        if sub is not None and sub.key not in keys and len(out) < limit:
+        if sub is not None and sub.key not in keys and len(out) < 5:
             keys.add(sub.key)
             out.append(sub)
 
@@ -402,7 +388,7 @@ def _pick_subsets(ctx, limit=5):
                 take(sub)
     picked = 0
     for x in range(1, ring.size):
-        if len(out) >= limit or picked >= 3:
+        if len(out) >= 5 or picked >= 3:
             break
         if jmask[x] or x == ring.one:
             continue
@@ -423,7 +409,7 @@ def _pick_subsets(ctx, limit=5):
     return tuple(out)
 
 
-def _pick_quotients(ctx, limit=2):
+def _pick_quotients(ctx):
     lattice, ring = ctx.lattice, ctx.ring
     picks = []
     keys = set()
@@ -433,7 +419,7 @@ def _pick_quotients(ctx, limit=2):
     smallest = next((i for i in lattice.ideals
                      if i.is_proper and not i.is_zero), None)
     for k in (inside_jac, smallest):
-        if k is None or k.key in keys or len(picks) >= limit:
+        if k is None or k.key in keys or len(picks) >= 2:
             continue
         keys.add(k.key)
         qring, hom = canonical_surjection(ring, k.mask)
@@ -443,23 +429,22 @@ def _pick_quotients(ctx, limit=2):
     return tuple(picks)
 
 
-def _context(ring, expr=None, family="derived", node=None):
+def _context(ring, expr=None, family="derived"):
     """The ring as a RingCtx with its ideal lattice and Jacobson radical
     and no picks; a derived ring's expr is its label."""
-    ctx = RingCtx(expr=ring.label if expr is None else expr, node=node,
-                  ring=ring, family=family)
+    ctx = RingCtx(expr=ring.label if expr is None else expr, ring=ring,
+                  family=family)
     ctx.lattice = enumerate_ideals(ring)
     ctx.jac = jacobson_radical(ring, ctx.lattice)
     return ctx
 
 
 def build_context(expr, family):
-    node = parse_ring_expr(expr)
-    ring = build_ring(node)
+    ring = build_ring(parse_ring_expr(expr))
     try:
-        ctx = _context(ring, expr, family, node)
+        ctx = _context(ring, expr, family)
     except CapacityExceeded as err:
-        return RingCtx(expr=expr, node=node, ring=ring, family=family,
+        return RingCtx(expr=expr, ring=ring, family=family,
                        skipped="ideal lattice over budget: %s" % err.message)
     if ring.commutative and ring.one is not None:
         ctx.beta = prime_radical(ring, ctx.lattice)
@@ -716,7 +701,7 @@ def _p5(ctx, rep):
     # (I : s) being a radical-membership ideal certifies the witness s;
     # conversely when J(R) is itself such an ideal and misses S
     ring, jm = ctx.ring, ctx.jac.mask
-    jac_is_j = ctx.j_check(ctx.jac).verdict
+    jac_is_j = ctx.jac.is_proper and ctx.j_check(ctx.jac).verdict
     for I, S in ctx.pairs(rep):
         wits = ctx.sj_witnesses(I, S)
         conv = jac_is_j and not (jm & S.mask).any()
@@ -1075,7 +1060,7 @@ def _p18(ctx, rep):
     if ctx.family != "zn" or ctx.ring.size > 8:
         return
     ring, jm = ctx.ring, ctx.jac.mask
-    if not rep.keep(ctx.j_check(ctx.jac).verdict):
+    if not rep.keep(ctx.jac.is_proper and ctx.j_check(ctx.jac).verdict):
         return
     n = ring.size
     for d in (2, 3):

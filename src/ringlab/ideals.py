@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, InvalidIdeal
 from .memo import fact, once, readonly
-from .rings import additive_closure, is_ideal_mask, orbit_least
+from .rings import additive_closure, orbit_least
 
 DEFAULT_IDEAL_BUDGET = 100_000
 
@@ -35,13 +35,11 @@ DEFAULT_IDEAL_BUDGET = 100_000
 class IdealSet:
     """A two-sided ideal as an immutable membership mask."""
 
-    def __init__(self, ring, mask, label=None, check=False):
+    def __init__(self, ring, mask, label=None):
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (ring.size,):
             raise InvalidIdeal("mask length does not match the ring",
                                ring=ring.label)
-        if check and not is_ideal_mask(ring, mask):
-            raise InvalidIdeal("set is not a two-sided ideal", ring=ring.label)
         self.ring = ring
         self.mask = readonly(mask.copy())
         self.label = label
@@ -143,13 +141,6 @@ def principal_ideal(ring, x, label=None):
 # operations
 
 
-def ideal_sum(a, b):
-    ring = a.ring
-    extra = b.members[~a.mask[b.members]]
-    mask = additive_closure(ring, extra, a.mask)
-    return IdealSet(ring, mask)
-
-
 def ideal_product(a, b):
     """AB = additive closure of pairwise products of additive generators."""
     ring = a.ring
@@ -208,17 +199,6 @@ def _minimal_generating_set(ideal):
     return gens
 
 
-def s_finite_witness(ideal, subset):
-    """Finite witness (s, F) with s*I inside the ideal generated by F.
-
-    In a finite ring every ideal is finitely generated, so F can be a
-    minimal generating set of I itself and any s works; we return the
-    smallest member of S.
-    """
-    s = int(min(subset.members))
-    return s, minimal_generating_set(ideal)
-
-
 # ---------------------------------------------------------------------------
 # lattice enumeration
 
@@ -242,10 +222,6 @@ class IdealLattice:
         except KeyError:
             raise InvalidIdeal("ideal is not in the lattice",
                                ring=self.ring.label)
-
-    @property
-    def zero_idx(self):
-        return self.key_to_idx[zero_ideal(self.ring).key]
 
     @property
     def top_idx(self):
@@ -300,10 +276,6 @@ class IdealLattice:
         _, cover, pp = self._basis
         held = self.leq[pp[np.ix_(cover[i], cover[j])].ravel()]
         return int(held.all(axis=0).argmax())
-
-    def sum_idx(self, i, j):
-        """The least ideal above both: the order sorts by size."""
-        return int((self.leq[i] & self.leq[j]).argmax())
 
     def is_maximal_idx(self, i):
         """Proper, and only itself and the top lie above it."""

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .ideals import (
     IdealSet,
-    colon_elem_mask,
     colon_ideal_mask,
     enumerate_ideals,
     ideal_generate,
@@ -38,7 +37,6 @@ from .ideals import (
 from .memo import readonly
 from .rings import TABLE_LIMIT, is_ideal_mask
 from .radicals import jacobson_radical, prime_radical
-from . import radicals as _radicals
 from .subsets import SubsetS
 
 # pair relations are gathered from the product table, so they stop where
@@ -163,9 +161,10 @@ def _check_mode(mode):
 # one row of disjunct masks per s, and first_violations finds the
 # lex-least violating pair of every row at once: the classes each row
 # leaves bad form a k x P array, and one boolean matrix product bad @
-# H.T marks the class rows that meet them, in O(k (n + P^2)).  The fixed-s quantifier scans its rows in blocks of 1, 2, 4, ...
-# and stops at the block holding the first witness; fixed_s_result builds
-# its verdict.  Above the limit only the two-sided relation is scanned,
+# H.T marks the class rows that meet them, in O(k (n + P^2)).  The
+# fixed-s quantifier scans its rows in blocks of 1, 2, 4, ... and stops
+# at the block holding the first witness; fixed_s_result builds its
+# verdict.  Above the limit only the two-sided relation is scanned,
 # by arb_violation, which streams row chunks and stops at the first hit;
 # two_sided_violations picks between the two by ring size.
 # ---------------------------------------------------------------------------
@@ -358,7 +357,7 @@ def is_n_ideal(ring, ideal, beta=None, lattice=None):
 # subset-relative commutative checks
 # ---------------------------------------------------------------------------
 
-def _subset_args(ring, ideal, subset, lattice, mode, commutative=True):
+def subset_args(ring, ideal, subset, lattice, mode, commutative=True):
     """The checked mask and subset of a subset-relative check; commutative
     ones need a commutative ring with identity."""
     _check_mode(mode)
@@ -383,7 +382,7 @@ def is_S_J_ideal(ring, ideal, subset, jacobson=None, lattice=None,
                  mode="fixed-s"):
     """There is an s in S so that whenever ab lands in the ideal, either
     s*a falls in the Jacobson radical or s*b falls in the ideal."""
-    imask, subset = _subset_args(ring, ideal, subset, lattice, mode)
+    imask, subset = subset_args(ring, ideal, subset, lattice, mode)
     return _subset_scan(ring, imask, subset,
                         _jac_mask(ring, jacobson, lattice), mode)
 
@@ -392,7 +391,7 @@ def is_S_n_ideal(ring, ideal, subset, beta=None, lattice=None,
                  mode="fixed-s"):
     """There is an s in S so that ab in ideal and a*s not nilpotent force
     b*s into the ideal."""
-    imask, subset = _subset_args(ring, ideal, subset, lattice, mode)
+    imask, subset = subset_args(ring, ideal, subset, lattice, mode)
     if beta is None:
         beta, _ = prime_radical(ring, lattice)
     return _subset_scan(ring, imask, subset,
@@ -401,7 +400,7 @@ def is_S_n_ideal(ring, ideal, subset, beta=None, lattice=None,
 
 def is_S_prime(ring, ideal, subset, mode="fixed-s"):
     """There is an s in S so that ab in the ideal forces a*s or b*s in."""
-    imask, subset = _subset_args(ring, ideal, subset, None, mode)
+    imask, subset = subset_args(ring, ideal, subset, None, mode)
     return _subset_scan(ring, imask, subset, imask, mode)
 
 
@@ -443,7 +442,7 @@ def _lattice_scan(lattice, pidx, target_a_idx, members, mode):
 def is_right_S_prime(ring, ideal, subset, lattice=None, mode="fixed-s"):
     """There is an s in S so that for all ideals I, K with IK inside P,
     either I<s> or K<s> lands inside P."""
-    imask, subset = _subset_args(ring, ideal, subset, lattice, mode,
+    imask, subset = subset_args(ring, ideal, subset, lattice, mode,
                                  commutative=False)
     lattice, pidx = _lattice_context(ring, imask, lattice)
     return _lattice_scan(lattice, pidx, pidx, subset.members, mode)
@@ -458,7 +457,7 @@ def is_right_S_J_ideal(ring, ideal, subset, lattice=None, jacobson=None,
     definition); method="elementwise" runs the equivalent xRy form for
     identity rings up to ELEMENTWISE_LIMIT elements.
     """
-    imask, subset = _subset_args(ring, ideal, subset, lattice, mode,
+    imask, subset = subset_args(ring, ideal, subset, lattice, mode,
                                  commutative=False)
     if method == "lattice":
         lattice, pidx = _lattice_context(ring, imask, lattice)
@@ -490,42 +489,3 @@ def _right_sj_elementwise(ring, pmask, subset, jacobson, lattice, mode):
     a_ok, b_ok = (np.array([colon_ideal_mask(ring, t, g) for g in gens])
                   for t in (jmask, pmask))
     return pair_scan(rel, subset.members, a_ok, b_ok, mode)
-
-
-# ---------------------------------------------------------------------------
-# bundled context for one (ring, ideal, subset) triple
-# ---------------------------------------------------------------------------
-
-def related_checks(ring, ideal, subset, lattice=None, jacobson=None):
-    """One-stop bundle around a verdict: the main check, whether the
-    ideal sits inside (J(R) : s) for the witness, the intersection of
-    maximals above the ideal, the superfluous flag, and the colon
-    ideals (I : s) and (I : <s>) for the witness s."""
-    imask = _resolve_ideal(ring, ideal, lattice)
-    subset = _resolve_subset(ring, subset)
-    if lattice is None:
-        lattice = enumerate_ideals(ring)
-    jac = jacobson_radical(ring, lattice) if jacobson is None else jacobson
-    if ring.commutative and ring.one is not None:
-        main = is_S_J_ideal(ring, ideal, subset, jacobson=jac,
-                            lattice=lattice)
-    else:
-        main = is_right_S_J_ideal(ring, ideal, subset, lattice=lattice,
-                                  jacobson=jac)
-    out = {
-        "check": main,
-        "witness_s": main.witness_s,
-        "superfluous": bool(lattice.is_superfluous_idx(
-            lattice.idx_of(IdealSet(ring, imask)))),
-    }
-    if ring.one is not None:
-        out["j_star"] = _radicals.j_star(ring, IdealSet(ring, imask), lattice)
-    if main.witness_s is not None:
-        s = int(main.witness_s)
-        jcolon = colon_elem_mask(ring, jac.mask, s)
-        out["inside_jacobson_colon"] = bool(jcolon[imask].all())
-        out["colon_by_witness"] = IdealSet(
-            ring, colon_elem_mask(ring, imask, s))
-        out["colon_by_witness_ideal"] = IdealSet(
-            ring, colon_ideal_mask(ring, imask, lattice.principal(s)))
-    return out

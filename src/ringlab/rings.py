@@ -23,8 +23,8 @@ exists and nothing downstream may assume otherwise.
 
 import numpy as np
 
-from .errors import (InvalidParameter, InvalidModule, InvalidHom,
-                     InvalidIdeal, RingMismatch)
+from .errors import (InvalidParameter, InvalidModule, InvalidIdeal,
+                     RingMismatch)
 from .memo import fact, readonly
 
 TABLE_LIMIT = 4096
@@ -922,41 +922,10 @@ class Hom:
         return "<Hom %s>" % self.label
 
 
-def make_hom(source, target, map_array, check=True, label=""):
-    """Build and (by default) validate a Hom.
-
-    Additivity is verified on (generator, element) pairs and
-    multiplicativity on generator pairs, which suffices for full validity.
-    """
-    h = Hom(source, target, map_array, label=label)
-    if check:
-        f = h.map
-        if f.shape != (source.size,):
-            raise InvalidHom("map must cover every source element")
-        if f.min() < 0 or f.max() >= target.size:
-            raise InvalidHom("map lands outside the target")
-        idx = source.elements
-        for g in source.addgens:
-            g64 = np.int64(g)
-            left = f[source.add_vec(g64, idx)]
-            right = target.add_vec(f[g], f[idx])
-            bad = np.flatnonzero(left != right)
-            if bad.size:
-                raise InvalidHom("map is not additive",
-                                 witness=(g, int(bad[0])))
-        for g in source.addgens:
-            for k in source.addgens:
-                if f[source.mul(g, k)] != target.mul(int(f[g]), int(f[k])):
-                    raise InvalidHom("map is not multiplicative",
-                                     witness=(g, k))
-    return h
-
-
 def canonical_surjection(ring, ideal_mask, label=None):
     """Quotient map R -> R/I as a Hom; returns (quotient, hom)."""
     q = QuotientRing(ring, ideal_mask, label=label)
-    h = make_hom(ring, q, q.project(ring.elements), check=False,
-                 label="proj(%s)" % q.label)
+    h = Hom(ring, q, q.project(ring.elements), label="proj(%s)" % q.label)
     return q, h
 
 

@@ -160,44 +160,3 @@ def subset_const_embed(s, trunc_ring, label=None):
     if trunc_ring.base is not s.ring:
         raise RingMismatch("subset base does not match the truncated ring")
     return SubsetS(trunc_ring, s.members, kind=s.kind, label=label)
-
-
-def enumerate_subsets(ring, strategy="singleton-generated", limit=None):
-    """Candidate multiplicative subsets for sweeps.
-
-    ``singleton-generated``: closures of single elements, deduplicated.
-    ``with-identity``: those containing the identity (needs one).
-    ``budgeted-all``: every multiplicatively closed subset, rings of at
-    most 16 elements only.
-    """
-    out = []
-    seen = set()
-    if strategy in ("singleton-generated", "with-identity"):
-        for x in range(ring.size):
-            sub = generated_subset(ring, [x])
-            if strategy == "with-identity":
-                if ring.one is None or not sub.contains(ring.one):
-                    continue
-            if sub.key in seen:
-                continue
-            seen.add(sub.key)
-            out.append(sub)
-            if limit is not None and len(out) >= limit:
-                return out
-        return out
-    if strategy == "budgeted-all":
-        if ring.size > 16:
-            raise InvalidParameter("full subset sweep capped at 16 elements",
-                                   size=ring.size)
-        n = ring.size
-        for bits in range(1, 1 << n):
-            mem = [i for i in range(n) if bits >> i & 1]
-            try:
-                sub = SubsetS(ring, mem, kind="mulclosed")
-            except InvalidSubset:
-                continue
-            out.append(sub)
-            if limit is not None and len(out) >= limit:
-                return out
-        return out
-    raise InvalidParameter("unknown subset strategy", strategy=strategy)

@@ -3,7 +3,8 @@ sweep: every predicate next to its table-walking twin.
 
 The radical routes (quasi-regular elements, units) and the modular-ideal
 and intersection helpers are independent of the lattice route that
-ringlab computes with; the tests hold the two against each other.
+ringlab computes with; the tests hold the two against each other.  The
+lattice-sum and singleton-subset helpers are tools the tests share.
 
 The naive module recomputes everything from scratch out of n-by-n Python
 multiplication tables, so agreement here is evidence the vectorized
@@ -15,11 +16,13 @@ compared too wherever the shapes match.
 
 import numpy as np
 
-from ringlab import naive
+import naive
+
 from ringlab import predicates as P
 from ringlab.errors import InternalInconsistency, NotApplicable
 from ringlab.ideals import IdealSet, enumerate_ideals, zero_ideal
 from ringlab.rings import units_mask
+from ringlab.subsets import generated_subset
 
 _CROSSCHECK_LIMIT = 4096
 
@@ -71,6 +74,19 @@ def jacobson_via_units(ring, lattice=None):
         raise InternalInconsistency("unit characterization is not an ideal",
                                     ring=ring.label)
     return IdealSet(ring, mask)
+
+
+def lattice_sum_idx(lattice, i, j):
+    """Index of the sum of ideals i and j: the least ideal above both, as
+    the lattice sorts by size."""
+    return int((lattice.leq[i] & lattice.leq[j]).argmax())
+
+
+def singleton_subsets(ring):
+    """The distinct multiplicative closures of single elements, in order
+    of their least seed."""
+    return list({S.key: S for S in (generated_subset(ring, [x])
+                                    for x in range(ring.size))}.values())
 
 
 def ideal_intersect(a, b):

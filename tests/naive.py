@@ -6,7 +6,7 @@ code with the optimized modules, so a bug has to be made twice (and in
 two different styles) before the differential tests let it through.
 """
 
-from .errors import InvalidParameter
+from ringlab.errors import InvalidParameter
 
 # tables are n^2 Python ints each; past this the cross-checks stop paying rent
 NAIVE_LIMIT = 2048

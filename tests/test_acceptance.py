@@ -18,7 +18,9 @@ from _oracle import (
     jacobson_via_units,
     oracle_sweep,
 )
-from ringlab import harness, naive
+import naive
+
+from ringlab import harness
 from ringlab.exprs import build_ring, parse_ring_expr
 from ringlab.ideals import IdealSet, enumerate_ideals, principal_ideal
 from ringlab.predicates import is_J_ideal, is_S_J_ideal, is_right_S_J_ideal

@@ -11,7 +11,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ringlab import harness, naive, predicates
+import naive
+
+from ringlab import harness, predicates
 from ringlab.errors import (
     InvalidIdeal,
     InvalidParameter,
@@ -97,6 +99,16 @@ def test_gate_ignores_non_gating_laws():
 def test_config_rings_override():
     corpus = harness.build_corpus({"rings": ["Z12", "M(2, Z3)"]})
     assert [ctx.expr for ctx in corpus.contexts] == ["Z12", "M(2, Z3)"]
+
+
+def test_registry_runs_on_zero_rings():
+    """In a one-element ring J(R) = R is no J-ideal, since a J-ideal is
+    proper: P5 and P18 read that as a failed hypothesis, not an error."""
+    corpus = harness.build_corpus(
+        {"rings": ["Z1", "quot(Z3, gen(89))", "idealring(Z2, gen(54))"]})
+    corpus.contexts.append(harness.build_context("Z1", "zn"))
+    assert [ctx.ring.size for ctx in corpus.contexts] == [1] * 4
+    assert harness.gate_passed(harness.verify_properties(corpus))
 
 
 def test_config_max_size_drops_matrix_family():
@@ -307,7 +319,7 @@ def test_picked_and_other_subsets_get_the_same_answer():
     m2 = harness.build_context("M(2, Z2)", "matrix")
     picked = m2.subsets[0]
     other = SubsetS(m2.ring, picked.members, kind="msystem", check=False)
-    zero = m2.lattice.ideals[m2.lattice.zero_idx]
+    zero = m2.lattice.ideals[0]
     assert [_answer(m2, zero, S) for S in (picked, other)] \
         == [NotApplicable] * 2
 
@@ -442,6 +454,18 @@ def test_forced_failure_report_bytes_match_the_pin(monkeypatch):
     text = harness.report_json(reports)
     assert hashlib.sha256(text.encode()).hexdigest() \
         == FORCED_FAILURE_REPORT_SHA256
+
+
+def test_left_verdicts_check_their_arguments_as_the_predicate():
+    """A bare mask of the wrong length is an InvalidParameter to ctx.sj
+    and ctx.sj_witnesses, as to is_S_J_ideal."""
+    z36 = harness.build_context("Z36", "zn")
+    short, S = np.zeros(35, dtype=bool), z36.subsets[0]
+    with pytest.raises(InvalidParameter):
+        predicates.is_S_J_ideal(z36.ring, short, S, lattice=z36.lattice)
+    assert _answer(z36, short, S) is InvalidParameter
+    with pytest.raises(InvalidParameter):
+        z36.sj_witnesses(short, S)
 
 
 def test_registry_evaluates_each_context_verdict_once(monkeypatch):

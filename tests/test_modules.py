@@ -1,5 +1,6 @@
 """Module boundaries: no ringlab module uses another one's private names,
-and the law harness counts vacuous instances in one place."""
+the naive oracle and the package stay apart, and the law harness counts
+vacuous instances in one place."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import ringlab
 
 SRC = Path(ringlab.__file__).resolve().parent
+ORACLE = Path(__file__).resolve().parent / "naive.py"
 
 
 def _private(name):
@@ -55,6 +57,44 @@ def test_the_scan_sees_both_forms_of_access():
               "x = rad._budget + rad.j_star + harness.__doc__\n")
     assert foreign_private_names(source, "harness") == [
         (1, "ideals._orbit"), (2, "rings._table"), (5, "radicals._budget")]
+
+
+def imported_modules(source):
+    """Dotted path of each module the source imports; relative imports are
+    named inside ringlab, and ``from ringlab import m`` names ringlab.m."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            home = "ringlab." * bool(node.level) + (node.module or "")
+            if home.rstrip(".") == "ringlab":
+                found.update("ringlab." + alias.name for alias in node.names)
+            else:
+                found.add(home)
+    return found
+
+
+def test_the_naive_oracle_and_the_package_stay_apart():
+    """No ringlab module imports the oracle, and the oracle takes only
+    errors from ringlab: it reads a ring through its scalar ops, never
+    through lattice, relation or table-walk code."""
+    assert [path.name for path in SRC.glob("*.py") if any(
+        "naive" in m.split(".") for m in imported_modules(path.read_text()))
+    ] == []
+    assert {m for m in imported_modules(ORACLE.read_text())
+            if m.startswith("ringlab")} == {"ringlab.errors"}
+
+
+def test_the_import_scan_sees_every_form():
+    source = ("from ringlab.errors import InvalidParameter\n"
+              "from ringlab import ideals, IdealSet\n"
+              "import ringlab.rings as R, numpy\n"
+              "from .harness import build_context\n"
+              "from . import naive\n")
+    assert imported_modules(source) == {
+        "ringlab.errors", "ringlab.ideals", "ringlab.IdealSet",
+        "ringlab.rings", "numpy", "ringlab.harness", "ringlab.naive"}
 
 
 def vacuous_writes(source):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from ringlab import naive
+import naive
+
 from ringlab.errors import InvalidParameter
 from ringlab.exprs import build_ring, parse_ring_expr
 

@@ -9,7 +9,8 @@ from _oracle import (
     jacobson_via_units,
     quasi_regular_mask,
 )
-from ringlab import naive
+import naive
+
 from ringlab.errors import NotApplicable
 from ringlab.exprs import build_ring, parse_ring_expr
 from ringlab.ideals import IdealSet, enumerate_ideals, principal_ideal
@@ -122,6 +123,9 @@ def test_j_star_matches_naive():
         got = j_star(ring, ideal, lattice)
         want = naive.j_star(nr, frozenset(map(int, ideal.members)))
         assert frozenset(map(int, got.members)) == want
+    # the maximal ideals above gen(4) are gen(2) alone
+    got = j_star(ring, lattice.principal(4), lattice)
+    assert sorted(map(int, got.members)) == list(range(0, 36, 2))
 
 
 def test_j_star_needs_identity():

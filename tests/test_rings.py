@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import naive
 from test_ideals import generated_rings  # noqa: F401  (fixture)
 
-from ringlab import cli, naive, rings
+from ringlab import cli, rings
 from ringlab.errors import InvalidParameter
 from ringlab.exprs import build_ring, parse_ring_expr
 from ringlab.rings import (
