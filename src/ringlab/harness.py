@@ -9,26 +9,41 @@ labeled counterexample.
 
 Each corpus ring is a ``RingCtx``: the ring with its ideal lattice, its
 radicals, the picked ideals, subsets and quotients, and one owner per
-fact that several laws share: ``violations`` (one table per ideal mask,
-keyed by subset, of the fixed-s subset-radical verdict and its witness
-vector, which ``sj``, ``sj_witnesses`` and P11 read), ``right_sj``,
-``j_check``, the colons and ``two_sided`` (the aRb-inside-I relation P13
-and P31 scan).  Each is computed once through ``memo.once`` into the
-context's one ``memo``.  A law that quantifies over s scans all its
-s-rows in one batch, never one scan per s.
+fact that several laws share:
+
+* ``violations``: one table per ideal mask, keyed by subset, of the
+  fixed-s subset-radical verdict and its witness vector, which ``sj``,
+  ``sj_witnesses`` and P11 read; ``sj`` and ``sj_witnesses`` check their
+  arguments once per (IdealSet, SubsetS) pair;
+* ``hyp``: the product relation (ab inside I) of a mask, read by the
+  violation tables, P3 and P6/P7;
+* ``two_sided``: the aRb-inside-I relation that P13, P23 and P31 scan;
+* ``lattice_rel``: the lattice relation (AB inside I) of an ideal, read
+  by P4, P23 and P31;
+* ``jstar``: J*(I), the intersection of the maximal ideals above I;
+* ``colon``, ``colon_principal`` and ``colon_idx`` (the lattice index of
+  (I : s), read by P4, P12 and P13);
+* ``right_sj``, ``j_check`` and ``pairs``.
+
+Each is computed once through ``memo.once`` into the context's one
+``memo``.  A law that quantifies over s scans all its s-rows in one
+batch, never one scan per s; P4 and P23 scan those of every subset an
+ideal misses at once.
 
 A law states its hypotheses and its conclusion, and its ``_Rep`` counts
 the instances: ``rep.keep(holds)`` counts a vacuous one when a
 hypothesis fails, and ``rep.given(holds)`` a tested or a vacuous one by
 the last hypothesis.  ``_pairs(rep, ideals, subsets)`` streams the (I, S)
 instances with I missing S, counting each other pair as vacuous;
-``RingCtx.pairs`` streams the picked ones.
+``RingCtx.pairs`` lists the picked ones, and ``missed_by`` groups them
+by ideal.
 
 Every derived ring a law checks is a ``RingCtx`` too, made by
 ``_context`` with its lattice and radical and no picks, and every
 verdict on it is asked of its ``sj``, ``right_sj`` or ``j_check``.  The
-picked quotients (P14, P15, P29, P30) are built with their context and
-the idealizations (P20, P21) into its memo; the products (P17),
+picked quotients (P14, P15, P29, P30) are built with their context, the
+images of the context's subsets as their subsets, and the idealizations
+(P20, P21) into its memo; the products (P17),
 truncations (P18) and ideal-as-rings (P8) live only inside the law that
 reads them.  A subset that P18 and P20-P22 carry into a derived ring is
 built once, by that context's ``lift``.
@@ -74,9 +89,6 @@ from .predicates import (
     fixed_s_result,
     is_J_ideal,
     is_S_J_ideal,  # unused here; perfbench/tests reads harness.is_S_J_ideal
-    is_S_n_ideal,
-    is_S_prime,
-    is_n_ideal,
     is_right_S_J_ideal,
     is_right_S_prime,
     lattice_colon_rows,
@@ -151,36 +163,80 @@ class RingCtx:
         return self.ring.one is not None
 
     def pairs(self, rep):
-        """_pairs of the picked ideals and subsets."""
-        return _pairs(rep, self.ideals, self.subsets)
+        """The (I, S) instances of the picked ideals and subsets with I
+        missing S, ideal-major; each other pair counts as vacuous, as in
+        _pairs.  Which pairs miss is found once per context."""
+        grid = once(self.memo, ("pairs",), lambda: [
+            (I, S, _disjoint(I, S)) for I in self.ideals for S in self.subsets])
+        return [(I, S) for I, S, missed in grid if rep.keep(missed)]
+
+    def missed_by(self, rep):
+        """pairs(rep) grouped: (I, the subsets I misses) per picked ideal
+        that misses one."""
+        groups = {}
+        for I, S in self.pairs(rep):
+            groups.setdefault(id(I), (I, []))[1].append(S)
+        return list(groups.values())
 
     def sj(self, ideal, subset):
         """The fixed-s subset-radical verdict of an ideal or mask, from its
         violation table; its arguments are checked by the predicate's own
         subset_args, so it raises what is_S_J_ideal raises."""
-        return self.violations(*subset_args(self.ring, ideal, subset,
-                                            self.lattice, "fixed-s"))[1]
+        return self._checked(ideal, subset)[1]
 
     def sj_witnesses(self, ideal, subset):
         """wits[k]: is subset.members[k] a fixed witness of the subset-
         radical law for the ideal?  sj(ideal, subset) is read from the
         same table entry, so the two always agree."""
-        return self.violations(*subset_args(self.ring, ideal, subset,
-                                            self.lattice, "fixed-s"))[0]
+        return self._checked(ideal, subset)[0]
+
+    def _checked(self, ideal, subset):
+        """The violation-table entry of an ideal or mask and a subset,
+        after subset_args.  For an IdealSet and a SubsetS the check passes
+        once per pair of objects: the memo holds both, so their ids name
+        them while the entry lives.  A bare mask or member list may change
+        between calls, so it is checked on every call."""
+        def entry():
+            return self.violations(*subset_args(self.ring, ideal, subset,
+                                                self.lattice, "fixed-s"))
+        if not (isinstance(ideal, IdealSet) and isinstance(subset, SubsetS)):
+            return entry()
+        return once(self.memo, ("args", id(ideal), id(subset)),
+                    lambda: (ideal, subset, entry()))[2]
 
     def violations(self, mask, subset):
         """The unchecked (wits, verdict) entry of a subset in an ideal
         mask's violation table.  A missing one is filled with those of the
-        context subsets that miss the mask and are not in the table yet,
-        from one hypothesis relation that is not kept."""
+        context subsets that miss the mask and are not in the table yet."""
         table = once(self.memo, ("sj", mask.tobytes()), dict)
         if subset.key not in table:
             todo = {subset.key: subset}
             todo.update((S.key, S) for S in self.subsets
                         if S.key not in table and not (S.mask & mask).any())
-            table.update(_violation_table(self.ring, self.jac.mask, mask,
+            table.update(_violation_table(self.ring, self, mask,
                                           todo.values()))
         return table[subset.key]
+
+    def hyp(self, mask):
+        """The product Relation (ab inside the ideal) of a mask on this
+        context's ring, kept per mask; the violation table and P6/P7 read
+        it."""
+        return once(self.memo, ("hyp", mask.tobytes()),
+                    lambda: product_hyp_matrix(self.ring, mask))
+
+    def lattice_rel(self, ideal):
+        """The dense Relation of the lattice (AB inside the ideal), the
+        column leq[prod, i] of an ideal i, kept per ideal; P4, P23 and P31
+        read it."""
+        return once(self.memo, ("lattice_rel", ideal.key),
+                    lambda: Relation.dense(self.lattice.leq[
+                        self.lattice.prod, self.lattice.idx_of(ideal)]))
+
+    def jstar(self, ideal):
+        """J*(I), the intersection of the maximal ideals above an ideal,
+        kept per ideal."""
+        return once(self.memo, ("jstar", ideal.key),
+                    lambda: j_star(self.ring, ideal, self.lattice))
 
     def right_sj(self, ideal, subset):
         """is_right_S_J_ideal (lattice method, fixed-s) against this
@@ -221,6 +277,12 @@ class RingCtx:
         return once(self.memo, ("colon", mask.tobytes(), int(s)),
                     lambda: readonly(colon_elem_mask(self.ring, mask, s)))
 
+    def colon_idx(self, mask, s):
+        """The lattice index of (I : s), kept per (mask, s)."""
+        return once(self.memo, ("colon_idx", mask.tobytes(), int(s)),
+                    lambda: self.lattice.key_to_idx[
+                        self.colon(mask, s).tobytes()])
+
     def colon_principal(self, mask, s):
         """(I : <s>) of a mask on this context's ring, kept read-only per
         (mask, <s>)."""
@@ -229,15 +291,17 @@ class RingCtx:
                     lambda: readonly(colon_ideal_mask(self.ring, mask, sgen)))
 
 
-def _violation_table(ring, jm, imask, subsets):
-    """{S.key: (wits, verdict)} of the fixed-s law for an ideal mask and a
-    radical mask jm, from one hypothesis relation and one scan of the
-    s-rows of every subset: wits[k] says whether members[k] is a witness;
-    the verdict is the fixed-s predicate's."""
-    hyp = product_hyp_matrix(ring, imask)
+def _violation_table(ring, ctx, imask, subsets):
+    """{S.key: (wits, verdict)} of the fixed-s law for an ideal mask of ring
+    = ctx.ring against ctx's radical, from the mask's kept hypothesis
+    relation and one scan of the s-rows of every subset: wits[k] says
+    whether members[k] is a witness; the verdict is the fixed-s
+    predicate's.  The ring is ctx.ring, passed first as the ring a table
+    answers for."""
     subsets = list(subsets)
     rows = ring.mul_table[np.concatenate([S.members for S in subsets])]
-    found = first_violations(hyp, jm.take(rows), imask.take(rows))
+    found = first_violations(ctx.hyp(imask), ctx.jac.mask.take(rows),
+                             imask.take(rows))
     out, lo = {}, 0
     for S in subsets:
         viols, lo = found[lo:lo + S.size], lo + S.size
@@ -249,26 +313,34 @@ def _violation_table(ring, jm, imask, subsets):
 class _Quotient(NamedTuple):
     """A picked quotient: the kernel (an ideal of the context ring, labeled
     by its generators), the surjection onto the quotient ring, and that
-    ring as a context."""
+    ring as a context whose subsets are the images of the context's
+    subsets, keyed in images by the subset they come from."""
     kernel: IdealSet
     hom: object
     ctx: RingCtx
+    images: dict
 
     def image(self, subset):
-        """The image of a context subset, labeled by its members; built
-        and validated once per subset."""
-        return once(self.ctx.memo, ("image", subset.key), lambda: _mulclosed(
-            subset_quotient_image(subset, self.hom)))
+        """The image of a context subset, labeled by its members."""
+        return self.images[subset.key]
+
+    def image_ideal(self, ideal):
+        """The image of a context ideal, the quotient lattice's own
+        IdealSet; looked up once per ideal."""
+        def lookup():
+            qmask = np.zeros(self.ctx.ring.size, dtype=bool)
+            qmask[self.hom.map[ideal.members]] = True
+            return self.ctx.lattice.ideals[self.ctx.lattice.idx_of(
+                IdealSet(self.ctx.ring, qmask))]
+        return once(self.ctx.memo, ("image_ideal", ideal.key), lookup)
 
     def image_verdict(self, ideal, subset, right=False):
         """ctx.sj, or with right=True ctx.right_sj, of the images of a
         context ideal and subset on the quotient; None if they meet."""
-        qmask = np.zeros(self.ctx.ring.size, dtype=bool)
-        qmask[self.hom.map[ideal.members]] = True
-        simg = self.image(subset)
-        if (qmask & simg.mask).any():
+        qideal, simg = self.image_ideal(ideal), self.image(subset)
+        if not _disjoint(qideal, simg):
             return None
-        return (self.ctx.right_sj if right else self.ctx.sj)(qmask, simg)
+        return (self.ctx.right_sj if right else self.ctx.sj)(qideal, simg)
 
 
 @dataclass
@@ -425,7 +497,11 @@ def _pick_quotients(ctx):
         qring, hom = canonical_surjection(ring, k.mask)
         kernel = IdealSet(ring, k.mask, label=gens_label(ring, k))
         qring.label = "quot(%s, %s)" % (ring.label, kernel.label)
-        picks.append(_Quotient(kernel, hom, _context(qring)))
+        qctx = _context(qring)
+        images = {S.key: _mulclosed(subset_quotient_image(S, hom))
+                  for S in ctx.subsets}
+        qctx.subsets = tuple(images.values())
+        picks.append(_Quotient(kernel, hom, qctx, images))
     return tuple(picks)
 
 
@@ -634,10 +710,10 @@ def _p2(ctx, rep):
 def _p3(ctx, rep):
     # nilradical-relative implies radical-relative; radical ideal is
     # subset-radical iff subset-prime
-    ring, beta = ctx.ring, ctx.beta[0]
+    ring, bm = ctx.ring, ctx.beta[0].mask
     sub_free_done = set()
     for I, S in ctx.pairs(rep):
-        rn = is_S_n_ideal(ring, I, S, beta=beta, lattice=ctx.lattice)
+        rn = _fixed_s_scan(ctx, I.mask, bm, S)
         if rep.given(rn.verdict):
             rj = ctx.sj(I, S)
             if not rj.verdict:
@@ -647,17 +723,30 @@ def _p3(ctx, rep):
                     "radical_check": _labeled_result(ring, rj)})
         if I.key not in sub_free_done:
             sub_free_done.add(I.key)
-            n_res = is_n_ideal(ring, I, beta=beta, lattice=ctx.lattice)
-            if rep.given(n_res.verdict):
+            (n_viol,) = first_violations(ctx.hyp(I.mask), bm[None],
+                                         I.mask[None])
+            if rep.given(n_viol is None):
                 j_res = ctx.j_check(I)
                 if not j_res.verdict:
                     rep.violation(ring, I, None, {
                         "part": "nilradical-but-not-radical",
                         "counterexample":
                             label_indices(ring, j_res.counterexample)})
-    _radical_vs_prime(ctx, rep, ctx.sj, lambda J, S: is_S_prime(ring, J, S),
+    _radical_vs_prime(ctx, rep, ctx.sj,
+                      lambda J, S: _fixed_s_scan(ctx, J.mask, J.mask, S),
                       "radical-subset-radical-vs-subset-prime",
                       "subset_radical", "subset_prime")
+
+
+def _fixed_s_scan(ctx, imask, amask, subset):
+    """The fixed-s CheckResult of: some s of the subset has, whenever ab
+    lies in the ideal, s*a in amask or s*b in the ideal; read through the
+    ideal's kept hypothesis relation.  With amask the prime radical it is
+    is_S_n_ideal, with amask the ideal is_S_prime, of a picked pair of a
+    commutative ring with identity."""
+    rows = ctx.ring.mul_table[subset.members]
+    return pair_scan(ctx.hyp(imask), subset.members, amask.take(rows),
+                     imask.take(rows), "fixed-s")
 
 
 def _radical_vs_prime(ctx, rep, law, prime, part, law_key, prime_key):
@@ -679,22 +768,23 @@ def _radical_vs_prime(ctx, rep, law, prime, part, law_key, prime_key):
 def _p4(ctx, rep):
     # elementwise form agrees with the ideal-pair form, witness by witness
     ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
-    for I, S in ctx.pairs(rep):
-        hyp_lat = Relation.dense(
-            lattice.leq[lattice.prod, lattice.idx_of(I)])
-        wits = ctx.sj_witnesses(I, S)
-        rep.tested += 1
+    for I, subsets in ctx.missed_by(rep):
+        members = np.concatenate([S.members for S in subsets])
         # A*s lies in T iff A lies in the ideal (T : s)
-        viols = first_violations(hyp_lat, *(lattice.leq[:, [lattice.idx_of(
-            IdealSet(ring, ctx.colon(t, s))) for s in S.members]].T
-            for t in (jm, I.mask)))
-        for s, ok, v in zip(S.members, wits, viols):
-            if (v is None) != bool(ok):
-                rep.violation(ring, I, S, {
-                    "s": ring.element_label(int(s)),
-                    "elementwise_witness": bool(ok),
-                    "ideal_pair_witness": v is None})
-                break
+        viols = first_violations(ctx.lattice_rel(I), *(lattice.leq[:, [
+            ctx.colon_idx(t, s) for s in members]].T for t in (jm, I.mask)))
+        lo = 0
+        for S in subsets:
+            rep.tested += 1
+            for s, ok, v in zip(S.members, ctx.sj_witnesses(I, S),
+                                viols[lo:lo + S.size]):
+                if (v is None) != bool(ok):
+                    rep.violation(ring, I, S, {
+                        "s": ring.element_label(int(s)),
+                        "elementwise_witness": bool(ok),
+                        "ideal_pair_witness": v is None})
+                    break
+            lo += S.size
 
 
 def _p5(ctx, rep):
@@ -724,25 +814,43 @@ def _p5(ctx, rep):
                 break
 
 
+def _class_colons(ctx, mask, subset):
+    """Row k: the colon (T : s) of a mask, s = subset.members[k], on the
+    unit-class representatives of a commutative ring; the product-table
+    rows are gathered once per subset."""
+    ring = ctx.ring
+    rows = once(ctx.memo, ("class_rows", subset.key), lambda: ring.mul_table[
+        np.ix_(subset.members, ring.unit_classes[1])])
+    return mask.take(rows)
+
+
+def _colon_unions(ctx, imask, skip):
+    """Row k: the union of the colons (I : a) over the a outside the colon
+    ideal whose class row is skip[k], as a class row.  On a commutative
+    ring with identity, (I : ua) = (I : a) for a unit u, and a colon is an
+    ideal, so a union of unit classes; H[c, d] of the product relation
+    says whether class d lies in (I : a) for a in class c, so the union
+    is one boolean matrix product."""
+    return np.matmul(~skip, ctx.hyp(imask).H)
+
+
 def _colon_form(ctx, rep, form_b):
     # form a (P6): witness s <=> (I : a) inside (J(R) : s) for every a
     # outside (I : s); form b (P7): witness s <=> (I : b) inside (I : s)
-    # for every b outside (J(R) : s).  Row a of the product table read
-    # through I is (I : a), so viol is their union over the a outside skip
+    # for every b outside (J(R) : s).  Every set is a union of unit
+    # classes, read on their representatives for all s of S at once
     ring, jm = ctx.ring, ctx.jac.mask
     for I, S in ctx.pairs(rep):
         wits = ctx.sj_witnesses(I, S)
         rep.tested += 1
-        for s, w in zip(S.members, wits):
-            skip, inner = ctx.colon(jm, s), ctx.colon(I.mask, s)
-            if form_b:
-                skip, inner = inner, skip
-            viol = I.mask[ring.mul_table[~skip]].any(axis=0)
-            rhs = not (viol & ~inner).any()
-            if rhs != bool(w):
+        skip, inner = (_class_colons(ctx, t, S)
+                       for t in ((I.mask, jm) if form_b else (jm, I.mask)))
+        rhs = ~(_colon_unions(ctx, I.mask, skip) & ~inner).any(axis=1)
+        for s, w, r in zip(S.members, wits, rhs):
+            if r != w:
                 rep.violation(ring, I, S, {
                     "s": ring.element_label(int(s)),
-                    "witness": bool(w), "colon_form": rhs})
+                    "witness": bool(w), "colon_form": bool(r)})
                 break
 
 
@@ -767,13 +875,10 @@ def _p8(ctx, rep):
                 continue
             if sub is None:
                 sub = _context(make_ideal_as_ring(ring, I.mask))
-                nonzero = [int(sub.ring.pos[x]) for x in I.members
-                           if int(x) != ring.zero]
                 # the hypothesis relation of each colon-stable inner ideal
-                hyps = [product_hyp_matrix(sub.ring, P.mask) if all(
-                    np.array_equal(colon_elem_mask(sub.ring, P.mask, m),
-                                   P.mask) for m in nonzero) else None
-                        for P in sub.lattice.ideals]
+                hyps = [product_hyp_matrix(sub.ring, P.mask) if stable
+                        else None for P, stable in zip(sub.lattice.ideals,
+                                                       _colon_stable(sub))]
             rows = sub.ring.pos[ring.mul_table[np.ix_(S.members, I.members)]]
             for P, sub_hyp in zip(sub.lattice.ideals, hyps):
                 if rep.given(sub_hyp is not None) and not pair_scan(
@@ -786,13 +891,26 @@ def _p8(ctx, rep):
                                 "inside the ideal-as-ring"})
 
 
+def _colon_stable(sub):
+    """Per ideal P of sub.lattice: is (P : m) = P for every nonzero m of
+    the ring?  If a nonzero m lies in P, then (P : m) = {x : xm in P} is
+    the whole ring, so a stable P holds no nonzero element unless it is
+    the whole ring.  The whole ring is stable, and 0 is stable iff no
+    nonzero m has a nonzero x with xm = 0; no other ideal is."""
+    ring = sub.ring
+    nonzero = np.flatnonzero(ring.elements != ring.zero)
+    domain = not (ring.mul_table[np.ix_(nonzero, nonzero)] == ring.zero).any()
+    return [bool(P.mask.all()) or (domain and P.is_zero)
+            for P in sub.lattice.ideals]
+
+
 def _p9(ctx, rep):
     # intersections of maximal ideals that satisfy the law force the
     # radical to be subset-finite (trivially true in finite rings)
     ring, jm = ctx.ring, ctx.jac.mask
     fmask = None
     fixed = [I for I in ctx.ideals
-             if rep.keep(j_star(ring, I, ctx.lattice).key == I.key)]
+             if rep.keep(ctx.jstar(I).key == I.key)]
     for I, S in _pairs(rep, fixed, ctx.subsets):
         if not rep.given(ctx.sj_witnesses(I, S).any()):
             continue
@@ -811,24 +929,28 @@ def _p10(ctx, rep):
     # products force subset-finiteness (degenerate-true here)
     ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
     a_pool = list(ctx.ideals) + [unit_ideal(ring)]
+    idx = [lattice.idx_of(I) for I in ctx.ideals]
     for S in ctx.subsets:
         s = int(S.members.min())
         sj = {I.key: ctx.sj_witnesses(I, S).any()
               for I in ctx.ideals if _disjoint(I, S)}
-        missed = [J for J in ctx.ideals if J.key in sj]
+        # (I, its lattice index, the conclusion of both parts: does I*s
+        # stay inside I?)
+        picks = [(I, i, I.mask[ring.mul_vec(I.members, np.int64(s))].all())
+                 for I, i in zip(ctx.ideals, idx)]
+        missed = [pick for pick in picks if pick[0].key in sj]
         for A in a_pool:
             if not rep.keep(all((A.mask & ~ctx.colon(jm, t)).any()
                                 for t in S.members)):
                 continue
-            aidx = lattice.idx_of(A)
-            for I in ctx.ideals:
-                ai = lattice.product_idx(aidx, lattice.idx_of(I))
-                for J in (missed if I.key in sj else ()):
-                    if not rep.given(sj[I.key] and sj[J.key] and ai == (
-                            lattice.product_idx(aidx, lattice.idx_of(J)))):
+            prods = lattice.prod[lattice.idx_of(A)]
+            for I, i, I_kept in picks:
+                ai = prods[i]
+                for J, j, J_kept in (missed if I.key in sj else ()):
+                    if not rep.given(sj[I.key] and sj[J.key]
+                                     and ai == prods[j]):
                         continue
-                    js = ring.mul_vec(J.members, np.int64(s))
-                    if not J.mask[js].all():
+                    if not J_kept:
                         rep.violation(ring, J, S, {
                             "note": "J*s escaped J",
                             "s": ring.element_label(s)})
@@ -837,8 +959,7 @@ def _p10(ctx, rep):
                 if not (rep.keep(_disjoint(ai_ideal, S)) and rep.given(
                         ctx.sj_witnesses(ai_ideal, S).any())):
                     continue
-                is_ = ring.mul_vec(I.members, np.int64(s))
-                if not I.mask[is_].all():
+                if not I_kept:
                     rep.violation(ring, I, S, {
                         "note": "I*s escaped I",
                         "s": ring.element_label(s)})
@@ -872,6 +993,7 @@ def _p12(ctx, rep):
     # are maximal for the law
     ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
     for S in ctx.subsets:
+        colons = {ctx.colon_idx(jm, s) for s in S.members}
         sj_idx = [i for i, idl in enumerate(lattice.ideals)
                   if idl.is_proper and _disjoint(idl, S)
                   and ctx.sj_witnesses(idl, S).any()]
@@ -885,11 +1007,8 @@ def _p12(ctx, rep):
                         "part": "maximal-for-the-law-but-not-prime"})
         for i in range(len(lattice)):
             idl = lattice.ideals[i]
-            if not lattice.is_prime_idx(i) or (idl.mask & S.mask).any():
-                continue
-            hit = any(np.array_equal(ctx.colon(jm, s), idl.mask)
-                      for s in S.members)
-            if not hit:
+            if not lattice.is_prime_idx(i) or (idl.mask & S.mask).any() \
+                    or i not in colons:
                 continue
             rep.tested += 1
             others = [j for j in sj_idx if j != i and lattice.leq[i, j]]
@@ -905,11 +1024,11 @@ def _p12(ctx, rep):
 def _p13(ctx, rep):
     # when (J(R) : s) = J(R), the witness law rewrites through the
     # maximal-intersection radical of I
-    jm = ctx.jac.mask
+    jm, jidx = ctx.jac.mask, ctx.lattice.idx_of(ctx.jac)
     for I, S in ctx.pairs(rep):
         good = [(int(s), bool(w))
                 for s, w in zip(S.members, ctx.sj_witnesses(I, S))
-                if np.array_equal(ctx.colon(jm, s), jm)]
+                if ctx.colon_idx(jm, s) == jidx]
         if rep.given(good):
             # ab in I forces a*s in J*(I) or b*s in I (aRb = abR here)
             _rewritten_form(ctx, rep, I, S, *zip(*good), ctx.colon)
@@ -920,9 +1039,8 @@ def _rewritten_form(ctx, rep, I, S, ss, lhs, colon):
     lies in colon(J(R), s) and aRb inside I forces a into colon(J*(I), s)
     or b into colon(I, s); the first s where the two differ is reported."""
     ring = ctx.ring
-    jstar = j_star(ring, I, ctx.lattice)
     a_skip, b_skip = (np.array([colon(t, s) for s in ss])
-                      for t in (jstar.mask, I.mask))
+                      for t in (ctx.jstar(I).mask, I.mask))
     viols = two_sided_violations(ring, I.mask, a_skip, b_skip, ctx.two_sided)
     for s, w, v in zip(ss, lhs, viols):
         rhs = not (I.mask & ~colon(ctx.jac.mask, s)).any() and v is None
@@ -1171,26 +1289,33 @@ def _p22(corpus, rep):
 
 def _p23(ctx, rep):
     # three faces of the right-sided law: full ideal pairs, principal
-    # pairs, and the elementwise two-sided form
-    ring, lattice = ctx.ring, ctx.lattice
+    # pairs, and the elementwise two-sided form; the last two scan the
+    # s-rows of every subset P misses at once
+    ring, lattice, jm = ctx.ring, ctx.lattice, ctx.jac.mask
     jidx = lattice.idx_of(ctx.jac)
     prin = np.unique(lattice.principal_of)
-    for P, S in ctx.pairs(rep):
+    for P, subsets in ctx.missed_by(rep):
+        members = np.concatenate([S.members for S in subsets])
         pidx = lattice.idx_of(P)
-        hyp_pr = Relation.dense(
-            lattice.leq[lattice.prod, pidx][np.ix_(prin, prin)])
-        rep.tested += 1
-        pair = pair_scan(hyp_pr, S.members, *(
-            lattice_colon_rows(lattice, t, S.members)[:, prin]
-            for t in (jidx, pidx)), "fixed-s").verdict
-        verdicts = {"ideal_pairs": ctx.right_sj(P, S).verdict,
-                    "principal_pairs": pair}
+        faces = {"principal_pairs": first_violations(
+            Relation.dense(ctx.lattice_rel(P).H[np.ix_(prin, prin)]),
+            *(lattice_colon_rows(lattice, t, members)[:, prin]
+              for t in (jidx, pidx)))}
         if ring.size <= ELEMENTWISE_LIMIT:
-            el = is_right_S_J_ideal(ring, P, S, lattice=lattice,
-                                    jacobson=ctx.jac, method="elementwise")
-            verdicts["elementwise"] = el.verdict
-        if len(set(verdicts.values())) > 1:
-            rep.violation(ring, P, S, verdicts)
+            # xRy inside P forces x<s> into J(R) or y<s> into P
+            faces["elementwise"] = first_violations(
+                ctx.two_sided(P.mask), *(np.array([
+                    ctx.colon_principal(t, s) for s in members])
+                    for t in (jm, P.mask)))
+        lo = 0
+        for S in subsets:
+            rep.tested += 1
+            verdicts = {"ideal_pairs": ctx.right_sj(P, S).verdict}
+            verdicts.update((face, None in found[lo:lo + S.size])
+                            for face, found in faces.items())
+            lo += S.size
+            if len(set(verdicts.values())) > 1:
+                rep.violation(ring, P, S, verdicts)
 
 
 def _p24(ctx, rep):
@@ -1331,7 +1456,7 @@ def _p31(ctx, rep):
             continue
         pidx = lattice.idx_of(P)
         lhs = [v is None for v in first_violations(
-            Relation.dense(lattice.leq[lattice.prod, pidx]),
+            ctx.lattice_rel(P),
             *(lattice_colon_rows(lattice, t, good) for t in (jidx, pidx)))]
         _rewritten_form(ctx, rep, P, S, good, lhs, ctx.colon_principal)
 

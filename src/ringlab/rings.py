@@ -912,11 +912,11 @@ class IdealSubringRing(Ring):
 class Hom:
     """Ring homomorphism given by a full map array (source index -> target)."""
 
-    def __init__(self, source, target, map_array, label=""):
+    def __init__(self, source, target, map_array, label):
         self.source = source
         self.target = target
         self.map = np.asarray(map_array, dtype=np.int64)
-        self.label = label or "hom(%s -> %s)" % (source.label, target.label)
+        self.label = label
 
     def __repr__(self):
         return "<Hom %s>" % self.label

@@ -21,7 +21,9 @@ from ringlab.errors import (
     NotDisjoint,
     RinglabError,
 )
+from ringlab.ideals import colon_elem_mask
 from ringlab.memo import readonly
+from ringlab.rings import make_ideal_as_ring
 from ringlab.subsets import SubsetS, generated_subset
 from test_ideals import generated_rings  # noqa: F401  (fixture)
 
@@ -576,6 +578,78 @@ def test_registry_builds_each_two_sided_matrix_once(monkeypatch):
     harness.verify_properties(corpus)
     assert built and len(set(built)) == len(built)
     assert {ring for ring, _ in built} <= ctx_rings
+
+
+def test_registry_builds_each_hypothesis_relation_once(monkeypatch):
+    """Over a full registry run, each (context ring, mask) product relation
+    ab-inside-I is built at most once through the harness: the violation
+    tables, P3 and P6/P7 all read the context's kept one.  The picked
+    quotients' rings count as context rings."""
+    corpus = harness.build_corpus(CACHE_CORPUS)
+    ctx_rings = {id(c.ring) for ctx in corpus.contexts
+                 for c in (ctx, *(Q.ctx for Q in ctx.quotients))}
+    built = []
+    build = harness.product_hyp_matrix
+
+    def counted(ring, imask):
+        built.append((id(ring), imask.tobytes()))
+        return build(ring, imask)
+
+    monkeypatch.setattr(harness, "product_hyp_matrix", counted)
+    harness.verify_properties(corpus)
+    on_contexts = [key for key in built if key[0] in ctx_rings]
+    assert on_contexts and len(set(on_contexts)) == len(on_contexts)
+
+
+def test_colon_unions_read_on_unit_classes_match_the_elementwise_union(
+        generated_rings):
+    """P6 and P7 read the union of the colons (I : a) over the a outside
+    (T : s) on the unit classes, for all s of S at once.  On each
+    commutative unital generated ring it equals I.mask[mul_table[~skip]]
+    .any(0) with skip = (T : s), for every picked (I, S), every s of S and
+    T in (J(R), I)."""
+    checked = classed = 0
+    for label, ring, _ in generated_rings:
+        if not ring.commutative or ring.one is None:
+            continue
+        ctx = harness.build_context(label, "custom")
+        table, (cls, reps) = ctx.ring.mul_table, ctx.ring.unit_classes
+        classed += reps.size < ctx.ring.size
+        for I, S in ctx.pairs(harness._Rep()):
+            for t in (ctx.jac.mask, I.mask):
+                unions = harness._colon_unions(
+                    ctx, I.mask, harness._class_colons(ctx, t, S))
+                for s, union in zip(S.members, unions):
+                    want = I.mask[table[~ctx.colon(t, s)]].any(axis=0)
+                    assert np.array_equal(union[cls], want), (label, s)
+                    checked += 1
+    assert checked > 100 and classed > 5
+
+
+def test_colon_stable_ideals_are_read_by_their_proof(generated_rings):
+    """P8 keeps the inner ideals P with (P : m) = P for every nonzero m.
+    _colon_stable reads them by proof (the whole ring, and 0 when no
+    nonzero m has a nonzero annihilator); on every generated ring with two
+    or more elements, and on the ideal-as-rings of its proper nonzero
+    ideals, it agrees with testing each P against each m."""
+    seen = set()
+    for label, ring, _ in generated_rings:
+        base = harness._context(ring)
+        rings = [ring] + [make_ideal_as_ring(ring, I.mask)
+                          for I in base.lattice.ideals
+                          if I.is_proper and I.size > 1]
+        for inner in rings:
+            if inner.size < 2:
+                continue
+            sub = harness._context(inner)
+            nonzero = [m for m in range(inner.size) if m != inner.zero]
+            want = [all(np.array_equal(colon_elem_mask(inner, P.mask, m),
+                                       P.mask) for m in nonzero)
+                    for P in sub.lattice.ideals]
+            assert harness._colon_stable(sub) == want, (label, inner.label)
+            seen.add(tuple(want[:1]))
+    # both forms of 0 occur: stable (no zero divisors) and not
+    assert seen == {(True,), (False,)}
 
 
 def test_p31_streams_its_scan_above_the_pair_scan_limit(monkeypatch):
